@@ -210,6 +210,11 @@ def parse_config(data):
     delta0 = _take(filters, "filters", "delta0", float, required=False, default=math.pi / 4)
     count = _take(filters, "filters", "count", int, required=False, default=3)
     _reject_unknown(filters, "filters")
+    if count < 3:
+        raise ConfigError(
+            "filters.count: need at least three widths (the defect fit and the "
+            "refinement trends use the finest three)"
+        )
 
     minimizer = dict(_require_mapping(data.pop("minimizer", None) or {}, "minimizer"))
     radius_override = _take(minimizer, "minimizer", "radius_override", float, required=False)

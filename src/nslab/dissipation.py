@@ -15,9 +15,10 @@ Two independent discretizations of the same subfilter energy transfer:
 
 Both integrate against dyadic width schedules and extrapolate to delta -> 0
 by a Richardson fit on the finest three widths.  The structure-function sum
-visits every offset in a ball of radius delta, an O(n^3 * (delta/h)^3) cost;
-offsets_count() reports the ball size and MAX_STRUCTURE_OFFSETS is the policy bound
-above which drivers skip the structure form (ledger rows then carry NaN).
+is not evaluated offset by offset: expanding du |du|^2 turns it into five
+circular correlations of the sampled grad(eta_delta) with pointwise products
+of u (the discrete Duchon-Robert form): 27 scalar FFTs per call, three of
+them for the kernel gradient, whatever delta is.  offsets_count() reports how many offsets the sum covers.
 
 The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
@@ -30,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import kernel_for, reynolds_stress, wrapped_radius_sq
-from .spectral import dealias, gradient
+from .spectral import VOLUME, dealias, gradient
 
-MAX_STRUCTURE_OFFSETS = 4500
+# Position of the pair (j, k) in the upper-triangle order of np.triu_indices(3).
+_SYMMETRIC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class DissipationError(ValueError):
@@ -50,62 +52,67 @@ def offsets_count(grid, delta):
     return int(np.count_nonzero((r_sq > 0.0) & (r_sq < float(delta) ** 2)))
 
 
-def _offset_table(grid, delta):
-    """Index shifts and exact kernel-gradient samples for all offsets in the ball.
+def _kernel_gradient_hat(grid, delta):
+    """Transform of grad(eta_delta) sampled on the wrapped grid, (3, n, n, nh).
 
-    Returns (shifts, gvecs): shifts is (M, 3) int array of grid index offsets,
-    gvecs is (M, 3) float array with gvecs[m] = grad(eta_delta)(y_m).
+    The samples come from the analytic mollifier formula with the filter
+    kernel's normalization constant, at every offset with 0 < |y| < delta,
+    and are zero elsewhere.  Every sample has a mirror at -y, so the sampled
+    gradient is exactly odd.
     """
-    cache = getattr(grid, "_defect_offset_cache", None)
-    if cache is None:
-        cache = {}
-        grid._defect_offset_cache = cache
-    key = round(float(delta), 12)
-    if key in cache:
-        return cache[key]
     delta = float(delta)
     norm_const = kernel_for(grid, delta).norm_const
     d = _wrapped_displacements(grid)
-    dx = d[:, None, None] + np.zeros(grid.shape)
-    dy = d[None, :, None] + np.zeros(grid.shape)
-    dz = d[None, None, :] + np.zeros(grid.shape)
-    r = np.sqrt(dx**2 + dy**2 + dz**2)
+    disp = np.stack(np.meshgrid(d, d, d, indexing="ij"))
+    r = np.sqrt(np.sum(disp**2, axis=0))
     mask = (r > 0.0) & (r < delta)
-    shifts = np.argwhere(mask)
-    disp = np.stack([dx[mask], dy[mask], dz[mask]], axis=1)
     r_m = r[mask]
     rho = r_m / delta
+    amp = np.zeros(grid.shape)
     with np.errstate(under="ignore"):
-        amp = (
+        amp[mask] = (
             norm_const
             * (-2.0 * rho / (1.0 - rho**2) ** 2)
             * np.exp(-1.0 / (1.0 - rho**2))
             / (r_m * delta)
         )
-    gvecs = amp[:, None] * disp
-    cache[key] = (shifts, gvecs)
-    return cache[key]
+    return grid.forward(amp * disp)
 
 
 def defect_structure_function(grid, u_hat, delta):
-    """Structure-function transfer density, real field of shape (n, n, n)."""
-    shifts, gvecs = _offset_table(grid, delta)
-    u = grid.inverse(dealias(grid, u_hat))
-    acc = np.zeros(grid.shape)
-    for m in range(shifts.shape[0]):
-        s0, s1, s2 = shifts[m]
-        du = np.roll(u, (-s0, -s1, -s2), axis=(1, 2, 3))
-        du -= u
-        w = du[0] * du[0]
-        w += du[1] * du[1]
-        w += du[2] * du[2]
-        g = gvecs[m]
-        proj = g[0] * du[0]
-        proj += g[1] * du[1]
-        proj += g[2] * du[2]
-        w *= proj
-        acc += w
-    return 0.25 * grid.h**3 * acc
+    """Structure-function transfer density, real field of shape (n, n, n).
+
+    With g = grad(eta_delta), v = u(x + y) and w = u(x), the offset sum
+    sum_y g . (v - w) |v - w|^2 is the sum of five circular correlations
+    C[g_k, f](x) = sum_y g_k(y) f(x + y), each weighted pointwise by w:
+
+        C[g_k, u_k |u|^2] - w_j (2 C[g_k, u_k u_j] + C[g_j, |u|^2])
+        + |w|^2 C[g_k, u_k] + 2 w_j w_k C[g_k, u_j].
+
+    The sixth term, -w_k |w|^2 sum_y g_k(y), vanishes because g is odd.
+    """
+    u_hat = dealias(grid, u_hat)
+    u = grid.inverse(u_hat)
+    # conj(g_hat) * f_hat is the transform of C[g, f] / n^3; folding n^3 into
+    # the prefactor h^3 / 4 gives VOLUME / 4.
+    g_hat = 0.25 * VOLUME * np.conj(_kernel_gradient_hat(grid, delta))
+    j, k = np.triu_indices(3)
+    pairs = u[j] * u[k]  # u_j u_k for j <= k
+    speed_sq = np.sum(pairs[j == k], axis=0)
+    pairs_hat = grid.forward(pairs)[_SYMMETRIC_INDEX]  # (3, 3, n, n, nh)
+
+    cubic_hat = np.einsum("k...,k...->...", g_hat, grid.forward(u * speed_sq))
+    div_hat = np.einsum("k...,k...->...", g_hat, u_hat)
+    vec_hat = 2.0 * np.einsum("k...,kj...->j...", g_hat, pairs_hat)
+    vec_hat += g_hat * grid.forward(speed_sq)
+    sym_hat = g_hat[k] * u_hat[j] + g_hat[j] * u_hat[k]  # C[g_k, u_j] + C[g_j, u_k]
+
+    density = grid.inverse(cubic_hat)
+    density += speed_sq * grid.inverse(div_hat)
+    density -= np.einsum("j...,j...->...", u, grid.inverse(vec_hat))
+    weights = np.where(j == k, 1.0, 2.0)
+    density += np.einsum("p,p...,p...->...", weights, pairs, grid.inverse(sym_hat))
+    return density
 
 
 def defect_stress_strain(grid, u_hat, delta):
@@ -181,7 +188,7 @@ class CrossValidationReport:
     """
 
     deltas: tuple
-    structure: tuple  # NaN where the offset ball exceeded MAX_STRUCTURE_OFFSETS
+    structure: tuple
     stress: tuple
     structure_fit: RichardsonFit
     stress_fit: RichardsonFit
@@ -192,39 +199,20 @@ class CrossValidationReport:
     stress_series: np.ndarray = field(repr=False)
 
 
-def defect_cross_validate(trajectory, deltas, max_offsets=MAX_STRUCTURE_OFFSETS):
+def defect_cross_validate(trajectory, deltas):
     """Run both estimators on a dyadic schedule and compare them.
 
-    The structure form runs only on widths whose offset ball stays within
-    max_offsets; at least three such widths are required (the Richardson fit
-    uses the finest three).  The stress form runs on every width.
+    At least three widths are required: the Richardson fits use the finest
+    three.
     """
-    grid = trajectory.grid
     deltas = sorted((float(d) for d in deltas), reverse=True)
-    affordable = [d for d in deltas if offsets_count(grid, d) <= max_offsets]
-    if len(affordable) < 3:
-        raise DissipationError(
-            f"only {len(affordable)} widths within MAX_STRUCTURE_OFFSETS={max_offsets}; "
-            "need three for extrapolation"
-        )
-    struct_vals = []
-    struct_series = []
-    for d in deltas:
-        if d in affordable:
-            total, series = defect_space_time(trajectory, d, "structure")
-            struct_vals.append(total)
-            struct_series.append(series)
-        else:
-            struct_vals.append(float("nan"))
-            struct_series.append(np.full(len(trajectory), np.nan))
-    stress_vals = []
-    stress_series = []
-    for d in deltas:
-        total, series = defect_space_time(trajectory, d, "stress")
-        stress_vals.append(total)
-        stress_series.append(series)
-
-    struct_fit = richardson_extrapolate(affordable[-3:], struct_vals[-3:])
+    if len(deltas) < 3:
+        raise DissipationError(f"{len(deltas)} widths given; need three for extrapolation")
+    struct_vals, struct_series = zip(
+        *(defect_space_time(trajectory, d, "structure") for d in deltas)
+    )
+    stress_vals, stress_series = zip(*(defect_space_time(trajectory, d, "stress") for d in deltas))
+    struct_fit = richardson_extrapolate(deltas[-3:], struct_vals[-3:])
     stress_fit = richardson_extrapolate(deltas[-3:], stress_vals[-3:])
 
     s_fine = struct_vals[-1]
@@ -236,8 +224,8 @@ def defect_cross_validate(trajectory, deltas, max_offsets=MAX_STRUCTURE_OFFSETS)
     gap_dissipation = gap / dissipation_scale if dissipation_scale > 0.0 else gap
     return CrossValidationReport(
         deltas=tuple(deltas),
-        structure=tuple(struct_vals),
-        stress=tuple(stress_vals),
+        structure=struct_vals,
+        stress=stress_vals,
         structure_fit=struct_fit,
         stress_fit=stress_fit,
         gap_rel=gap_rel,

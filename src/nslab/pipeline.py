@@ -22,12 +22,7 @@ import numpy as np
 from . import snapshots as snap_mod
 from .config import load_config
 from .config import dump_config
-from .dissipation import (
-    MAX_STRUCTURE_OFFSETS,
-    DissipationError,
-    defect_cross_validate,
-    offsets_count,
-)
+from .dissipation import defect_cross_validate
 from .filtering import kernel_for, resolved_balance
 from .ledger import (
     read_ledger,
@@ -210,32 +205,23 @@ def cmd_analyze(run_dir):
             )
             balance_rows.append(rows[-1].copy())
 
-        defect_summary = {"max_offsets": MAX_STRUCTURE_OFFSETS}
-        defect_summary["offsets"] = {
-            f"{delta!r}": offsets_count(grid, delta) for delta in schedule
+        defect = defect_cross_validate(traj, schedule)
+        for row in rows:
+            i = defect.deltas.index(row["delta"])
+            row["defect_structure"] = defect.structure[i]
+            row["defect_stress"] = defect.stress[i]
+        defect_summary = {
+            "deltas": list(defect.deltas),
+            "structure": list(defect.structure),
+            "stress": list(defect.stress),
+            "structure_order": defect.structure_fit.order,
+            "structure_limit": defect.structure_fit.limit,
+            "stress_order": defect.stress_fit.order,
+            "stress_limit": defect.stress_fit.limit,
+            "gap_rel": defect.gap_rel,
+            "gap_dissipation": defect.gap_dissipation,
+            "dissipation_scale": defect.dissipation_scale,
         }
-        try:
-            defect = defect_cross_validate(traj, schedule)
-            for row in rows:
-                i = defect.deltas.index(row["delta"])
-                row["defect_structure"] = defect.structure[i]
-                row["defect_stress"] = defect.stress[i]
-            defect_summary.update(
-                {
-                    "deltas": list(defect.deltas),
-                    "structure": list(defect.structure),
-                    "stress": list(defect.stress),
-                    "structure_order": defect.structure_fit.order,
-                    "structure_limit": defect.structure_fit.limit,
-                    "stress_order": defect.stress_fit.order,
-                    "stress_limit": defect.stress_fit.limit,
-                    "gap_rel": defect.gap_rel,
-                    "gap_dissipation": defect.gap_dissipation,
-                    "dissipation_scale": defect.dissipation_scale,
-                }
-            )
-        except DissipationError as exc:
-            defect_summary["error"] = str(exc)
 
         write_width_ledger(paths.width_ledger, rows)
         analysis = {
@@ -430,8 +416,8 @@ def cmd_report(run_dir):
             else 0.0,
             "orders": {
                 "stress_norm": _fit_order(deltas, stress_norms),
-                "defect_structure": defect.get("structure_order"),
-                "defect_stress": defect.get("stress_order"),
+                "defect_structure": defect["structure_order"],
+                "defect_stress": defect["stress_order"],
                 "a": weak["order_a"],
                 "b": weak["order_b"],
             },
@@ -465,8 +451,8 @@ def cmd_report(run_dir):
         lines.append("")
         lines.append(
             f"orders: stress {summary['orders']['stress_norm']:.3f}  "
-            f"defect_struct {defect.get('structure_order', float('nan')):.3f}  "
-            f"defect_stress {defect.get('stress_order', float('nan')):.3f}"
+            f"defect_struct {defect['structure_order']:.3f}  "
+            f"defect_stress {defect['stress_order']:.3f}"
         )
         lines.append(
             f"weak convergence: monotone_a={weak['monotone_a']} "

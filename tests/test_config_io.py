@@ -3,7 +3,8 @@
 Validates:
 - strict config parsing: defaults, unknown-key rejection at every level,
   type and finiteness checks, per-kind initial-condition requirements, and
-  cross-validation against grid/filter/basket rules
+  cross-validation against grid/filter/basket rules, including the
+  three-width minimum of the filter schedule
 - output-directory resolution including the NSLAB_OUT override
 - config file round trips and deterministic dumps
 - .nsel snapshot round trips are bit exact, the on-disk layout is the
@@ -21,6 +22,7 @@ import struct
 import numpy as np
 import pytest
 
+from nslab import cli
 from nslab.config import (
     ConfigError,
     OracleConfig,
@@ -288,6 +290,21 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    def test_fewer_than_three_widths_rejected(self, tmp_path, capsys):
+        """The defect fit and the refinement trends need three widths, so a
+        two-width schedule fails at load time with exit code 2, before any
+        stage runs."""
+        data = base_config()
+        data["filters"]["count"] = 2
+        data["output"]["dir"] = str(tmp_path / "run")
+        path = tmp_path / "two_widths.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match="filters.count: need at least three widths"):
+            load_config(path)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "filters.count" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

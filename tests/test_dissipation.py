@@ -4,18 +4,20 @@ Validates:
 - frozen reference values from tools/oracle_defect_direct.py (an FFT-free
   reimplementation: circular-convolution filtering, analytic gradients,
   modular-index offset sums) on a closed-triad field
+- pointwise agreement of the correlation form of the structure function with
+  a direct offset-by-offset np.roll loop on random fields
 - exact zeros for single-mode fields (no closed triads)
 - odd/even symmetry of both estimators under u -> -u
 - translation invariance of the space integrals
 - Richardson extrapolation on synthetic power laws and its failure modes
-- cross-validation driver policy (offset budget, NaN rows, gap metrics)
+- defect_cross_validate: every width gets both estimators, three widths
+  are required, gap metrics
 """
 
 import numpy as np
 import pytest
 
 from nslab.dissipation import (
-    MAX_STRUCTURE_OFFSETS,
     DissipationError,
     defect_cross_validate,
     defect_space_time,
@@ -25,8 +27,9 @@ from nslab.dissipation import (
     richardson_extrapolate,
     space_integral,
 )
+from nslab.filtering import kernel_for
 from nslab.solver import InitialCondition, make_initial, simulate
-from nslab.spectral import Grid
+from nslab.spectral import Grid, dealias
 
 # Frozen output of tools/oracle_defect_direct.py (n=16, a=1.1, b=0.8, c=0.6).
 # The oracle shares no code with the package: filtering is an explicit
@@ -68,8 +71,39 @@ class TestOffsets:
         counts = [offsets_count(grid, d) for d in (np.pi / 4, np.pi / 2, np.pi)]
         assert counts[0] < counts[1] < counts[2]
 
-    def test_policy_constant(self):
-        assert MAX_STRUCTURE_OFFSETS == 4500
+
+def direct_structure_density(grid, u_hat, delta):
+    """Reference: the structure-function offset sum, one np.roll per offset."""
+    norm_const = kernel_for(grid, delta).norm_const
+    u = grid.inverse(dealias(grid, u_hat))
+    coords = grid.h * np.arange(grid.n)
+    wrapped = np.where(coords <= np.pi, coords, coords - 2.0 * np.pi)
+    acc = np.zeros(grid.shape)
+    for shift in np.ndindex(grid.shape):
+        y = wrapped[list(shift)]
+        r = float(np.linalg.norm(y))
+        if not 0.0 < r < delta:
+            continue
+        rho = r / delta
+        grad_eta = norm_const * -2.0 * rho / (1.0 - rho**2) ** 2
+        grad_eta *= np.exp(-1.0 / (1.0 - rho**2)) / (r * delta) * y
+        du = np.roll(u, tuple(-s for s in shift), axis=(1, 2, 3)) - u
+        acc += np.einsum("i,i...->...", grad_eta, du) * np.sum(du * du, axis=0)
+    return 0.25 * grid.h**3 * acc
+
+
+class TestAgainstDirectLoop:
+    """The correlation form against the offset-by-offset sum it replaces."""
+
+    @pytest.mark.parametrize("n, cells", [(24, 8.0), (24, 4.0), (24, 2.0), (32, 16.0)])
+    def test_pointwise(self, n, cells):
+        """Random O(1) field; n=32 with 16 cells is delta = pi, 17070 offsets."""
+        g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
+        delta = cells * g.h
+        u_hat = g.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
+        ref = direct_structure_density(g, u_hat, delta)
+        fast = defect_structure_function(g, u_hat, delta)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestAgainstDirectOracle:
@@ -194,25 +228,26 @@ class TestCrossValidation:
             abs(report.structure[-1]), abs(report.stress[-1])
         ) / report.dissipation_scale + 1e-30
 
-    def test_offset_budget_skips_structure_rows(self):
-        """Widths beyond the budget carry NaN structure values but the stress
-        column is always complete."""
+    def test_widest_width_has_finite_structure(self):
+        """Every width gets a structure value, delta = pi (17070 offsets at
+        32^3) included, and the fits use the finest three."""
         g = Grid(n=32, nu=0.05, dt=2e-3, t_end=4e-3, snapshot_stride=1)
         ic = InitialCondition(
             kind="random_band", amplitude=0.2, seed=11, slope=-2.0, k_min=1, k_max=2
         )
         traj = simulate(g, make_initial(g, ic))
         deltas = [np.pi, np.pi / 2.0, np.pi / 4.0, np.pi / 8.0]
-        report = defect_cross_validate(traj, deltas)  # pi needs 17070 > 4500 offsets
-        assert np.isnan(report.structure[0])
-        assert not np.any(np.isnan(report.structure[1:]))
-        assert not np.any(np.isnan(report.stress))
-        assert np.isnan(report.structure_series[0]).all()
+        report = defect_cross_validate(traj, deltas)
+        assert offsets_count(g, np.pi) == 17070
+        assert np.all(np.isfinite(report.structure))
+        assert np.all(np.isfinite(report.structure_series))
+        assert np.all(np.isfinite(report.stress))
+        assert report.structure_fit.deltas == tuple(deltas[1:])
 
-    def test_requires_three_affordable_widths(self, grid):
+    def test_requires_three_widths(self, grid):
         ic = InitialCondition(
             kind="random_band", amplitude=0.2, seed=11, slope=-2.0, k_min=1, k_max=2
         )
         traj = simulate(grid, make_initial(grid, ic))
-        with pytest.raises(DissipationError, match="within MAX_STRUCTURE_OFFSETS"):
-            defect_cross_validate(traj, [np.pi, np.pi / 2.0, np.pi / 4.0], max_offsets=100)
+        with pytest.raises(DissipationError, match="three"):
+            defect_cross_validate(traj, [np.pi, np.pi / 2.0])

@@ -201,7 +201,7 @@ class TestAnalyzeStage:
         assert np.isfinite(defect["structure_limit"])
         assert np.isfinite(defect["stress_limit"])
         assert np.isfinite(defect["gap_rel"])
-        assert defect["max_offsets"] == 4500
+        assert "max_offsets" not in defect and "offsets" not in defect
 
 
 class TestMinimizeStage:
