@@ -17,13 +17,14 @@ from .minimizer import (
     FluxField,
     MinimizerSolution,
     assemble_flux,
+    audit_widths,
     el_residual,
     k_functional,
     kkt_report,
     lagrange_ratio,
     oracle_mp,
+    pair_basket,
     solve_mp,
-    weak_convergence_diag,
 )
 from .snapshots import read_snapshot, write_snapshot
 from .solver import BlowUpError, InitialCondition, Trajectory, make_initial, simulate
@@ -44,6 +45,7 @@ __all__ = [
     "TestBasket",
     "Trajectory",
     "assemble_flux",
+    "audit_widths",
     "build_basket",
     "defect_cross_validate",
     "defect_space_time",
@@ -57,6 +59,7 @@ __all__ = [
     "make_initial",
     "make_kernel",
     "oracle_mp",
+    "pair_basket",
     "parse_config",
     "read_snapshot",
     "resolved_balance",
@@ -64,7 +67,6 @@ __all__ = [
     "richardson_extrapolate",
     "simulate",
     "solve_mp",
-    "weak_convergence_diag",
     "width_schedule",
     "write_snapshot",
 ]

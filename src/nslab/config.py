@@ -274,6 +274,13 @@ def parse_config(data):
     # the only failure mode for a bad config.
     try:
         grid_obj = cfg.make_grid()
+        # simulate keeps t = 0, every snapshot_stride-th step and t_end.
+        snapshots = 1 + -(-grid_obj.steps // grid_obj.snapshot_stride)
+        if snapshots < 3:
+            raise ConfigError(
+                f"grid: {snapshots} snapshots; need at least three, because every "
+                "basket window vanishes at t = 0 and t = t_end"
+            )
         cfg.make_schedule(grid_obj)
         if basket_size < 1 or basket_max_mode < 1 or basket_max_mode > grid_obj.dealias_cutoff:
             raise ConfigError("basket: size/max_mode out of range for this grid")

@@ -19,17 +19,29 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
   than by formula, so agreement with solve_mp is a genuine cross-check and
   the two paths are never merged.
 
-The weak-form diagnostics (Lagrange ratios, Euler-Lagrange residuals,
-width-refinement pairings, stress-modeling residuals) all pair against a
-fixed basket of divergence-free test functions.
+audit_widths is the entry point for a trajectory.  Per filter width it
+assembles the flux once (one Reynolds stress per snapshot, kept on the flux
+next to J), solves once, and makes one pass over the snapshots that collects
+every pairing against the fixed basket of divergence-free test functions.
+Each identity is then a reduction of those sums: the Lagrange ratios and the
+weak Euler-Lagrange residuals share one BasketPairing, the Boussinesq and
+energy-drop identities reduce their own integrals, and
+weak_convergence_diag / stress_limit_diagnostics reduce the per-width rows
+across widths.  The nu = 1 stress-limit problem needs no second stress
+assembly: R does not depend on nu, so J = nu grad(ubar) - R is linear in nu
+and the nu = 1 flux grad(ubar) - R is built from the stored stress, then
+solved once more by solve_mp.  R is stored rather than recovered as
+nu grad(ubar) - J because that difference rounds away from the assembled
+stress in its last bits, and the stress-modeling residuals would follow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .basket import spacetime_gradient_norm
 from .filtering import kernel_for, reynolds_stress_hat
 from .spectral import (
     VOLUME,
@@ -40,6 +52,7 @@ from .spectral import (
     inner_product,
     inverse_laplacian,
     leray_project,
+    norm_sq,
     sym_gradient,
     tensor_divergence,
     trapezoid_weights,
@@ -62,17 +75,17 @@ class FluxField:
 
     Solver-generated fluxes are assembled exactly as nu grad(ubar) - R; the
     class also accepts arbitrary tensors (manufactured test fluxes need not
-    be symmetric).  div_r_hats optionally carries (div R)_hat per snapshot
-    for weak pairings that test the stress divergence directly.
+    be symmetric).  r_hats optionally carries the Reynolds stress R_hat per
+    snapshot that an assembled flux was built from.
     """
 
-    def __init__(self, grid, times, j_hats, nu, delta=None, div_r_hats=None):
+    def __init__(self, grid, times, j_hats, nu, delta=None, r_hats=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=np.float64)
         self.j_hats = j_hats
         self.nu = float(nu)
         self.delta = delta
-        self.div_r_hats = div_r_hats
+        self.r_hats = r_hats
         if self.times.ndim != 1 or len(self.times) != j_hats.shape[0]:
             raise MinimizerError("times and flux snapshots disagree")
         self._weights = trapezoid_weights(self.times)
@@ -98,23 +111,19 @@ class FluxField:
         return self._rhs
 
 
-def assemble_flux(trajectory, kernel, nu=None):
-    """Flux of a trajectory at one filter width: J = nu grad(ubar) - R.
-
-    nu defaults to the trajectory's viscosity; diagnostics that renormalize
-    the viscous weight (the nu = 1 refinement report) pass their own.
-    """
+def assemble_flux(trajectory, kernel):
+    """Flux of a trajectory at one filter width: J = nu grad(ubar) - R."""
     grid = trajectory.grid
-    nu = grid.nu if nu is None else float(nu)
     n_snap = len(trajectory)
     j_hats = np.empty((n_snap, 3, 3) + grid.spectral_shape, dtype=complex)
-    div_r = np.empty((n_snap, 3) + grid.spectral_shape, dtype=complex)
+    r_hats = np.empty((n_snap, 3, 3) + grid.spectral_shape, dtype=complex)
     for i in range(n_snap):
         u_hat = trajectory.u_hats[i]
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
-        j_hats[i] = nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
-        div_r[i] = tensor_divergence(grid, r_hat)
-    return FluxField(grid, trajectory.times, j_hats, nu=nu, delta=kernel.delta, div_r_hats=div_r)
+        r_hats[i] = reynolds_stress_hat(grid, kernel, u_hat)
+        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hats[i]
+    return FluxField(
+        grid, trajectory.times, j_hats, nu=grid.nu, delta=kernel.delta, r_hats=r_hats
+    )
 
 
 def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
@@ -361,50 +370,9 @@ def kkt_report(solution):
     }
 
 
-def _basket_pair_series(grid, element, times):
-    return element.window(times)
-
-
-def lagrange_ratio(solution, flux, basket):
-    """Per-element ratio int<J, grad phi_j> / int<grad v*, grad phi_j>.
-
-    Elements whose denominator falls below DEGENERATE_DENOMINATOR are
-    skipped (ratio NaN); if all are degenerate that is an error.  Every
-    surviving ratio must match one_minus_two_lambda.
-    """
-    grid = flux.grid
-    tw = flux.weights
-    ratios = np.full(len(basket), np.nan)
-    numerators = np.zeros(len(basket))
-    denominators = np.zeros(len(basket))
-    any_ok = False
-    for j, element in enumerate(basket):
-        s = _basket_pair_series(grid, element, flux.times)
-        grad_psi = element.grad_psi_hat(grid)
-        num = 0.0
-        den = 0.0
-        for i in range(len(flux)):
-            if s[i] == 0.0:
-                continue
-            num += tw[i] * s[i] * inner_product(grid, flux.j_at(i), grad_psi)
-            den += tw[i] * s[i] * gradient_inner_product(
-                grid, solution.v_hats[i], element.psi_hat
-            )
-        numerators[j] = num
-        denominators[j] = den
-        if abs(den) > DEGENERATE_DENOMINATOR:
-            ratios[j] = num / den
-            any_ok = True
-    if not any_ok:
-        raise MinimizerError("all basket denominators degenerate")
-    deviation = np.nanmax(np.abs(ratios - solution.one_minus_two_lambda))
-    return {
-        "ratios": ratios,
-        "numerators": numerators,
-        "denominators": denominators,
-        "reference": solution.one_minus_two_lambda,
-        "max_deviation": float(deviation),
-    }
+def default_radius_sq(trajectory):
+    """The enstrophy-ball budget 1/2 ||u0||^2 (the trajectory's initial energy)."""
+    return float(trajectory.initial_energy)
 
 
 def flux_l2_norm(flux):
@@ -418,44 +386,146 @@ def flux_l2_norm(flux):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def el_residual(solution, flux, basket):
+def _basket_weights(basket, times):
+    """w[i, k] = tw_i s_k(t_i): trapezoid weight times the window of element k."""
+    windows = np.stack([el.window(times) for el in basket], axis=1)
+    return trapezoid_weights(times)[:, None] * windows
+
+
+def _basket_norms(basket, times):
+    """||phi_k||_{L2(0,T;V)} per basket element."""
+    return np.array([spacetime_gradient_norm(el, times) for el in basket])
+
+
+def _pair_grad_psi(grid, basket, tensor_hat):
+    """<T, grad psi_k> for every basket element."""
+    return np.array([inner_product(grid, tensor_hat, el.grad_psi_hat(grid)) for el in basket])
+
+
+def _pair_gradients(grid, basket, v_hat):
+    """<grad v, grad psi_k> for every basket element."""
+    return np.array([gradient_inner_product(grid, v_hat, el.psi_hat) for el in basket])
+
+
+@dataclass(frozen=True)
+class BasketPairing:
+    """Time-integrated basket pairings of one flux and one candidate minimizer.
+
+    flux[k]  = int s_k <J, grad psi_k> dt
+    vstar[k] = int s_k <grad v*, grad psi_k> dt
+    scale[k] = ||J||_{L2L2} ||phi_k||_{L2(0,T;V)}, the flux scale of el_residual
+    """
+
+    one_minus_two_lambda: float
+    flux: np.ndarray = field(repr=False)
+    vstar: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+
+
+def pair_basket(solution, flux, basket):
+    """Pair any flux and candidate minimizer with the basket (one pass)."""
+    grid = flux.grid
+    weights = _basket_weights(basket, flux.times)
+    pair_j = np.zeros(len(basket))
+    pair_v = np.zeros(len(basket))
+    for i in range(len(flux)):
+        pair_j += weights[i] * _pair_grad_psi(grid, basket, flux.j_at(i))
+        pair_v += weights[i] * _pair_gradients(grid, basket, solution.v_hats[i])
+    scale = flux_l2_norm(flux) * _basket_norms(basket, flux.times)
+    return BasketPairing(solution.one_minus_two_lambda, pair_j, pair_v, scale)
+
+
+def lagrange_ratio(pairing):
+    """Per-element ratio int s<J, grad psi> / int s<grad v*, grad psi>.
+
+    Elements whose denominator falls below DEGENERATE_DENOMINATOR are
+    skipped (ratio NaN); if all are degenerate that is an error.  Every
+    surviving ratio must match one_minus_two_lambda.
+    """
+    ok = np.abs(pairing.vstar) > DEGENERATE_DENOMINATOR
+    if not np.any(ok):
+        raise MinimizerError("all basket denominators degenerate")
+    ratios = np.full(len(ok), np.nan)
+    ratios[ok] = pairing.flux[ok] / pairing.vstar[ok]
+    reference = pairing.one_minus_two_lambda
+    return {
+        "ratios": ratios,
+        "reference": reference,
+        "max_deviation": float(np.nanmax(np.abs(ratios - reference))),
+    }
+
+
+def el_residual(pairing):
     """Weak Euler-Lagrange defect over the basket, relative units.
 
-    For each element: |(1-2 lambda) int<grad v*, grad phi> - int<J, grad phi>|
+    For each element: |(1-2 lambda) int s<grad v*, grad psi> - int s<J, grad psi>|
     normalized by the larger of the two pairings and the flux scale.
     """
-    from .basket import spacetime_gradient_norm
-
-    grid = flux.grid
-    tw = flux.weights
-    jnorm = flux_l2_norm(flux)
-    worst = 0.0
-    per_element = np.zeros(len(basket))
-    for j, element in enumerate(basket):
-        s = element.window(flux.times)
-        grad_psi = element.grad_psi_hat(grid)
-        num = 0.0
-        den = 0.0
-        for i in range(len(flux)):
-            num += tw[i] * s[i] * inner_product(grid, flux.j_at(i), grad_psi)
-            den += tw[i] * s[i] * gradient_inner_product(
-                grid, solution.v_hats[i], element.psi_hat
-            )
-        resid = abs(solution.one_minus_two_lambda * den - num)
-        scale = max(
-            abs(num),
-            abs(solution.one_minus_two_lambda * den),
-            jnorm * spacetime_gradient_norm(element, flux.times),
-            1e-300,
-        )
-        per_element[j] = resid / scale
-        worst = max(worst, per_element[j])
-    return {"max": worst, "per_element": per_element}
+    weighted = pairing.one_minus_two_lambda * pairing.vstar
+    scale = np.maximum(
+        np.maximum(np.abs(pairing.flux), np.abs(weighted)), np.maximum(pairing.scale, 1e-300)
+    )
+    per_element = np.abs(weighted - pairing.flux) / scale
+    return {"max": float(np.max(per_element)), "per_element": per_element}
 
 
-def default_radius_sq(trajectory):
-    """The enstrophy-ball budget 1/2 ||u0||^2 (the trajectory's initial energy)."""
-    return float(trajectory.initial_energy)
+@dataclass(frozen=True)
+class BoussinesqReport:
+    """Stress-modeling residuals at one width.
+
+    The divergence-tested combination R - 2 nu sym(grad ubar) +
+    2 (1-2 lambda) sym(grad v*) is the Euler-Lagrange equation rearranged,
+    so its basket pairings must vanish to round-off (asserted).  The
+    modeling form R - 2 (1-2 lambda) sym(grad v*) drops the viscous strain
+    -- meaningful only in the refinement limit -- and is reported unasserted,
+    both divergence-tested and pointwise.
+    """
+
+    delta: float
+    el_form_max: float  # normalized, asserted small
+    el_form: np.ndarray = field(repr=False)
+    model_form_max: float  # normalized, report only
+    model_form: np.ndarray = field(repr=False)
+    pointwise_ratio: float  # ||R - 2(1-2 lambda) sym grad v*|| / ||R||, report only
+    stress_norm: float
+
+
+def boussinesq_residual(delta, el_pairs, model_pairs, stress_sq, resid_sq, basket_norms):
+    """Normalize the time-integrated stress-modeling pairings of one width.
+
+    el_pairs / model_pairs hold int s<T, grad psi_k> dt of the Euler-Lagrange
+    and modeling tensors, stress_sq = int ||R||^2 dt and resid_sq =
+    int ||R - 2(1-2 lambda) sym grad v*||^2 dt.
+    """
+    stress_norm = float(np.sqrt(max(stress_sq, 0.0)))
+    scales = np.maximum(stress_norm * basket_norms, 1e-300)
+    el_norm = np.abs(el_pairs) / scales
+    model_norm = np.abs(model_pairs) / scales
+    return BoussinesqReport(
+        delta=delta,
+        el_form_max=float(np.max(el_norm)),
+        el_form=el_norm,
+        model_form_max=float(np.max(model_norm)),
+        model_form=model_norm,
+        pointwise_ratio=float(np.sqrt(max(resid_sq, 0.0)) / max(stress_norm, 1e-300)),
+        stress_norm=stress_norm,
+    )
+
+
+def energy_drop_identity(trajectory, kernel, one_minus_two_lambda, vstar_ubar):
+    """Resolved energy drop vs -(1-2 lambda) int <grad v*, grad ubar> dt.
+
+    vstar_ubar is the time integral int <grad v*, grad ubar> dt.  The right
+    side is the resolved-balance flux rewritten through the weak
+    Euler-Lagrange equation with test function ubar, so the residual must
+    match quadrature accuracy on resolved runs.
+    """
+    grid = trajectory.grid
+    ub_first = kernel.multiplier * trajectory.u_hats[0]
+    ub_last = kernel.multiplier * trajectory.u_hats[-1]
+    lhs = 0.5 * norm_sq(grid, ub_last) - 0.5 * norm_sq(grid, ub_first)
+    rhs = -one_minus_two_lambda * vstar_ubar
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "delta": kernel.delta}
 
 
 def _fit_order(deltas, values):
@@ -504,84 +574,46 @@ class ConvergenceReport:
     b_at_floor: bool
 
 
-def weak_convergence_diag(trajectory, deltas, basket, radius_sq=None):
-    """Evaluate the finite-width weak-convergence pairings on a schedule."""
-    from .basket import spacetime_gradient_norm
+@dataclass(frozen=True)
+class WidthAudit:
+    """The minimizer at one width and every identity checked on it."""
 
-    if len(deltas) < 3:
-        raise MinimizerError("need at least three widths for refinement trends")
-    grid = trajectory.grid
-    nu = grid.nu
-    times = trajectory.times
-    tw = trapezoid_weights(times)
-    radius_sq = default_radius_sq(trajectory) if radius_sq is None else float(radius_sq)
-    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
-    n_w = len(deltas)
-    n_b = len(basket)
+    delta: float
+    solution: MinimizerSolution  # scalars only: v_hats is released (None)
+    lagrange: dict
+    el: dict
+    boussinesq: BoussinesqReport
+    energy_drop: dict
+    a: np.ndarray = field(repr=False)  # refinement pairings per basket element
+    b: np.ndarray = field(repr=False)
+    a_majorant: np.ndarray = field(repr=False)
+    b_majorant: np.ndarray = field(repr=False)
+    stress_limit: dict  # the nu = 1 row; dual_proxy is added from b
 
-    windows = np.stack([el.window(times) for el in basket])  # (n_b, S)
-    grad_u_pair = np.empty((len(times), n_b))
-    for i in range(len(times)):
-        for j, el in enumerate(basket):
-            grad_u_pair[i, j] = gradient_inner_product(grid, trajectory.u_hats[i], el.psi_hat)
-    grad_u_snap = np.array(
-        [np.sqrt(gradient_norm_sq(grid, u_hat)) for u_hat in trajectory.u_hats]
-    )
-    grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
-    psi_l2 = np.array([np.sqrt(inner_product(grid, el.psi_hat, el.psi_hat)) for el in basket])
-    psi_grad = np.array([np.sqrt(gradient_norm_sq(grid, el.psi_hat)) for el in basket])
 
-    a = np.zeros((n_w, n_b))
-    b = np.zeros((n_w, n_b))
-    maj_a = np.zeros((n_w, n_b))
-    maj_b = np.zeros((n_w, n_b))
-    lambdas = []
-    omtl = []
-    enstrophy = []
-    for w, delta in enumerate(deltas):
-        kernel = kernel_for(grid, delta)
-        flux = assemble_flux(trajectory, kernel)
-        sol = solve_mp(flux, radius_sq)
-        lambdas.append(sol.lam)
-        omtl.append(sol.one_minus_two_lambda)
-        enstrophy.append(sol.enstrophy_used)
-        for i in range(len(times)):
-            div_r = flux.div_r_hats[i]
-            div_r_norm = np.sqrt(inner_product(grid, div_r, div_r))
-            grad_v_norm = np.sqrt(gradient_norm_sq(grid, sol.v_hats[i]))
-            for j, el in enumerate(basket):
-                sij = windows[j, i]
-                if sij == 0.0:
-                    continue
-                pair_v = gradient_inner_product(grid, sol.v_hats[i], el.psi_hat)
-                a[w, j] += tw[i] * sij * (sol.one_minus_two_lambda * pair_v - nu * grad_u_pair[i, j])
-                b[w, j] += tw[i] * sij * inner_product(grid, div_r, el.psi_hat)
-                maj_a[w, j] += tw[i] * abs(sij) * psi_grad[j] * (
-                    abs(sol.one_minus_two_lambda) * grad_v_norm + nu * grad_u_snap[i]
-                )
-                maj_b[w, j] += tw[i] * abs(sij) * div_r_norm * psi_l2[j]
-
-    basket_norms = np.array([spacetime_gradient_norm(el, times) for el in basket])
+def weak_convergence_diag(widths, nu, grad_u_norm, basket_norms):
+    """Width-refinement trends of the pairings a and b across audited widths."""
+    deltas = tuple(w.delta for w in widths)
+    a = np.stack([w.a for w in widths])
+    b = np.stack([w.b for w in widths])
+    maj_a = np.stack([w.a_majorant for w in widths])
+    maj_b = np.stack([w.b_majorant for w in widths])
     final_a_normalized = float(
         np.max(np.abs(a[-1]) / (nu * grad_u_norm * basket_norms))
     )
     abs_a = np.abs(a)
     abs_b = np.abs(b)
-    monotone_a = bool(np.all(np.diff(abs_a, axis=0) < 0.0))
-    monotone_b = bool(np.all(np.diff(abs_b, axis=0) < 0.0))
-    order_a = np.array([_fit_order(deltas, abs_a[:, j]) for j in range(n_b)])
-    order_b = np.array([_fit_order(deltas, abs_b[:, j]) for j in range(n_b)])
     return ConvergenceReport(
         deltas=deltas,
         a=a,
         b=b,
-        order_a=order_a,
-        order_b=order_b,
-        monotone_a=monotone_a,
-        monotone_b=monotone_b,
-        lambdas=tuple(lambdas),
-        one_minus_two_lambdas=tuple(omtl),
-        enstrophy=tuple(enstrophy),
+        order_a=np.array([_fit_order(deltas, col) for col in abs_a.T]),
+        order_b=np.array([_fit_order(deltas, col) for col in abs_b.T]),
+        monotone_a=bool(np.all(np.diff(abs_a, axis=0) < 0.0)),
+        monotone_b=bool(np.all(np.diff(abs_b, axis=0) < 0.0)),
+        lambdas=tuple(w.solution.lam for w in widths),
+        one_minus_two_lambdas=tuple(w.solution.one_minus_two_lambda for w in widths),
+        enstrophy=tuple(w.solution.enstrophy_used for w in widths),
         final_a_normalized=final_a_normalized,
         grad_u_norm=grad_u_norm,
         basket_norms=basket_norms,
@@ -592,93 +624,21 @@ def weak_convergence_diag(trajectory, deltas, basket, radius_sq=None):
     )
 
 
-def energy_drop_identity(trajectory, kernel, flux=None, solution=None, radius_sq=None):
-    """Resolved energy drop vs -(1-2 lambda) int <grad v*, grad ubar> dt.
-
-    The right side is the resolved-balance flux rewritten through the weak
-    Euler-Lagrange equation with test function ubar, so the residual must
-    match quadrature accuracy on resolved runs.
-    """
-    grid = trajectory.grid
-    if flux is None:
-        flux = assemble_flux(trajectory, kernel)
-    if solution is None:
-        solution = solve_mp(flux, default_radius_sq(trajectory) if radius_sq is None else radius_sq)
-    times = trajectory.times
-    tw = flux.weights
-    ub_first = kernel.multiplier * trajectory.u_hats[0]
-    ub_last = kernel.multiplier * trajectory.u_hats[-1]
-    from .spectral import norm_sq
-
-    lhs = 0.5 * norm_sq(grid, ub_last) - 0.5 * norm_sq(grid, ub_first)
-    pair = 0.0
-    for i in range(len(times)):
-        ub_hat = kernel.multiplier * trajectory.u_hats[i]
-        pair += tw[i] * gradient_inner_product(grid, solution.v_hats[i], ub_hat)
-    rhs = -solution.one_minus_two_lambda * pair
-    residual = abs(lhs - rhs)
-    return {"lhs": lhs, "rhs": rhs, "residual": residual, "delta": kernel.delta}
-
-
-def stress_limit_diagnostics(trajectory, deltas, basket, radius_sq=None):
-    """Reynolds-stress limit pairings with the viscous weight set to 1.
+def stress_limit_diagnostics(widths, basket_norms):
+    """Reynolds-stress limit rows with the viscous weight set to 1.
 
     Per width: int <R, grad v*>, int <R, grad u>, int <grad u, grad v*>, the
-    dual-norm proxy max_j |int <div R, phi_j>| / ||phi_j||, K(v*) vs K(-v*),
-    and the multiplier.  The comparison inequality
+    dual-norm proxy max_j |int <div R, phi_j>| / ||phi_j|| (the b row of the
+    refinement pairings), K(v*) vs K(-v*), and the multiplier.  The
+    comparison inequality
         int <R, grad v*>  <=  int <grad u, grad v*>
     is checked at the finest width with 5% slack; everything else is report
     only.
     """
-    from .basket import spacetime_gradient_norm
-
-    grid = trajectory.grid
-    times = trajectory.times
-    tw = trapezoid_weights(times)
-    radius_sq = default_radius_sq(trajectory) if radius_sq is None else float(radius_sq)
-    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
-    rows = []
-    for delta in deltas:
-        kernel = kernel_for(grid, delta)
-        flux = assemble_flux(trajectory, kernel, nu=1.0)
-        sol = solve_mp(flux, radius_sq)
-        rs_vstar = 0.0
-        rs_gradu = 0.0
-        gu_gv = 0.0
-        dual_pairs = np.zeros(len(basket))
-        for i in range(len(times)):
-            u_hat = trajectory.u_hats[i]
-            r_hat = reynolds_stress_hat(grid, kernel, u_hat)
-            grad_v = gradient(grid, sol.v_hats[i])
-            rs_vstar += tw[i] * inner_product(grid, r_hat, grad_v)
-            rs_gradu += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
-            gu_gv += tw[i] * gradient_inner_product(grid, u_hat, sol.v_hats[i])
-            div_r = flux.div_r_hats[i]
-            for j, el in enumerate(basket):
-                sij = el.window(np.array([times[i]]))[0]
-                if sij != 0.0:
-                    dual_pairs[j] += tw[i] * sij * inner_product(grid, div_r, el.psi_hat)
-        dual_proxy = float(
-            np.max(np.abs(dual_pairs) / np.array([
-                spacetime_gradient_norm(el, times) for el in basket
-            ]))
-        )
-        k_v = sol.k_value
-        k_neg = k_functional(flux, -sol.v_hats)
-        rows.append(
-            {
-                "delta": delta,
-                "lambda": sol.lam,
-                "one_minus_two_lambda": sol.one_minus_two_lambda,
-                "stress_vstar": rs_vstar,
-                "stress_gradu": rs_gradu,
-                "gradu_gradv": gu_gv,
-                "dual_proxy": dual_proxy,
-                "k_value": k_v,
-                "k_value_negated": k_neg,
-                "minimality_ok": k_v <= k_neg + 1e-12 * max(1.0, abs(k_neg)),
-            }
-        )
+    rows = [
+        dict(w.stress_limit, dual_proxy=float(np.max(np.abs(w.b) / basket_norms)))
+        for w in widths
+    ]
     finest = rows[-1]
     inequality_ok = finest["stress_vstar"] <= (
         finest["gradu_gradv"] + 0.05 * abs(finest["gradu_gradv"]) + 1e-12
@@ -686,72 +646,136 @@ def stress_limit_diagnostics(trajectory, deltas, basket, radius_sq=None):
     return {"rows": rows, "finest_inequality_ok": bool(inequality_ok)}
 
 
-@dataclass(frozen=True)
-class BoussinesqReport:
-    """Stress-modeling residuals at one width.
+def _stress_limit_row(trajectory, kernel, flux, radius_sq):
+    """The nu = 1 stress-limit row of one width, without dual_proxy.
 
-    The divergence-tested combination R - 2 nu sym(grad ubar) +
-    2 (1-2 lambda) sym(grad v*) is the Euler-Lagrange equation rearranged,
-    so its basket pairings must vanish to round-off (asserted).  The
-    modeling form R - 2 (1-2 lambda) sym(grad v*) drops the viscous strain
-    -- meaningful only in the refinement limit -- and is reported unasserted,
-    both divergence-tested and pointwise.
+    R does not depend on nu, so the nu = 1 flux is grad(ubar) - R with the
+    stress stored on the assembled flux.
     """
-
-    delta: float
-    el_form_max: float  # normalized, asserted small
-    el_form: np.ndarray = field(repr=False)
-    model_form_max: float  # normalized, report only
-    model_form: np.ndarray = field(repr=False)
-    pointwise_ratio: float  # ||R - 2(1-2 lambda) sym grad v*|| / ||R||, report only
-    stress_norm: float
-
-
-def boussinesq_residual(trajectory, kernel, basket, flux=None, solution=None, radius_sq=None):
-    from .basket import spacetime_gradient_norm
-
     grid = trajectory.grid
-    if flux is None:
-        flux = assemble_flux(trajectory, kernel)
-    if solution is None:
-        solution = solve_mp(flux, default_radius_sq(trajectory) if radius_sq is None else radius_sq)
-    nu = flux.nu
-    times = trajectory.times
     tw = flux.weights
-    omtl = solution.one_minus_two_lambda
+    j_hats = np.empty_like(flux.j_hats)
+    for i, u_hat in enumerate(trajectory.u_hats):
+        j_hats[i] = gradient(grid, kernel.multiplier * u_hat) - flux.r_hats[i]
+    limit_flux = FluxField(grid, flux.times, j_hats, nu=1.0, delta=kernel.delta)
+    sol = solve_mp(limit_flux, radius_sq)
+    stress_vstar = stress_gradu = gradu_gradv = 0.0
+    for i, u_hat in enumerate(trajectory.u_hats):
+        r_hat, v_hat = flux.r_hats[i], sol.v_hats[i]
+        stress_vstar += tw[i] * inner_product(grid, r_hat, gradient(grid, v_hat))
+        stress_gradu += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
+        gradu_gradv += tw[i] * gradient_inner_product(grid, u_hat, v_hat)
+    k_negated = k_functional(limit_flux, -sol.v_hats)
+    return {
+        "delta": kernel.delta,
+        "lambda": sol.lam,
+        "one_minus_two_lambda": sol.one_minus_two_lambda,
+        "stress_vstar": stress_vstar,
+        "stress_gradu": stress_gradu,
+        "gradu_gradv": gradu_gradv,
+        "k_value": sol.k_value,
+        "k_value_negated": k_negated,
+        "minimality_ok": sol.k_value <= k_negated + 1e-12 * max(1.0, abs(k_negated)),
+    }
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """audit_widths' result: per-width rows, their cross-width reductions,
+    and the finest width's flux and minimizer (for oracle_mp and storage)."""
+
+    widths: tuple  # WidthAudit per width, coarse to fine
+    weak: ConvergenceReport
+    stress_limit: dict
+    flux: FluxField = field(repr=False)
+    solution: MinimizerSolution = field(repr=False)
+
+
+def audit_widths(trajectory, deltas, basket, radius_sq):
+    """Solve the minimization at every width and audit its identities.
+
+    Per width: one assemble_flux, one solve_mp, one solve_mp of the nu = 1
+    stress-limit flux, and one pass over the snapshots.  Widths run coarse
+    to fine; only the finest width's flux and solution are kept.
+    """
+    if len(deltas) < 3:
+        raise MinimizerError("need at least three widths for refinement trends")
+    grid = trajectory.grid
+    nu = grid.nu
+    times = trajectory.times
+    u_hats = trajectory.u_hats
+    tw = trapezoid_weights(times)
     n_b = len(basket)
-    el_form = np.zeros(n_b)
-    model_form = np.zeros(n_b)
-    windows = np.stack([el.window(times) for el in basket])
-    stress_sq = 0.0
-    resid_sq = 0.0
-    for i in range(len(times)):
-        u_hat = trajectory.u_hats[i]
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
-        sym_v = sym_gradient(grid, solution.v_hats[i])
-        sym_ub = sym_gradient(grid, kernel.multiplier * u_hat)
-        model_tensor = r_hat - 2.0 * omtl * sym_v
-        el_tensor = r_hat - 2.0 * nu * sym_ub + 2.0 * omtl * sym_v
-        stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
-        resid_sq += tw[i] * inner_product(grid, model_tensor, model_tensor)
-        for j, el in enumerate(basket):
-            sij = windows[j, i]
-            if sij == 0.0:
-                continue
-            grad_psi = el.grad_psi_hat(grid)
-            el_form[j] += tw[i] * sij * inner_product(grid, el_tensor, grad_psi)
-            model_form[j] += tw[i] * sij * inner_product(grid, model_tensor, grad_psi)
-    stress_norm = float(np.sqrt(max(stress_sq, 0.0)))
-    basket_norms = np.array([spacetime_gradient_norm(el, times) for el in basket])
-    scales = np.maximum(stress_norm * basket_norms, 1e-300)
-    el_norm = np.abs(el_form) / scales
-    model_norm = np.abs(model_form) / scales
-    return BoussinesqReport(
-        delta=kernel.delta,
-        el_form_max=float(np.max(el_norm)),
-        el_form=el_norm,
-        model_form_max=float(np.max(model_norm)),
-        model_form=model_norm,
-        pointwise_ratio=float(np.sqrt(max(resid_sq, 0.0)) / max(stress_norm, 1e-300)),
-        stress_norm=stress_norm,
+    weights = _basket_weights(basket, times)
+    basket_norms = _basket_norms(basket, times)
+    grad_u_pair = np.stack([_pair_gradients(grid, basket, u_hat) for u_hat in u_hats])
+    grad_u_snap = np.array([np.sqrt(gradient_norm_sq(grid, u_hat)) for u_hat in u_hats])
+    grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
+    psi_l2 = np.array([np.sqrt(inner_product(grid, el.psi_hat, el.psi_hat)) for el in basket])
+    psi_grad = np.array([np.sqrt(gradient_norm_sq(grid, el.psi_hat)) for el in basket])
+
+    def audit(delta):
+        """One width's row, with its flux and solution."""
+        kernel = kernel_for(grid, delta)
+        flux = assemble_flux(trajectory, kernel)
+        # First, so that the nu = 1 flux is freed before the main solve.
+        stress_limit = _stress_limit_row(trajectory, kernel, flux, radius_sq)
+        sol = solve_mp(flux, radius_sq)
+        omtl = sol.one_minus_two_lambda
+        pair_j, pair_v, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, n_b))
+        stress_sq = resid_sq = vstar_ubar = 0.0
+        for i, u_hat in enumerate(u_hats):
+            w = weights[i]
+            ub_hat = kernel.multiplier * u_hat
+            j_hat, r_hat, v_hat = flux.j_at(i), flux.r_hats[i], sol.v_hats[i]
+            div_r = tensor_divergence(grid, r_hat)
+            pv = _pair_gradients(grid, basket, v_hat)
+            pair_j += w * _pair_grad_psi(grid, basket, j_hat)
+            pair_v += w * pv
+            a += w * (omtl * pv - nu * grad_u_pair[i])
+            b += w * np.array([inner_product(grid, div_r, el.psi_hat) for el in basket])
+            maj_a += np.abs(w) * psi_grad * (
+                abs(omtl) * np.sqrt(gradient_norm_sq(grid, v_hat)) + nu * grad_u_snap[i]
+            )
+            maj_b += np.abs(w) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
+            sym_v = sym_gradient(grid, v_hat)
+            model = r_hat - 2.0 * omtl * sym_v
+            el_tensor = r_hat - 2.0 * nu * sym_gradient(grid, ub_hat) + 2.0 * omtl * sym_v
+            el_pairs += w * _pair_grad_psi(grid, basket, el_tensor)
+            model_pairs += w * _pair_grad_psi(grid, basket, model)
+            stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
+            resid_sq += tw[i] * inner_product(grid, model, model)
+            vstar_ubar += tw[i] * gradient_inner_product(grid, v_hat, ub_hat)
+
+        pairing = BasketPairing(omtl, pair_j, pair_v, flux_l2_norm(flux) * basket_norms)
+        width = WidthAudit(
+            delta=delta,
+            solution=replace(sol, v_hats=None),
+            lagrange=lagrange_ratio(pairing),
+            el=el_residual(pairing),
+            boussinesq=boussinesq_residual(
+                kernel.delta, el_pairs, model_pairs, stress_sq, resid_sq, basket_norms
+            ),
+            energy_drop=energy_drop_identity(trajectory, kernel, omtl, vstar_ubar),
+            a=a,
+            b=b,
+            a_majorant=maj_a,
+            b_majorant=maj_b,
+            stress_limit=stress_limit,
+        )
+        return width, flux, sol
+
+    # audit's locals, views into its flux among them, die with each call, so
+    # dropping flux and sol frees the coarser width before the next assembly.
+    widths = []
+    for delta in sorted((float(d) for d in deltas), reverse=True):
+        flux = sol = None
+        width, flux, sol = audit(delta)
+        widths.append(width)
+    return AuditReport(
+        widths=tuple(widths),
+        weak=weak_convergence_diag(widths, nu, grad_u_norm, basket_norms),
+        stress_limit=stress_limit_diagnostics(widths, basket_norms),
+        flux=flux,
+        solution=sol,
     )

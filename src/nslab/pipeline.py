@@ -30,20 +30,7 @@ from .ledger import (
     write_time_ledger,
     write_width_ledger,
 )
-from .minimizer import (
-    _fit_order,
-    assemble_flux,
-    boussinesq_residual,
-    default_radius_sq,
-    el_residual,
-    lagrange_ratio,
-    oracle_mp,
-    energy_drop_identity,
-    stress_limit_diagnostics,
-    solution_gap,
-    solve_mp,
-    weak_convergence_diag,
-)
+from .minimizer import _fit_order, audit_widths, default_radius_sq, oracle_mp, solution_gap
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 LOCK_NAME = ".lock"
@@ -252,28 +239,22 @@ def cmd_minimize(run_dir, oracle=False):
             if cfg.minimizer_radius_override is not None
             else default_radius_sq(traj)
         )
+        audit = audit_widths(traj, schedule, basket, radius_sq)
+        weak = audit.weak
         records = []
-        finest_solution = None
-        finest_flux = None
-        for delta in schedule:
-            kernel = kernel_for(grid, delta)
-            flux = assemble_flux(traj, kernel)
-            sol = solve_mp(flux, radius_sq)
-            ratios = lagrange_ratio(sol, flux, basket)
-            el = el_residual(sol, flux, basket)
-            bq = boussinesq_residual(traj, kernel, basket, flux=flux, solution=sol)
-            drop = energy_drop_identity(traj, kernel, flux=flux, solution=sol)
+        for width in audit.widths:
+            sol, bq, drop = width.solution, width.boussinesq, width.energy_drop
             records.append(
                 {
-                    "delta": delta,
+                    "delta": width.delta,
                     "lambda": sol.lam,
                     "one_minus_two_lambda": sol.one_minus_two_lambda,
                     "enstrophy_used": sol.enstrophy_used,
                     "radius_sq": sol.radius_sq,
                     "k_value": sol.k_value,
                     "constraint_active": sol.constraint_active,
-                    "lagrange_max_deviation": ratios["max_deviation"],
-                    "el_residual_max": el["max"],
+                    "lagrange_max_deviation": width.lagrange["max_deviation"],
+                    "el_residual_max": width.el["max"],
                     "boussinesq_el_max": bq.el_form_max,
                     "boussinesq_model_max": bq.model_form_max,
                     "boussinesq_pointwise_ratio": bq.pointwise_ratio,
@@ -282,17 +263,11 @@ def cmd_minimize(run_dir, oracle=False):
                     "energy_drop_residual": drop["residual"],
                 }
             )
-            if delta == schedule[-1]:
-                finest_solution = sol
-                finest_flux = flux
-
-        weak = weak_convergence_diag(traj, schedule, basket, radius_sq)
-        limits = stress_limit_diagnostics(traj, schedule, basket, radius_sq)
 
         oracle_record = None
         if oracle:
             osol = oracle_mp(
-                finest_flux,
+                audit.flux,
                 radius_sq,
                 iters=cfg.oracle.iters,
                 seed=cfg.oracle.seed,
@@ -300,9 +275,9 @@ def cmd_minimize(run_dir, oracle=False):
             )
             oracle_record = {
                 "delta": schedule[-1],
-                "gap": solution_gap(grid, traj.times, osol, finest_solution),
+                "gap": solution_gap(grid, traj.times, osol, audit.solution),
                 "k_value": osol.k_value,
-                "k_value_closed_form": finest_solution.k_value,
+                "k_value_closed_form": audit.solution.k_value,
                 "lambda": osol.lam,
                 "converged": osol.converged,
                 "iterations": osol.iterations,
@@ -320,16 +295,16 @@ def cmd_minimize(run_dir, oracle=False):
             snap_mod.write_snapshot(
                 snap_mod.snapshot_path(paths.minimizer_dir, i),
                 traj.times[i],
-                grid.inverse(finest_solution.v_hats[i]),
+                grid.inverse(audit.solution.v_hats[i]),
             )
         sidecar = {
             "delta": schedule[-1],
-            "lambda": finest_solution.lam,
-            "one_minus_two_lambda": finest_solution.one_minus_two_lambda,
-            "enstrophy_used": finest_solution.enstrophy_used,
-            "radius_sq": finest_solution.radius_sq,
-            "k_value": finest_solution.k_value,
-            "constraint_active": finest_solution.constraint_active,
+            "lambda": audit.solution.lam,
+            "one_minus_two_lambda": audit.solution.one_minus_two_lambda,
+            "enstrophy_used": audit.solution.enstrophy_used,
+            "radius_sq": audit.solution.radius_sq,
+            "k_value": audit.solution.k_value,
+            "constraint_active": audit.solution.constraint_active,
         }
         _write_json(os.path.join(paths.minimizer_dir, "solution.json"), sidecar)
 
@@ -351,7 +326,7 @@ def cmd_minimize(run_dir, oracle=False):
                 "grad_u_norm": weak.grad_u_norm,
                 "basket_norms": weak.basket_norms.tolist(),
             },
-            "stress_limit": limits,
+            "stress_limit": audit.stress_limit,
             "oracle": oracle_record,
         }
         _write_json(paths.minimize, minimize)
@@ -367,11 +342,11 @@ def cmd_minimize(run_dir, oracle=False):
             row["one_minus_two_lambda"] = rec["one_minus_two_lambda"]
             row["enstrophy_used"] = rec["enstrophy_used"]
             row["k_value"] = rec["k_value"]
-            row["basket_max_a"] = float(max_a[list(weak.deltas).index(rec["delta"])])
-            row["basket_max_b"] = float(max_b[list(weak.deltas).index(rec["delta"])])
+            row["basket_max_a"] = float(max_a[w])
+            row["basket_max_b"] = float(max_b[w])
             row["boussinesq_el_residual"] = rec["boussinesq_el_max"]
             row["energy_drop_residual"] = rec["energy_drop_residual"]
-        for limit_row in limits["rows"]:
+        for limit_row in audit.stress_limit["rows"]:
             row = by_delta[limit_row["delta"]]
             row["limit_stress_vstar"] = limit_row["stress_vstar"]
             row["limit_stress_gradu"] = limit_row["stress_gradu"]

@@ -306,6 +306,23 @@ class TestConfigFiles:
         assert "filters.count" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_fewer_than_three_snapshots_rejected(self, tmp_path, capsys):
+        """Basket windows vanish at t = 0 and t = t_end, so a run with two
+        snapshots has no pairing to test; it fails at load time with exit
+        code 2, before any stage runs.  Three snapshots load."""
+        data = base_config()
+        data["grid"].update({"dt": 5e-3, "t_end": 0.01, "snapshot_stride": 2})
+        data["output"]["dir"] = str(tmp_path / "run")
+        path = tmp_path / "two_snapshots.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match="2 snapshots; need at least three"):
+            load_config(path)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        data["grid"]["snapshot_stride"] = 1
+        assert parse_config(data).make_grid().steps == 2
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -10,23 +10,25 @@ Validates:
   scalar relation 1 - 2 lambda = sqrt(W / r^2) on the boundary
 - agreement between the closed-form solver and the projected-gradient oracle
   started from zero and from random feasible points
-- weak diagnostics against the test-function basket: Lagrange ratios,
-  Euler-Lagrange residuals, the resolved-energy pairing identity, the
-  stress-limit rows, stress-modeling residuals, and the width-refinement
-  report on a solver trajectory
+- weak diagnostics against the test-function basket: Lagrange ratios and
+  Euler-Lagrange residuals from one shared pairing, and, from one
+  audit_widths call on a solver trajectory, the resolved-energy pairing
+  identity, the stress-limit rows (checked against a nu = 1 flux assembled
+  and solved directly), stress-modeling residuals, and the width-refinement
+  report
 """
 
 import numpy as np
 import pytest
 
 from nslab.basket import build_basket, spacetime_gradient_norm, window_l2_sq
-from nslab.filtering import kernel_for
+from nslab.filtering import kernel_for, reynolds_stress_hat
 from nslab.minimizer import (
     FluxField,
     MinimizerError,
     MinimizerSolution,
     assemble_flux,
-    boussinesq_residual,
+    audit_widths,
     default_radius_sq,
     el_residual,
     enstrophy_integral,
@@ -35,21 +37,19 @@ from nslab.minimizer import (
     lagrange_ratio,
     make_gradient_flux,
     oracle_mp,
-    energy_drop_identity,
-    stress_limit_diagnostics,
+    pair_basket,
     solution_gap,
     solve_mp,
-    weak_convergence_diag,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
 from nslab.spectral import (
     Grid,
     gradient,
-    gradient_norm_sq,
+    gradient_inner_product,
+    inner_product,
     laplacian,
-    leray_project,
     random_divergence_free,
-    tensor_divergence,
+    trapezoid_weights,
 )
 
 SCALE = 1.7
@@ -114,6 +114,15 @@ def traj_basket(traj_grid):
     return build_basket(traj_grid, t_end=traj_grid.t_end, seed=21, size=6, max_mode=2)
 
 
+TRAJ_DELTAS = (np.pi, np.pi / 2.0, np.pi / 4.0)
+
+
+@pytest.fixture(scope="module")
+def audit(trajectory, traj_basket):
+    """One audit of the trajectory at three widths (coarse to fine)."""
+    return audit_widths(trajectory, TRAJ_DELTAS, traj_basket, default_radius_sq(trajectory))
+
+
 @pytest.fixture(scope="module")
 def interior_solution(flux, big_w):
     return solve_mp(flux, radius_sq=2.0 * big_w)
@@ -156,9 +165,7 @@ class TestFluxField:
             assert np.max(np.abs(flux.j_at(i) - SCALE * s * g)) < 1e-14
 
     def test_assembled_flux_matches_definition(self, traj_grid, trajectory):
-        """assemble_flux produces nu grad(ubar) - R and records div R per snapshot."""
-        from nslab.filtering import reynolds_stress_hat
-
+        """assemble_flux produces nu grad(ubar) - R and records R per snapshot."""
         kernel = kernel_for(traj_grid, np.pi / 2.0)
         flux = assemble_flux(trajectory, kernel)
         assert flux.nu == traj_grid.nu
@@ -168,8 +175,7 @@ class TestFluxField:
         r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat)
         expected = traj_grid.nu * gradient(traj_grid, kernel.multiplier * u_hat) - r_hat
         assert np.max(np.abs(flux.j_at(i) - expected)) < 1e-12
-        div_r = tensor_divergence(traj_grid, r_hat)
-        assert np.max(np.abs(flux.div_r_hats[i] - div_r)) < 1e-12
+        assert np.max(np.abs(flux.r_hats[i] - r_hat)) < 1e-12
 
 
 class TestManufacturedInterior:
@@ -295,7 +301,7 @@ class TestWeakDiagnostics:
     def test_lagrange_ratios_interior(self, flux, big_w, basket):
         """Every non-degenerate ratio int<J, grad phi>/int<grad v*, grad phi> is 1."""
         sol = solve_mp(flux, radius_sq=2.0 * big_w)
-        report = lagrange_ratio(sol, flux, basket)
+        report = lagrange_ratio(pair_basket(sol, flux, basket))
         assert report["reference"] == 1.0
         assert report["max_deviation"] < 1e-9
         assert np.all(np.isfinite(report["ratios"]) | np.isnan(report["ratios"]))
@@ -303,7 +309,7 @@ class TestWeakDiagnostics:
     def test_lagrange_ratios_active(self, flux, big_w, basket):
         """On the boundary every surviving ratio equals 1 - 2 lambda = 2."""
         sol = solve_mp(flux, radius_sq=0.25 * big_w)
-        report = lagrange_ratio(sol, flux, basket)
+        report = lagrange_ratio(pair_basket(sol, flux, basket))
         assert report["reference"] == pytest.approx(2.0, abs=1e-12)
         assert report["max_deviation"] < 1e-9
 
@@ -322,12 +328,12 @@ class TestWeakDiagnostics:
             source="closed_form",
         )
         with pytest.raises(MinimizerError, match="degenerate"):
-            lagrange_ratio(fake, flux, basket)
+            lagrange_ratio(pair_basket(fake, flux, basket))
 
     def test_el_residual_roundoff(self, flux, big_w, basket):
         """The weak Euler-Lagrange defect of the exact solution is round-off."""
         sol = solve_mp(flux, radius_sq=0.25 * big_w)
-        report = el_residual(sol, flux, basket)
+        report = el_residual(pair_basket(sol, flux, basket))
         assert report["max"] < 1e-10
         assert report["per_element"].shape == (len(basket),)
 
@@ -357,31 +363,20 @@ class TestTrajectoryDiagnostics:
         assert solution_gap(traj_grid, trajectory.times, closed, oracle) < 1e-12
         assert oracle.lam == pytest.approx(closed.lam, abs=1e-8)
 
-    def test_resolved_energy_pairing(self, traj_grid, trajectory):
+    def test_resolved_energy_pairing(self, traj_grid, audit, trajectory):
         """The filtered energy drop equals -(1-2 lambda) int<grad v*, grad ubar> dt
         up to the time-quadrature error of the budget."""
         kernel = kernel_for(traj_grid, np.pi / 2.0)
-        report = energy_drop_identity(trajectory, kernel)
+        report = audit.widths[1].energy_drop
         assert report["delta"] == kernel.delta
         assert report["lhs"] < 0.0
         assert report["residual"] < 1e-6 * trajectory.initial_energy
         assert report["rhs"] == pytest.approx(report["lhs"], abs=report["residual"] * 1.01)
 
-    def test_resolved_energy_pairing_explicit_args(self, traj_grid, trajectory):
-        """Passing the flux and solution explicitly reproduces the default path."""
-        kernel = kernel_for(traj_grid, np.pi / 2.0)
-        flux = assemble_flux(trajectory, kernel)
-        sol = solve_mp(flux, default_radius_sq(trajectory))
-        direct = energy_drop_identity(trajectory, kernel, flux=flux, solution=sol)
-        default = energy_drop_identity(trajectory, kernel)
-        assert direct["lhs"] == default["lhs"]
-        assert direct["rhs"] == pytest.approx(default["rhs"], rel=1e-12)
-
-    def test_stress_limit_rows(self, traj_grid, trajectory, traj_basket):
+    def test_stress_limit_rows(self, audit):
         """Each width row reports the pairings; the finest-width comparison
         inequality and minimality of K hold."""
-        deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
-        report = stress_limit_diagnostics(trajectory, deltas, traj_basket)
+        report = audit.stress_limit
         assert len(report["rows"]) == 3
         assert report["finest_inequality_ok"]
         for row in report["rows"]:
@@ -389,17 +384,64 @@ class TestTrajectoryDiagnostics:
             assert row["dual_proxy"] >= 0.0
             assert row["k_value"] <= row["k_value_negated"] + 1e-12
 
-    def test_stress_limit_widths_sorted(self, traj_grid, trajectory, traj_basket):
+    def test_stress_limit_widths_sorted(self, trajectory, traj_basket):
         """Rows come back coarse to fine regardless of the input order."""
         deltas = [np.pi / 4.0, np.pi, np.pi / 2.0]
-        report = stress_limit_diagnostics(trajectory, deltas, traj_basket)
+        report = audit_widths(
+            trajectory, deltas, traj_basket, default_radius_sq(trajectory)
+        ).stress_limit
         assert [row["delta"] for row in report["rows"]] == [np.pi, np.pi / 2.0, np.pi / 4.0]
 
-    def test_stress_modeling_residuals(self, traj_grid, trajectory, traj_basket):
+    def test_stress_limit_matches_direct_solve(self, traj_grid, trajectory, traj_basket, audit):
+        """Every nu = 1 row matches a flux grad(ubar) - R assembled here from
+        reynolds_stress_hat and solved by solve_mp, and its dual proxy is the
+        b row of the refinement report."""
+        grid = traj_grid
+        times = trajectory.times
+        tw = trapezoid_weights(times)
+        radius_sq = default_radius_sq(trajectory)
+        norms = np.array([spacetime_gradient_norm(el, times) for el in traj_basket])
+        for w, row in enumerate(audit.stress_limit["rows"]):
+            kernel = kernel_for(grid, row["delta"])
+            r_hats = np.stack(
+                [reynolds_stress_hat(grid, kernel, u_hat) for u_hat in trajectory.u_hats]
+            )
+            j_hats = np.stack(
+                [
+                    gradient(grid, kernel.multiplier * u_hat) - r_hat
+                    for u_hat, r_hat in zip(trajectory.u_hats, r_hats)
+                ]
+            )
+            flux = FluxField(grid, times, j_hats, nu=1.0)
+            sol = solve_mp(flux, radius_sq)
+            expected = {
+                "lambda": sol.lam,
+                "one_minus_two_lambda": sol.one_minus_two_lambda,
+                "stress_vstar": sum(
+                    tw[i] * inner_product(grid, r_hats[i], gradient(grid, sol.v_hats[i]))
+                    for i in range(len(times))
+                ),
+                "stress_gradu": sum(
+                    tw[i] * inner_product(grid, r_hats[i], gradient(grid, u_hat))
+                    for i, u_hat in enumerate(trajectory.u_hats)
+                ),
+                "gradu_gradv": sum(
+                    tw[i] * gradient_inner_product(grid, u_hat, sol.v_hats[i])
+                    for i, u_hat in enumerate(trajectory.u_hats)
+                ),
+                "k_value": sol.k_value,
+                "k_value_negated": k_functional(flux, -sol.v_hats),
+            }
+            for key, value in expected.items():
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+            dual = np.max(np.abs(audit.weak.b[w]) / norms)
+            assert row["dual_proxy"] == pytest.approx(dual, rel=1e-12)
+
+    def test_stress_modeling_residuals(self, traj_grid, audit, traj_basket):
         """The divergence-tested Euler-Lagrange tensor vanishes to round-off;
         the modeling form and pointwise ratio are finite reports."""
         kernel = kernel_for(traj_grid, np.pi / 2.0)
-        report = boussinesq_residual(trajectory, kernel, traj_basket)
+        report = audit.widths[1].boussinesq
         assert report.delta == kernel.delta
         assert report.el_form_max < 1e-10
         assert report.el_form.shape == (len(traj_basket),)
@@ -408,11 +450,10 @@ class TestTrajectoryDiagnostics:
         assert report.pointwise_ratio > 0.0
         assert report.stress_norm > 0.0
 
-    def test_refinement_report(self, traj_grid, trajectory, traj_basket):
+    def test_refinement_report(self, audit, traj_basket):
         """The width-refinement report carries per-width multipliers and
         per-element pairings with finite fit orders."""
-        deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
-        report = weak_convergence_diag(trajectory, deltas, traj_basket)
+        report = audit.weak
         assert report.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
         assert report.a.shape == (3, len(traj_basket))
         assert report.b.shape == (3, len(traj_basket))
@@ -426,12 +467,11 @@ class TestTrajectoryDiagnostics:
         for omtl, lam in zip(report.one_minus_two_lambdas, report.lambdas):
             assert omtl == pytest.approx(1.0 - 2.0 * lam, rel=1e-12)
 
-    def test_refinement_majorants_bound_pairings(self, trajectory, traj_basket):
+    def test_refinement_majorants_bound_pairings(self, audit):
         """Cauchy-Schwarz majorants dominate every pairing, and a random-band
         trajectory with genuine subfilter stress is not at the cancellation
         floor in either series."""
-        deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
-        report = weak_convergence_diag(trajectory, deltas, traj_basket)
+        report = audit.weak
         assert np.all(np.abs(report.a) <= report.a_majorant * (1.0 + 1e-12))
         assert np.all(np.abs(report.b) <= report.b_majorant * (1.0 + 1e-12))
         assert np.all(report.a_majorant > 0.0)
@@ -451,4 +491,6 @@ class TestValidation:
     def test_refinement_needs_three_widths(self, trajectory, traj_basket):
         """Fewer than three widths cannot support a refinement trend."""
         with pytest.raises(MinimizerError, match="three widths"):
-            weak_convergence_diag(trajectory, [np.pi, np.pi / 2.0], traj_basket)
+            audit_widths(
+                trajectory, [np.pi, np.pi / 2.0], traj_basket, default_radius_sq(trajectory)
+            )

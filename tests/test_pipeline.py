@@ -6,8 +6,9 @@ Validates:
 - stage ordering: each stage demands its predecessors and refuses to analyze
   a blown-up run
 - analyze fills the per-width ledger and the defect-estimator summary;
-  minimize folds multipliers and weak pairings into the same ledger and
-  persists the finest-width minimizer as snapshots
+  minimize folds multipliers and weak pairings into the same ledger,
+  persists the finest-width minimizer as snapshots, and assembles one flux
+  per width and one Reynolds stress per (width, snapshot)
 - report condenses everything into summary.json, summary.txt and .dat files
 - rerunning any stage reproduces byte-identical artifacts
 - blow-up runs keep their partial artifacts and propagate the failure
@@ -18,11 +19,12 @@ import json
 import math
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from nslab import cli, pipeline
+from nslab import cli, filtering, minimizer, pipeline
 from nslab.config import OUTPUT_ROOT_ENV
 from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger
 from nslab.pipeline import PipelineError, RunPaths
@@ -253,6 +255,33 @@ class TestMinimizeStage:
             assert row["one_minus_two_lambda"] == pytest.approx(
                 1.0 - 2.0 * row["lambda"], rel=1e-12
             )
+
+    def test_one_flux_and_stress_per_width(self, completed, tmp_path, monkeypatch):
+        """minimize assembles one flux per width and one Reynolds stress per
+        (width, snapshot) pair: 3 widths x 11 snapshots."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
+        flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
+        pipeline.cmd_minimize(str(copy_dir))
+        assert len(stress_calls) == 3 * 11
+        assert len(flux_calls) == 3
+
+
+def count_calls(monkeypatch, func):
+    """Replace func in every nslab module that binds it; returns the call log."""
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nslab" or name.startswith("nslab."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, counted)
+    return log
 
 
 class TestReportStage:
