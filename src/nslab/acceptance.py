@@ -137,15 +137,15 @@ class AcceptanceLab:
     def audit(self):
         """Minimizer audit of the Beltrami run at every schedule width.
 
-        The finest flux and v* are dropped: at 101 snapshots they hold
-        hundreds of MB that no criterion reads.
+        The finest v* is dropped: at 101 snapshots it holds tens of MB that
+        no criterion reads.
         """
         if self._audit is None:
             traj = self.beltrami
             report = audit_widths(
                 traj, self.beltrami_schedule, self.basket, default_radius_sq(traj)
             )
-            self._audit = replace(report, flux=None, solution=None)
+            self._audit = replace(report, solution=None)
         return self._audit
 
 
@@ -341,7 +341,7 @@ def criterion_7(lab):
         j_hats = np.stack(
             [grid.forward(rng.standard_normal((3, 3) + grid.shape)) for _ in times]
         )
-        flux = FluxField(grid, times, j_hats, nu=0.0)
+        flux = FluxField(grid, times, j_hats)
         v = np.stack(
             [random_divergence_free(grid, rng, max_k_sq=16, amplitude=1.0) for _ in times]
         )

@@ -27,7 +27,6 @@ _INPUT_ERRORS = (
     LedgerError,
     DissipationError,
     MinimizerError,
-    ValueError,
 )
 _RUNTIME_ERRORS = (BlowUpError, pipeline.PipelineError)
 

@@ -300,7 +300,7 @@ def load_config(path):
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: not found") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(data)
 

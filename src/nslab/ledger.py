@@ -42,7 +42,7 @@ WIDTH_COLUMNS = (
 
 
 class LedgerError(ValueError):
-    """A ledger file that cannot be read (schema or shape mismatch)."""
+    """A ledger or stage record that cannot be read (schema, shape or syntax)."""
 
 
 def format_float(x):
@@ -65,8 +65,11 @@ def write_ledger(path, columns, rows):
 
 
 def read_ledger(path):
-    """Returns (columns, array) where array is (rows, cols) float64."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Returns (columns, array) where array is (rows, cols) float64.
+
+    Undecodable bytes become U+FFFD, which the schema and number checks reject.
+    """
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         schema = fh.readline().rstrip("\n")
         if schema != SCHEMA_LINE:
             raise LedgerError(f"{path}: unknown ledger schema {schema!r}")
@@ -81,7 +84,10 @@ def read_ledger(path):
                 continue
             if len(row) != len(columns):
                 raise LedgerError(f"{path}: row width {len(row)} != header {len(columns)}")
-            data.append([float(v) for v in row])
+            try:
+                data.append([float(v) for v in row])
+            except ValueError:
+                raise LedgerError(f"{path}: non-numeric cell in {row}") from None
     return columns, (np.asarray(data) if data else np.empty((0, len(columns))))
 
 

@@ -9,9 +9,10 @@ minimized over divergence-free zero-mean v(t) subject to the enstrophy-ball
 constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
 
 * solve_mp: the closed form.  Snapshot-wise Poisson solves lap(w) = P div J
-  give the unconstrained minimizer; if its enstrophy integral W exceeds the
-  budget the whole trajectory is rescaled by s = sqrt(W / radius_sq) and the
-  single scalar multiplier follows from 1 - 2 lambda = s.
+  give the unconstrained minimizer w; if its enstrophy integral W exceeds
+  the budget the whole trajectory is rescaled, v* = w / s with
+  s = sqrt(W / radius_sq), and the single scalar multiplier follows from
+  1 - 2 lambda = s.  So (1 - 2 lambda) v* = w in both regimes.
 
 * oracle_mp: projected gradient descent in the constraint metric with ball
   projection by rescaling, Armijo backtracking, and multiple seeded starts.
@@ -20,19 +21,15 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
   the two paths are never merged.
 
 audit_widths is the entry point for a trajectory.  Per filter width it
-assembles the flux once (one Reynolds stress per snapshot, kept on the flux
-next to J), solves once, and makes one pass over the snapshots that collects
-every pairing against the fixed basket of divergence-free test functions.
-Each identity is then a reduction of those sums: the Lagrange ratios and the
-weak Euler-Lagrange residuals share one BasketPairing, the Boussinesq and
-energy-drop identities reduce their own integrals, and
-weak_convergence_diag / stress_limit_diagnostics reduce the per-width rows
-across widths.  The nu = 1 stress-limit problem needs no second stress
-assembly: R does not depend on nu, so J = nu grad(ubar) - R is linear in nu
-and the nu = 1 flux grad(ubar) - R is built from the stored stress, then
-solved once more by solve_mp.  R is stored rather than recovered as
-nu grad(ubar) - J because that difference rounds away from the assembled
-stress in its last bits, and the stress-modeling residuals would follow.
+streams one pass over the snapshots: one Reynolds stress each, from which J,
+w and the nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2 follow.  Since
+v* = w / s with one scalar s per width, every integral is accumulated in w
+unscaled (the stress-modeling tensors (1 - 2 lambda) sym grad v* are
+sym grad w outright); after the pass the ball rule turns W into s, lambda
+and activity, and the s-dependent sums are divided by s or s^2.  Only the
+finest v* is stored.  The Lagrange ratios and weak Euler-Lagrange residuals
+share one BasketPairing; weak_convergence_diag and stress_limit_diagnostics
+reduce the per-width rows across widths.
 """
 
 from __future__ import annotations
@@ -75,28 +72,20 @@ class FluxField:
 
     Solver-generated fluxes are assembled exactly as nu grad(ubar) - R; the
     class also accepts arbitrary tensors (manufactured test fluxes need not
-    be symmetric).  r_hats optionally carries the Reynolds stress R_hat per
-    snapshot that an assembled flux was built from.
+    be symmetric).
     """
 
-    def __init__(self, grid, times, j_hats, nu, delta=None, r_hats=None):
+    def __init__(self, grid, times, j_hats):
         self.grid = grid
         self.times = np.asarray(times, dtype=np.float64)
         self.j_hats = j_hats
-        self.nu = float(nu)
-        self.delta = delta
-        self.r_hats = r_hats
         if self.times.ndim != 1 or len(self.times) != j_hats.shape[0]:
             raise MinimizerError("times and flux snapshots disagree")
-        self._weights = trapezoid_weights(self.times)
+        self.weights = trapezoid_weights(self.times)
         self._rhs = None
 
     def __len__(self):
         return len(self.times)
-
-    @property
-    def weights(self):
-        return self._weights
 
     def j_at(self, i):
         return self.j_hats[i]
@@ -106,24 +95,39 @@ class FluxField:
         if self._rhs is None:
             rhs = np.empty((len(self), 3) + self.grid.spectral_shape, dtype=complex)
             for i in range(len(self)):
-                rhs[i] = leray_project(self.grid, tensor_divergence(self.grid, self.j_hats[i]))
+                rhs[i] = _poisson_rhs(self.grid, self.j_hats[i])
             self._rhs = rhs
         return self._rhs
+
+
+def _poisson_rhs(grid, j_hat):
+    """b = P (div J)_hat of one flux snapshot; lap(w) = b gives w = -b / |k|^2."""
+    return leray_project(grid, tensor_divergence(grid, j_hat))
+
+
+def _ball_rule(big_w, radius_sq):
+    """(s, lambda, active) of the ball-constrained minimizer v* = w / s.
+
+    big_w is the enstrophy integral W of the unconstrained minimizer w.  A
+    W beyond the budget rescales onto the sphere with s = sqrt(W / radius_sq)
+    = 1 - 2 lambda > 1, so lambda < 0; otherwise v* = w and lambda = 0.
+    """
+    if radius_sq <= 0.0:
+        raise MinimizerError("radius_sq must be positive")
+    if big_w > radius_sq:
+        s = float(np.sqrt(big_w / radius_sq))
+        return s, 0.5 * (1.0 - s), True
+    return 1.0, 0.0, bool(abs(big_w - radius_sq) <= ACTIVITY_RTOL * radius_sq)
 
 
 def assemble_flux(trajectory, kernel):
     """Flux of a trajectory at one filter width: J = nu grad(ubar) - R."""
     grid = trajectory.grid
-    n_snap = len(trajectory)
-    j_hats = np.empty((n_snap, 3, 3) + grid.spectral_shape, dtype=complex)
-    r_hats = np.empty((n_snap, 3, 3) + grid.spectral_shape, dtype=complex)
-    for i in range(n_snap):
-        u_hat = trajectory.u_hats[i]
-        r_hats[i] = reynolds_stress_hat(grid, kernel, u_hat)
-        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hats[i]
-    return FluxField(
-        grid, trajectory.times, j_hats, nu=grid.nu, delta=kernel.delta, r_hats=r_hats
-    )
+    j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
+    for i, u_hat in enumerate(trajectory.u_hats):
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
+    return FluxField(grid, trajectory.times, j_hats)
 
 
 def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
@@ -139,7 +143,7 @@ def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
     j_hats = np.empty((len(times), 3, 3) + grid.spectral_shape, dtype=complex)
     for i, s in enumerate(window_values):
         j_hats[i] = (scale * s) * g
-    return FluxField(grid, times, j_hats, nu=0.0)
+    return FluxField(grid, times, j_hats)
 
 
 def enstrophy_integral(grid, times, v_hats):
@@ -182,29 +186,16 @@ class MinimizerSolution:
 def solve_mp(flux, radius_sq):
     """Closed-form KKT solution of the ball-constrained minimization."""
     radius_sq = float(radius_sq)
-    if radius_sq <= 0.0:
-        raise MinimizerError("radius_sq must be positive")
     grid = flux.grid
-    b = flux.poisson_rhs()
-    w_hats = -b * grid.inv_k_sq
-    big_w = enstrophy_integral(grid, flux.times, w_hats)
-    if big_w > radius_sq:
-        s = float(np.sqrt(big_w / radius_sq))
-        v_hats = w_hats / s
-        lam = 0.5 * (1.0 - s)  # 1 - 2 lambda = s > 1, lambda < 0
-        active = True
-    else:
-        s = 1.0
-        v_hats = w_hats
-        lam = 0.0
-        active = abs(big_w - radius_sq) <= ACTIVITY_RTOL * radius_sq
-    used = enstrophy_integral(grid, flux.times, v_hats)
+    v_hats = -flux.poisson_rhs() * grid.inv_k_sq
+    s, lam, active = _ball_rule(enstrophy_integral(grid, flux.times, v_hats), radius_sq)
+    v_hats /= s
     return MinimizerSolution(
         times=flux.times.copy(),
         v_hats=v_hats,
         lam=lam,
         one_minus_two_lambda=1.0 - 2.0 * lam,
-        enstrophy_used=used,
+        enstrophy_used=enstrophy_integral(grid, flux.times, v_hats),
         radius_sq=radius_sq,
         k_value=k_functional(flux, v_hats),
         constraint_active=active,
@@ -214,10 +205,6 @@ def solve_mp(flux, radius_sq):
 
 def _flat_inner(grid, a, b):
     return VOLUME * float(np.sum(grid.parseval_w * (a.real * b.real + a.imag * b.imag)))
-
-
-def _flat_norm(grid, a):
-    return float(np.sqrt(VOLUME * np.sum(grid.parseval_w * (a.real**2 + a.imag**2))))
 
 
 def _weighted_quadratic(grid, tw5, weight, v):
@@ -375,17 +362,6 @@ def default_radius_sq(trajectory):
     return float(trajectory.initial_energy)
 
 
-def flux_l2_norm(flux):
-    """sqrt( int ||J||_F^2 dt ), the natural flux scale for residuals."""
-    grid = flux.grid
-    tw = flux.weights
-    total = 0.0
-    for i in range(len(flux)):
-        j = flux.j_at(i)
-        total += tw[i] * inner_product(grid, j, j)
-    return float(np.sqrt(max(total, 0.0)))
-
-
 def _basket_weights(basket, times):
     """w[i, k] = tw_i s_k(t_i): trapezoid weight times the window of element k."""
     windows = np.stack([el.window(times) for el in basket], axis=1)
@@ -428,10 +404,13 @@ def pair_basket(solution, flux, basket):
     weights = _basket_weights(basket, flux.times)
     pair_j = np.zeros(len(basket))
     pair_v = np.zeros(len(basket))
+    j_sq = 0.0
     for i in range(len(flux)):
-        pair_j += weights[i] * _pair_grad_psi(grid, basket, flux.j_at(i))
+        j_hat = flux.j_at(i)
+        pair_j += weights[i] * _pair_grad_psi(grid, basket, j_hat)
         pair_v += weights[i] * _pair_gradients(grid, basket, solution.v_hats[i])
-    scale = flux_l2_norm(flux) * _basket_norms(basket, flux.times)
+        j_sq += flux.weights[i] * inner_product(grid, j_hat, j_hat)
+    scale = float(np.sqrt(max(j_sq, 0.0))) * _basket_norms(basket, flux.times)
     return BasketPairing(solution.one_minus_two_lambda, pair_j, pair_v, scale)
 
 
@@ -512,19 +491,19 @@ def boussinesq_residual(delta, el_pairs, model_pairs, stress_sq, resid_sq, baske
     )
 
 
-def energy_drop_identity(trajectory, kernel, one_minus_two_lambda, vstar_ubar):
+def energy_drop_identity(trajectory, kernel, w_ubar):
     """Resolved energy drop vs -(1-2 lambda) int <grad v*, grad ubar> dt.
 
-    vstar_ubar is the time integral int <grad v*, grad ubar> dt.  The right
-    side is the resolved-balance flux rewritten through the weak
-    Euler-Lagrange equation with test function ubar, so the residual must
-    match quadrature accuracy on resolved runs.
+    w_ubar is int <grad w, grad ubar> dt for the unconstrained minimizer
+    w = (1-2 lambda) v*.  The right side is the resolved-balance flux
+    rewritten through the weak Euler-Lagrange equation with test function
+    ubar, so the residual must match quadrature accuracy on resolved runs.
     """
     grid = trajectory.grid
     ub_first = kernel.multiplier * trajectory.u_hats[0]
     ub_last = kernel.multiplier * trajectory.u_hats[-1]
     lhs = 0.5 * norm_sq(grid, ub_last) - 0.5 * norm_sq(grid, ub_first)
-    rhs = -one_minus_two_lambda * vstar_ubar
+    rhs = -w_ubar
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "delta": kernel.delta}
 
 
@@ -646,60 +625,28 @@ def stress_limit_diagnostics(widths, basket_norms):
     return {"rows": rows, "finest_inequality_ok": bool(inequality_ok)}
 
 
-def _stress_limit_row(trajectory, kernel, flux, radius_sq):
-    """The nu = 1 stress-limit row of one width, without dual_proxy.
-
-    R does not depend on nu, so the nu = 1 flux is grad(ubar) - R with the
-    stress stored on the assembled flux.
-    """
-    grid = trajectory.grid
-    tw = flux.weights
-    j_hats = np.empty_like(flux.j_hats)
-    for i, u_hat in enumerate(trajectory.u_hats):
-        j_hats[i] = gradient(grid, kernel.multiplier * u_hat) - flux.r_hats[i]
-    limit_flux = FluxField(grid, flux.times, j_hats, nu=1.0, delta=kernel.delta)
-    sol = solve_mp(limit_flux, radius_sq)
-    stress_vstar = stress_gradu = gradu_gradv = 0.0
-    for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat, v_hat = flux.r_hats[i], sol.v_hats[i]
-        stress_vstar += tw[i] * inner_product(grid, r_hat, gradient(grid, v_hat))
-        stress_gradu += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
-        gradu_gradv += tw[i] * gradient_inner_product(grid, u_hat, v_hat)
-    k_negated = k_functional(limit_flux, -sol.v_hats)
-    return {
-        "delta": kernel.delta,
-        "lambda": sol.lam,
-        "one_minus_two_lambda": sol.one_minus_two_lambda,
-        "stress_vstar": stress_vstar,
-        "stress_gradu": stress_gradu,
-        "gradu_gradv": gradu_gradv,
-        "k_value": sol.k_value,
-        "k_value_negated": k_negated,
-        "minimality_ok": sol.k_value <= k_negated + 1e-12 * max(1.0, abs(k_negated)),
-    }
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """audit_widths' result: per-width rows, their cross-width reductions,
-    and the finest width's flux and minimizer (for oracle_mp and storage)."""
+    and the finest width's minimizer (for storage and the oracle check)."""
 
     widths: tuple  # WidthAudit per width, coarse to fine
     weak: ConvergenceReport
     stress_limit: dict
-    flux: FluxField = field(repr=False)
     solution: MinimizerSolution = field(repr=False)
 
 
 def audit_widths(trajectory, deltas, basket, radius_sq):
     """Solve the minimization at every width and audit its identities.
 
-    Per width: one assemble_flux, one solve_mp, one solve_mp of the nu = 1
-    stress-limit flux, and one pass over the snapshots.  Widths run coarse
-    to fine; only the finest width's flux and solution are kept.
+    Per width: one pass over the snapshots with one Reynolds stress each,
+    accumulating the unscaled integrals of w = (1-2 lambda) v* and of the
+    nu = 1 minimizer w1, then one ball rule per problem to scale them.
+    Widths run coarse to fine; only the finest width's v* is kept.
     """
     if len(deltas) < 3:
         raise MinimizerError("need at least three widths for refinement trends")
+    radius_sq = float(radius_sq)
     grid = trajectory.grid
     nu = grid.nu
     times = trajectory.times
@@ -714,68 +661,102 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     psi_l2 = np.array([np.sqrt(inner_product(grid, el.psi_hat, el.psi_hat)) for el in basket])
     psi_grad = np.array([np.sqrt(gradient_norm_sq(grid, el.psi_hat)) for el in basket])
 
-    def audit(delta):
-        """One width's row, with its flux and solution."""
+    def audit(delta, v_hats=None):
+        """One width's row; v_hats, if given, receives v* = w / s."""
         kernel = kernel_for(grid, delta)
-        flux = assemble_flux(trajectory, kernel)
-        # First, so that the nu = 1 flux is freed before the main solve.
-        stress_limit = _stress_limit_row(trajectory, kernel, flux, radius_sq)
-        sol = solve_mp(flux, radius_sq)
-        omtl = sol.one_minus_two_lambda
-        pair_j, pair_v, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, n_b))
-        stress_sq = resid_sq = vstar_ubar = 0.0
+        pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, n_b))
+        big_w = j_w = j_sq = stress_sq = resid_sq = w_ubar = 0.0
+        big_w1 = j1_w1 = r_w1 = u_w1 = r_u = 0.0
         for i, u_hat in enumerate(u_hats):
-            w = weights[i]
+            wt = weights[i]
             ub_hat = kernel.multiplier * u_hat
-            j_hat, r_hat, v_hat = flux.j_at(i), flux.r_hats[i], sol.v_hats[i]
+            r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+            grad_ub = gradient(grid, ub_hat)
+            j_hat = nu * grad_ub - r_hat
+            j1_hat = grad_ub - r_hat
+            w_hat = -_poisson_rhs(grid, j_hat) * grid.inv_k_sq
+            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
+            if v_hats is not None:
+                v_hats[i] = w_hat
+            w_sq = gradient_norm_sq(grid, w_hat)
+            big_w += tw[i] * w_sq
+            j_w += tw[i] * inner_product(grid, j_hat, gradient(grid, w_hat))
+            j_sq += tw[i] * inner_product(grid, j_hat, j_hat)
+            pw = _pair_gradients(grid, basket, w_hat)
+            pair_j += wt * _pair_grad_psi(grid, basket, j_hat)
+            pair_w += wt * pw
+            a += wt * (pw - nu * grad_u_pair[i])
             div_r = tensor_divergence(grid, r_hat)
-            pv = _pair_gradients(grid, basket, v_hat)
-            pair_j += w * _pair_grad_psi(grid, basket, j_hat)
-            pair_v += w * pv
-            a += w * (omtl * pv - nu * grad_u_pair[i])
-            b += w * np.array([inner_product(grid, div_r, el.psi_hat) for el in basket])
-            maj_a += np.abs(w) * psi_grad * (
-                abs(omtl) * np.sqrt(gradient_norm_sq(grid, v_hat)) + nu * grad_u_snap[i]
-            )
-            maj_b += np.abs(w) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
-            sym_v = sym_gradient(grid, v_hat)
-            model = r_hat - 2.0 * omtl * sym_v
-            el_tensor = r_hat - 2.0 * nu * sym_gradient(grid, ub_hat) + 2.0 * omtl * sym_v
-            el_pairs += w * _pair_grad_psi(grid, basket, el_tensor)
-            model_pairs += w * _pair_grad_psi(grid, basket, model)
+            b += wt * np.array([inner_product(grid, div_r, el.psi_hat) for el in basket])
+            maj_a += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
+            maj_b += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
+            sym_w = sym_gradient(grid, w_hat)
+            model = r_hat - 2.0 * sym_w
+            el_tensor = r_hat - 2.0 * nu * sym_gradient(grid, ub_hat) + 2.0 * sym_w
+            el_pairs += wt * _pair_grad_psi(grid, basket, el_tensor)
+            model_pairs += wt * _pair_grad_psi(grid, basket, model)
             stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
             resid_sq += tw[i] * inner_product(grid, model, model)
-            vstar_ubar += tw[i] * gradient_inner_product(grid, v_hat, ub_hat)
+            w_ubar += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
+            big_w1 += tw[i] * gradient_norm_sq(grid, w1_hat)
+            j1_w1 += tw[i] * inner_product(grid, j1_hat, gradient(grid, w1_hat))
+            r_w1 += tw[i] * inner_product(grid, r_hat, gradient(grid, w1_hat))
+            u_w1 += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
+            r_u += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
 
-        pairing = BasketPairing(omtl, pair_j, pair_v, flux_l2_norm(flux) * basket_norms)
-        width = WidthAudit(
+        s, lam, active = _ball_rule(big_w, radius_sq)
+        omtl = 1.0 - 2.0 * lam
+        if v_hats is not None:
+            v_hats /= s
+        sol = MinimizerSolution(
+            times=times.copy(),
+            v_hats=None,
+            lam=lam,
+            one_minus_two_lambda=omtl,
+            enstrophy_used=float(big_w / s**2),
+            radius_sq=radius_sq,
+            k_value=float(0.5 * big_w / s**2 - j_w / s),
+            constraint_active=active,
+            source="closed_form",
+        )
+        s1, lam1, _ = _ball_rule(big_w1, radius_sq)
+        k1, j1_v1 = 0.5 * big_w1 / s1**2, j1_w1 / s1
+        stress_limit = {
+            "delta": kernel.delta,
+            "lambda": lam1,
+            "one_minus_two_lambda": 1.0 - 2.0 * lam1,
+            "stress_vstar": r_w1 / s1,
+            "stress_gradu": r_u,
+            "gradu_gradv": u_w1 / s1,
+            "k_value": k1 - j1_v1,
+            "k_value_negated": k1 + j1_v1,
+            "minimality_ok": bool(k1 - j1_v1 <= k1 + j1_v1 + 1e-12 * max(1.0, abs(k1 + j1_v1))),
+        }
+        flux_norm = float(np.sqrt(max(j_sq, 0.0)))
+        pairing = BasketPairing(omtl, pair_j, pair_w / s, flux_norm * basket_norms)
+        return WidthAudit(
             delta=delta,
-            solution=replace(sol, v_hats=None),
+            solution=sol,
             lagrange=lagrange_ratio(pairing),
             el=el_residual(pairing),
             boussinesq=boussinesq_residual(
                 kernel.delta, el_pairs, model_pairs, stress_sq, resid_sq, basket_norms
             ),
-            energy_drop=energy_drop_identity(trajectory, kernel, omtl, vstar_ubar),
+            energy_drop=energy_drop_identity(trajectory, kernel, w_ubar),
             a=a,
             b=b,
             a_majorant=maj_a,
             b_majorant=maj_b,
             stress_limit=stress_limit,
         )
-        return width, flux, sol
 
-    # audit's locals, views into its flux among them, die with each call, so
-    # dropping flux and sol frees the coarser width before the next assembly.
-    widths = []
-    for delta in sorted((float(d) for d in deltas), reverse=True):
-        flux = sol = None
-        width, flux, sol = audit(delta)
-        widths.append(width)
+    ordered = sorted((float(d) for d in deltas), reverse=True)
+    widths = [audit(delta) for delta in ordered[:-1]]
+    v_hats = np.empty((len(times), 3) + grid.spectral_shape, dtype=complex)
+    widths.append(audit(ordered[-1], v_hats))
     return AuditReport(
         widths=tuple(widths),
         weak=weak_convergence_diag(widths, nu, grad_u_norm, basket_norms),
         stress_limit=stress_limit_diagnostics(widths, basket_norms),
-        flux=flux,
-        solution=sol,
+        solution=replace(widths[-1].solution, v_hats=v_hats),
     )

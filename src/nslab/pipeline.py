@@ -25,12 +25,14 @@ from .config import dump_config
 from .dissipation import defect_cross_validate
 from .filtering import kernel_for, resolved_balance
 from .ledger import (
+    LedgerError,
     read_ledger,
     read_width_ledger,
     write_time_ledger,
     write_width_ledger,
 )
-from .minimizer import _fit_order, audit_widths, default_radius_sq, oracle_mp, solution_gap
+from .minimizer import _fit_order, assemble_flux, audit_widths, default_radius_sq
+from .minimizer import oracle_mp, solution_gap
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 LOCK_NAME = ".lock"
@@ -79,7 +81,10 @@ def _write_json(path, obj):
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise LedgerError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _load_state(paths):
@@ -151,6 +156,11 @@ def load_run(run_dir):
     cfg = load_config(paths.config)
     grid = cfg.make_grid()
     times, fields = snap_mod.read_trajectory_fields(paths.snapshots)
+    expected = (3,) + grid.shape
+    if fields.shape[1:] != expected:
+        raise snap_mod.SnapshotFormatError(
+            paths.snapshots, "grid mismatch", f"snapshots {fields.shape[1:]}, config {expected}"
+        )
     columns, data = read_ledger(paths.time_ledger)
     if data.shape[0] != len(times) or np.max(np.abs(data[:, 0] - times)) > 1e-12:
         raise PipelineError(f"{run_dir}: snapshot times disagree with {columns[0]} ledger")
@@ -267,7 +277,7 @@ def cmd_minimize(run_dir, oracle=False):
         oracle_record = None
         if oracle:
             osol = oracle_mp(
-                audit.flux,
+                assemble_flux(traj, kernel_for(grid, schedule[-1])),
                 radius_sq,
                 iters=cfg.oracle.iters,
                 seed=cfg.oracle.seed,

@@ -113,6 +113,8 @@ def read_trajectory_fields(directory):
     fields = []
     for path in list_snapshots(directory):
         t, f = read_snapshot(path)
+        if fields and f.shape != fields[0].shape:
+            raise SnapshotFormatError(path, "shape mismatch", f"{f.shape} != {fields[0].shape}")
         times.append(t)
         fields.append(f)
     if not fields:

@@ -328,6 +328,9 @@ class TestConfigFiles:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+        path.write_bytes(b'{"grid": "\xff"}')
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
 
     def test_dump_is_valid_json(self, tmp_path):
         path = tmp_path / "run.json"
@@ -446,6 +449,13 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="no snapshots"):
             read_trajectory_fields(tmp_path)
 
+    def test_unequal_snapshot_shapes(self, tmp_path, sample_fields):
+        """Snapshots of different sizes in one directory are a format error."""
+        write_snapshot(snapshot_path(tmp_path, 0), 0.0, sample_fields)
+        write_snapshot(snapshot_path(tmp_path, 1), 0.1, sample_fields[:, :4, :4, :4])
+        with pytest.raises(SnapshotFormatError, match="shape mismatch"):
+            read_trajectory_fields(tmp_path)
+
     def test_trajectory_round_trip(self, tmp_path):
         """A simulated trajectory dumps and reloads its real-space samples."""
         grid = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.05, snapshot_stride=5)
@@ -521,6 +531,16 @@ class TestLedgers:
         path = tmp_path / "ledger.csv"
         path.write_text(SCHEMA_LINE + "\na,b\n1.0\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="row width"):
+            read_ledger(path)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        """A damaged cell is a ledger error naming the file, not a bare ValueError."""
+        path = tmp_path / "ledger.csv"
+        path.write_text(SCHEMA_LINE + "\na,b\n1.0,x\n", encoding="utf-8")
+        with pytest.raises(LedgerError, match="ledger.csv: non-numeric"):
+            read_ledger(path)
+        path.write_bytes(SCHEMA_LINE.encode() + b"\na,b\n1.0,\xff\n")
+        with pytest.raises(LedgerError, match="ledger.csv: non-numeric"):
             read_ledger(path)
 
     def test_empty_data(self, tmp_path):

@@ -15,8 +15,11 @@ Validates:
   audit_widths call on a solver trajectory, the resolved-energy pairing
   identity, the stress-limit rows (checked against a nu = 1 flux assembled
   and solved directly), stress-modeling residuals, and the width-refinement
-  report
+  report; the streamed audit agrees with solve_mp on an assembled flux at
+  every width and holds no per-snapshot tensor beyond the finest v*
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,7 +140,7 @@ class TestFluxField:
     def test_time_snapshot_mismatch_rejected(self, grid, times, flux):
         """A flux whose time axis disagrees with its snapshot count is an error."""
         with pytest.raises(MinimizerError, match="disagree"):
-            FluxField(grid, times[:-1], flux.j_hats, nu=0.0)
+            FluxField(grid, times[:-1], flux.j_hats)
 
     def test_weights_are_trapezoid(self, flux, times):
         """Quadrature weights are the trapezoid weights of the snapshot times."""
@@ -158,24 +161,20 @@ class TestFluxField:
         assert flux.poisson_rhs() is flux.poisson_rhs()
 
     def test_gradient_flux_values(self, grid, flux, profile, svals):
-        """make_gradient_flux stores scale * s_i * grad(phi) per snapshot, nu = 0."""
+        """make_gradient_flux stores scale * s_i * grad(phi) per snapshot."""
         g = gradient(grid, profile)
-        assert flux.nu == 0.0
         for i, s in enumerate(svals):
             assert np.max(np.abs(flux.j_at(i) - SCALE * s * g)) < 1e-14
 
     def test_assembled_flux_matches_definition(self, traj_grid, trajectory):
-        """assemble_flux produces nu grad(ubar) - R and records R per snapshot."""
+        """assemble_flux produces nu grad(ubar) - R per snapshot."""
         kernel = kernel_for(traj_grid, np.pi / 2.0)
         flux = assemble_flux(trajectory, kernel)
-        assert flux.nu == traj_grid.nu
-        assert flux.delta == kernel.delta
         i = len(trajectory) // 2
         u_hat = trajectory.u_hats[i]
         r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat)
         expected = traj_grid.nu * gradient(traj_grid, kernel.multiplier * u_hat) - r_hat
         assert np.max(np.abs(flux.j_at(i) - expected)) < 1e-12
-        assert np.max(np.abs(flux.r_hats[i] - r_hat)) < 1e-12
 
 
 class TestManufacturedInterior:
@@ -412,7 +411,7 @@ class TestTrajectoryDiagnostics:
                     for u_hat, r_hat in zip(trajectory.u_hats, r_hats)
                 ]
             )
-            flux = FluxField(grid, times, j_hats, nu=1.0)
+            flux = FluxField(grid, times, j_hats)
             sol = solve_mp(flux, radius_sq)
             expected = {
                 "lambda": sol.lam,
@@ -436,6 +435,46 @@ class TestTrajectoryDiagnostics:
                 assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
             dual = np.max(np.abs(audit.weak.b[w]) / norms)
             assert row["dual_proxy"] == pytest.approx(dual, rel=1e-12)
+
+    @pytest.mark.parametrize("regime", ["interior", "active"])
+    def test_streamed_audit_matches_solve_mp(self, trajectory, traj_basket, regime):
+        """At every width the streamed closed form (unscaled sums divided by
+        1 - 2 lambda after the pass) gives the multiplier, enstrophy, K and
+        activity of solve_mp on the assembled flux, and the finest v* is
+        bitwise the same."""
+        radius_sq = default_radius_sq(trajectory) if regime == "interior" else 1e-4
+        report = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, radius_sq)
+        for width in report.widths:
+            flux = assemble_flux(trajectory, kernel_for(trajectory.grid, width.delta))
+            sol = solve_mp(flux, radius_sq)
+            got = width.solution
+            assert got.constraint_active == sol.constraint_active == (regime == "active")
+            for key in ("lam", "one_minus_two_lambda", "enstrophy_used", "k_value"):
+                assert getattr(got, key) == pytest.approx(getattr(sol, key), rel=1e-12), key
+        assert np.array_equal(report.solution.v_hats, sol.v_hats)
+
+    def test_audit_memory_does_not_grow_with_snapshots(self):
+        """Doubling the snapshots grows the audit's peak allocation by less
+        than one (10, 3, 3) flux or stress tensor: the pass streams."""
+        grid_shape = (16, 16, 9)
+        bound = 10 * 9 * np.prod(grid_shape) * np.dtype(complex).itemsize
+        ic = InitialCondition(
+            kind="random_band", amplitude=0.4, seed=3, slope=-1.0, k_min=1, k_max=3
+        )
+        peaks = []
+        for steps in (10, 20):
+            grid = Grid(n=16, nu=0.05, dt=2e-3, t_end=steps * 2e-3, snapshot_stride=1)
+            traj = simulate(grid, make_initial(grid, ic))
+            assert len(traj) == steps + 1
+            basket = build_basket(grid, t_end=grid.t_end, seed=21, size=6, max_mode=2)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                audit_widths(traj, TRAJ_DELTAS, basket, default_radius_sq(traj))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < bound
 
     def test_stress_modeling_residuals(self, traj_grid, audit, traj_basket):
         """The divergence-tested Euler-Lagrange tensor vanishes to round-off;

@@ -7,8 +7,8 @@ Validates:
   a blown-up run
 - analyze fills the per-width ledger and the defect-estimator summary;
   minimize folds multipliers and weak pairings into the same ledger,
-  persists the finest-width minimizer as snapshots, and assembles one flux
-  per width and one Reynolds stress per (width, snapshot)
+  persists the finest-width minimizer as snapshots, and streams one Reynolds
+  stress per (width, snapshot) with no stored flux
 - report condenses everything into summary.json, summary.txt and .dat files
 - rerunning any stage reproduces byte-identical artifacts
 - blow-up runs keep their partial artifacts and propagate the failure
@@ -205,6 +205,18 @@ class TestAnalyzeStage:
         assert np.isfinite(defect["gap_rel"])
         assert "max_offsets" not in defect and "offsets" not in defect
 
+    def test_stress_defect_is_negated_resolved_flux(self, completed):
+        """The stress-strain defect and the resolved-balance flux are the
+        same pairing <R, grad ubar> with opposite signs, each from its own
+        stress assembly."""
+        analysis = json.loads(completed["analysis"])
+        defect = analysis["defect"]
+        flux = {row["delta"]: row["resolved_flux"] for row in analysis["balance"]}
+        scale = max(abs(v) for v in flux.values())
+        assert scale > 0.0
+        for delta, stress in zip(defect["deltas"], defect["stress"]):
+            assert abs(stress + flux[delta]) <= 1e-12 * scale
+
 
 class TestMinimizeStage:
     def test_minimize_summary(self, completed):
@@ -257,15 +269,18 @@ class TestMinimizeStage:
             )
 
     def test_one_flux_and_stress_per_width(self, completed, tmp_path, monkeypatch):
-        """minimize assembles one flux per width and one Reynolds stress per
-        (width, snapshot) pair: 3 widths x 11 snapshots."""
+        """minimize streams one Reynolds stress per (width, snapshot) pair,
+        3 widths x 11 snapshots, with no stored flux and no solve_mp; only
+        the oracle assembles a flux, the finest one, for itself."""
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
         flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
+        solve_calls = count_calls(monkeypatch, minimizer.solve_mp)
         pipeline.cmd_minimize(str(copy_dir))
-        assert len(stress_calls) == 3 * 11
-        assert len(flux_calls) == 3
+        assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11, 0, 0)
+        pipeline.cmd_minimize(str(copy_dir), oracle=True)
+        assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11 + 4 * 11, 1, 0)
 
 
 def count_calls(monkeypatch, func):
@@ -425,6 +440,37 @@ class TestCommandLine:
             fh.write(raw)
         assert cli.main(["analyze", str(copy_dir)]) == 2
         assert "bad magic" in capsys.readouterr().err
+
+    def test_grid_mismatch_is_input_error(self, completed, tmp_path, capsys):
+        """Snapshots of another grid size are rejected when the run loads."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        config_path = os.path.join(copy_dir, "config.json")
+        data = json.load(open(config_path))
+        data["grid"]["n"] = 32
+        write_config(config_path, data)
+        assert cli.main(["analyze", str(copy_dir)]) == 2
+        assert "grid mismatch" in capsys.readouterr().err
+
+    def test_damaged_stage_record_is_input_error(self, completed, tmp_path, capsys):
+        """A damaged analysis.json exits 2 with an error naming the file."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        for damage in (b'{"schedule": [', b'{"schedule": "\xff"}'):
+            with open(os.path.join(copy_dir, "analysis.json"), "wb") as fh:
+                fh.write(damage)
+            assert cli.main(["report", str(copy_dir)]) == 2
+            assert "analysis.json" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, completed, monkeypatch):
+        """A ValueError that is not a bad-input error is a fault, not exit 2."""
+
+        def broken(run_dir):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(pipeline, "cmd_analyze", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["analyze", completed["run_dir"]])
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as err:
