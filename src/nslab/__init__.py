@@ -7,7 +7,6 @@ from .dissipation import defect_cross_validate, defect_space_time, richardson_ex
 from .filtering import (
     FilterKernel,
     kernel_for,
-    make_filtered_state,
     make_kernel,
     resolved_balance,
     reynolds_stress,
@@ -55,7 +54,6 @@ __all__ = [
     "kkt_report",
     "lagrange_ratio",
     "load_config",
-    "make_filtered_state",
     "make_initial",
     "make_kernel",
     "oracle_mp",

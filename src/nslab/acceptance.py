@@ -99,13 +99,14 @@ class CriterionResult:
 
 
 class AcceptanceLab:
-    """Caches the shared runs and the per-width minimizer audit."""
+    """Caches the shared runs, the per-width audit and the manufactured cases."""
 
     def __init__(self):
         self._beltrami = None
         self._cascade = None
         self._basket = None
         self._audit = None
+        self._manufactured = None
 
     @property
     def beltrami(self):
@@ -147,6 +148,41 @@ class AcceptanceLab:
             )
             self._audit = replace(report, solution=None)
         return self._audit
+
+    @property
+    def manufactured(self):
+        """(basket, cases): ten manufactured fluxes with closed-form solutions,
+        checked by criterion 6's oracle and paired by criteria 8 and 9."""
+        if self._manufactured is None:
+            grid = Grid(n=16, nu=0.05, dt=0.1, t_end=1.0, snapshot_stride=1)
+            times = np.linspace(0.0, 1.0, 5)
+            basket = build_basket(grid, t_end=1.0, seed=515, size=8, max_mode=2)
+            cases = []
+            for case in range(10):
+                rng = np.random.default_rng(100 + case)
+                profile = random_divergence_free(grid, rng, max_k_sq=9, amplitude=1.0)
+                svals = 1.0 + 0.5 * np.sin(2.0 * np.pi * times + rng.uniform(0.0, 2.0 * np.pi))
+                scale = rng.uniform(0.5, 2.0)
+                flux = make_gradient_flux(grid, times, profile, svals, scale)
+                w_exact = np.stack([scale * s * profile for s in svals])
+                big_w = enstrophy_integral(grid, times, w_exact)
+                interior = case % 2 == 0
+                radius_sq = 2.0 * big_w if interior else 0.25 * big_w
+                cases.append(
+                    {
+                        "grid": grid,
+                        "times": times,
+                        "flux": flux,
+                        "w_exact": w_exact,
+                        "big_w": big_w,
+                        "radius_sq": radius_sq,
+                        "interior": interior,
+                        "seed": 1000 + case,
+                        "solution": solve_mp(flux, radius_sq),
+                    }
+                )
+            self._manufactured = (basket, cases)
+        return self._manufactured
 
 
 def _result(number, name, passed, detail, t0):
@@ -259,48 +295,16 @@ def criterion_5(lab):
     return _result(5, "dissipation-defect estimators", ok, detail, t0)
 
 
-def _manufactured_cases(n_cases=10):
-    grid = Grid(n=16, nu=0.05, dt=0.1, t_end=1.0, snapshot_stride=1)
-    times = np.linspace(0.0, 1.0, 5)
-    basket = build_basket(grid, t_end=1.0, seed=515, size=8, max_mode=2)
-    cases = []
-    for case in range(n_cases):
-        rng = np.random.default_rng(100 + case)
-        profile = random_divergence_free(grid, rng, max_k_sq=9, amplitude=1.0)
-        svals = 1.0 + 0.5 * np.sin(2.0 * np.pi * times + rng.uniform(0.0, 2.0 * np.pi))
-        scale = rng.uniform(0.5, 2.0)
-        flux = make_gradient_flux(grid, times, profile, svals, scale)
-        w_exact = np.stack([scale * s * profile for s in svals])
-        big_w = enstrophy_integral(grid, times, w_exact)
-        interior = case % 2 == 0
-        radius_sq = 2.0 * big_w if interior else 0.25 * big_w
-        cases.append(
-            {
-                "grid": grid,
-                "times": times,
-                "flux": flux,
-                "w_exact": w_exact,
-                "big_w": big_w,
-                "radius_sq": radius_sq,
-                "interior": interior,
-                "seed": 1000 + case,
-            }
-        )
-    return grid, basket, cases
-
-
 def criterion_6(lab):
     t0 = time_mod.time()
-    grid, basket, cases = _manufactured_cases()
+    _, cases = lab.manufactured
     worst_gap = 0.0
     worst_spread = 0.0
     worst_kkt = 0.0
     all_converged = True
     closed_ok = True
-    lab.manufactured = {"basket": basket, "solutions": []}
     for case in cases:
-        flux, radius_sq = case["flux"], case["radius_sq"]
-        sol = solve_mp(flux, radius_sq)
+        grid, flux, radius_sq, sol = case["grid"], case["flux"], case["radius_sq"], case["solution"]
         if case["interior"]:
             gap_exact = enstrophy_integral(grid, case["times"], sol.v_hats - case["w_exact"])
             closed_ok &= gap_exact <= 1e-20 * case["big_w"] and sol.lam == 0.0
@@ -315,7 +319,6 @@ def criterion_6(lab):
         worst_kkt = max(worst_kkt, kkt_report(sol)["complementarity"] / radius_sq)
         all_converged &= osol.converged
         all_converged &= osol.k_value >= sol.k_value - 1e-10 * max(1.0, abs(sol.k_value))
-        lab.manufactured["solutions"].append((case, sol))
     ok = (
         closed_ok
         and all_converged
@@ -367,14 +370,13 @@ def criterion_8(lab):
     widths = lab.audit.widths
     interior_dev = max(w.lagrange["max_deviation"] for w in widths)
     interior_all = all(not w.solution.constraint_active for w in widths)
-    if not hasattr(lab, "manufactured"):
-        criterion_6(lab)
+    basket, cases = lab.manufactured
     active_dev = 0.0
     saw_active = False
-    for case, sol in lab.manufactured["solutions"]:
+    for case in cases:
         if not case["interior"]:
             saw_active = True
-            pairing = pair_basket(sol, case["flux"], lab.manufactured["basket"])
+            pairing = pair_basket(case["solution"], case["flux"], basket)
             dev = lagrange_ratio(pairing)["max_deviation"]
             active_dev = max(active_dev, dev)
     ok = interior_all and saw_active and interior_dev <= 1e-9 and active_dev <= 1e-9
@@ -389,11 +391,10 @@ def criterion_9(lab):
     t0 = time_mod.time()
     el_width = max(w.el["max"] for w in lab.audit.widths)
     bq_width = max(w.boussinesq.el_form_max for w in lab.audit.widths)
-    if not hasattr(lab, "manufactured"):
-        criterion_6(lab)
+    basket, cases = lab.manufactured
     el_manu = 0.0
-    for case, sol in lab.manufactured["solutions"]:
-        pairing = pair_basket(sol, case["flux"], lab.manufactured["basket"])
+    for case in cases:
+        pairing = pair_basket(case["solution"], case["flux"], basket)
         el_manu = max(el_manu, el_residual(pairing)["max"])
     ok = el_width <= 1e-10 and el_manu <= 1e-10 and bq_width <= 1e-9
     detail = (

@@ -10,11 +10,12 @@ functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import curl, dealias, gradient, gradient_norm_sq, leray_project
+from .spectral import VOLUME, curl, dealias, gradient_norm_sq, leray_project
 from .windows import BumpWindow
 
 DEFAULT_SEED = 2025
@@ -24,33 +25,51 @@ DEFAULT_MAX_MODE = 2
 
 @dataclass(frozen=True)
 class BasketElement:
-    index: int
-    psi_hat: np.ndarray = field(repr=False)  # (3, n, n, n//2+1), div-free, |grad| = 1
     window: BumpWindow
     grad_norm_sq: float  # int |grad psi|^2 dx (space only) == 1 after normalization
-
-    def grad_psi_hat(self, grid):
-        """Cached spectral gradient (3, 3, n, n, n//2+1) of the spatial profile."""
-        cached = getattr(self, "_grad_cache", None)
-        if cached is None:
-            cached = gradient(grid, self.psi_hat)
-            object.__setattr__(self, "_grad_cache", cached)
-        return cached
 
 
 @dataclass(frozen=True)
 class TestBasket:
+    """The basket, its profiles stored only on the M modes where some psi_j is
+    nonzero (0 < |k| <= max_mode: 22 half-complex modes for max_mode 2)."""
+
     seed: int
     size: int
     max_mode: int
     t_end: float
     elements: tuple
+    support: tuple = field(repr=False)  # (i1, i2, i3) spectral indices, M each
+    k_vec: np.ndarray = field(repr=False)  # (3, M)
+    weights: np.ndarray = field(repr=False)  # (M,) VOLUME * Parseval weight
+    psi: np.ndarray = field(repr=False)  # (size, 3, M)
+    grad_psi: np.ndarray = field(repr=False)  # (size, 3, 3, M), [k, i, j] = d_i psi_j
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
+
+    def _reduce(self, profiles, f_hat, weights):
+        """Re sum of weights * f * conj(profile_k) per element, rounded once
+        (math.fsum) so that cancelling pairings keep only their products' error."""
+        terms = (weights * f_hat[(...,) + self.support] * np.conj(profiles)).real
+        return np.array([math.fsum(row) for row in terms.reshape(len(self), -1)])
+
+    def pair(self, field_hat):
+        """<f, psi_k> for a vector field f, <T, grad psi_k> for a tensor field T."""
+        profiles = self.psi if field_hat.ndim == 4 else self.grad_psi
+        return self._reduce(profiles, field_hat, self.weights)
+
+    def pair_gradient(self, v_hat):
+        """<grad v, grad psi_k> for a vector field v."""
+        return self._reduce(self.psi, v_hat, self.weights * np.sum(self.k_vec**2, axis=0))
+
+    def norms(self):
+        """(||psi_k||, ||grad psi_k||) per element."""
+        sq = np.sum(self.weights * (self.psi.real**2 + self.psi.imag**2), axis=1)
+        return np.sqrt(np.sum(sq, axis=1)), np.sqrt(sq @ np.sum(self.k_vec**2, axis=0))
 
 
 def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEFAULT_MAX_MODE):
@@ -63,6 +82,7 @@ def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEF
     rng = np.random.default_rng(seed)
     band = (grid.k_sq > 0.0) & (grid.k_sq <= float(max_mode) ** 2)
     elements = []
+    profiles = []
     for j in range(size):
         noise = rng.standard_normal((3,) + grid.shape)
         a_hat = grid.forward(noise) * band
@@ -75,15 +95,26 @@ def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEF
         t1 = t0 + float(rng.uniform(0.4, 0.6)) * t_end
         elements.append(
             BasketElement(
-                index=j,
-                psi_hat=psi_hat,
                 window=BumpWindow(t0, t1),
                 grad_norm_sq=gradient_norm_sq(grid, psi_hat),
             )
         )
+        # The curl, dealiasing and projection of a band-limited potential
+        # leave every mode outside the band exactly zero.
+        profiles.append(psi_hat[:, band])
+    psi = np.stack(profiles)
+    nonzero = np.any(psi != 0.0, axis=(0, 1))
+    support = tuple(ix[nonzero] for ix in np.nonzero(band))
+    psi = psi[..., nonzero]
+    k_vec = grid.k_vec[(slice(None),) + support]
     return TestBasket(
         seed=int(seed), size=int(size), max_mode=int(max_mode), t_end=float(t_end),
         elements=tuple(elements),
+        support=support,
+        k_vec=k_vec,
+        weights=VOLUME * grid.parseval_w[0, 0, support[2]],
+        psi=psi,
+        grad_psi=1j * k_vec[:, None, :] * psi[:, None, :, :],
     )
 
 

@@ -18,7 +18,8 @@ by a Richardson fit on the finest three widths.  The structure-function sum
 is not evaluated offset by offset: expanding du |du|^2 turns it into five
 circular correlations of the sampled grad(eta_delta) with pointwise products
 of u (the discrete Duchon-Robert form): 27 scalar FFTs per call, three of
-them for the kernel gradient, whatever delta is.  offsets_count() reports how many offsets the sum covers.
+them for the kernel gradient, whatever delta is.  offsets_count(), the number
+of offsets the sum covers, stays for perfbench/stage_trace.py, which logs it.
 
 The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.

@@ -161,27 +161,6 @@ def filtered_pressure_hat(grid, kernel, u_hat):
 
 
 @dataclass(frozen=True)
-class FilteredState:
-    """One snapshot seen at one filter width."""
-
-    delta: float
-    time: float
-    ubar_hat: np.ndarray = field(repr=False)  # (3, n, n, n//2+1)
-    pressure_hat: np.ndarray = field(repr=False)  # (n, n, n//2+1)
-    stress: np.ndarray = field(repr=False)  # (3, 3, n, n, n) real
-
-
-def make_filtered_state(grid, kernel, u_hat, time=0.0):
-    return FilteredState(
-        delta=kernel.delta,
-        time=float(time),
-        ubar_hat=kernel.multiplier * u_hat,
-        pressure_hat=filtered_pressure_hat(grid, kernel, u_hat),
-        stress=reynolds_stress(grid, kernel, u_hat),
-    )
-
-
-@dataclass(frozen=True)
 class BalanceReport:
     """Resolved-scale energy budget of one trajectory at one width.
 

@@ -27,9 +27,9 @@ v* = w / s with one scalar s per width, every integral is accumulated in w
 unscaled (the stress-modeling tensors (1 - 2 lambda) sym grad v* are
 sym grad w outright); after the pass the ball rule turns W into s, lambda
 and activity, and the s-dependent sums are divided by s or s^2.  Only the
-finest v* is stored.  The Lagrange ratios and weak Euler-Lagrange residuals
-share one BasketPairing; weak_convergence_diag and stress_limit_diagnostics
-reduce the per-width rows across widths.
+finest v* is stored.  Basket pairings use TestBasket.pair/pair_gradient; the
+Lagrange ratios and weak Euler-Lagrange residuals share one BasketPairing;
+weak_convergence_diag and stress_limit_diagnostics reduce across widths.
 """
 
 from __future__ import annotations
@@ -373,16 +373,6 @@ def _basket_norms(basket, times):
     return np.array([spacetime_gradient_norm(el, times) for el in basket])
 
 
-def _pair_grad_psi(grid, basket, tensor_hat):
-    """<T, grad psi_k> for every basket element."""
-    return np.array([inner_product(grid, tensor_hat, el.grad_psi_hat(grid)) for el in basket])
-
-
-def _pair_gradients(grid, basket, v_hat):
-    """<grad v, grad psi_k> for every basket element."""
-    return np.array([gradient_inner_product(grid, v_hat, el.psi_hat) for el in basket])
-
-
 @dataclass(frozen=True)
 class BasketPairing:
     """Time-integrated basket pairings of one flux and one candidate minimizer.
@@ -407,8 +397,8 @@ def pair_basket(solution, flux, basket):
     j_sq = 0.0
     for i in range(len(flux)):
         j_hat = flux.j_at(i)
-        pair_j += weights[i] * _pair_grad_psi(grid, basket, j_hat)
-        pair_v += weights[i] * _pair_gradients(grid, basket, solution.v_hats[i])
+        pair_j += weights[i] * basket.pair(j_hat)
+        pair_v += weights[i] * basket.pair_gradient(solution.v_hats[i])
         j_sq += flux.weights[i] * inner_product(grid, j_hat, j_hat)
     scale = float(np.sqrt(max(j_sq, 0.0))) * _basket_norms(basket, flux.times)
     return BasketPairing(solution.one_minus_two_lambda, pair_j, pair_v, scale)
@@ -652,19 +642,17 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     times = trajectory.times
     u_hats = trajectory.u_hats
     tw = trapezoid_weights(times)
-    n_b = len(basket)
     weights = _basket_weights(basket, times)
     basket_norms = _basket_norms(basket, times)
-    grad_u_pair = np.stack([_pair_gradients(grid, basket, u_hat) for u_hat in u_hats])
+    grad_u_pair = np.stack([basket.pair_gradient(u_hat) for u_hat in u_hats])
     grad_u_snap = np.array([np.sqrt(gradient_norm_sq(grid, u_hat)) for u_hat in u_hats])
     grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
-    psi_l2 = np.array([np.sqrt(inner_product(grid, el.psi_hat, el.psi_hat)) for el in basket])
-    psi_grad = np.array([np.sqrt(gradient_norm_sq(grid, el.psi_hat)) for el in basket])
+    psi_l2, psi_grad = basket.norms()
 
     def audit(delta, v_hats=None):
         """One width's row; v_hats, if given, receives v* = w / s."""
         kernel = kernel_for(grid, delta)
-        pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, n_b))
+        pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, len(basket)))
         big_w = j_w = j_sq = stress_sq = resid_sq = w_ubar = 0.0
         big_w1 = j1_w1 = r_w1 = u_w1 = r_u = 0.0
         for i, u_hat in enumerate(u_hats):
@@ -682,19 +670,19 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             big_w += tw[i] * w_sq
             j_w += tw[i] * inner_product(grid, j_hat, gradient(grid, w_hat))
             j_sq += tw[i] * inner_product(grid, j_hat, j_hat)
-            pw = _pair_gradients(grid, basket, w_hat)
-            pair_j += wt * _pair_grad_psi(grid, basket, j_hat)
+            pw = basket.pair_gradient(w_hat)
+            pair_j += wt * basket.pair(j_hat)
             pair_w += wt * pw
             a += wt * (pw - nu * grad_u_pair[i])
             div_r = tensor_divergence(grid, r_hat)
-            b += wt * np.array([inner_product(grid, div_r, el.psi_hat) for el in basket])
+            b += wt * basket.pair(div_r)
             maj_a += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
             maj_b += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
             sym_w = sym_gradient(grid, w_hat)
             model = r_hat - 2.0 * sym_w
             el_tensor = r_hat - 2.0 * nu * sym_gradient(grid, ub_hat) + 2.0 * sym_w
-            el_pairs += wt * _pair_grad_psi(grid, basket, el_tensor)
-            model_pairs += wt * _pair_grad_psi(grid, basket, model)
+            el_pairs += wt * basket.pair(el_tensor)
+            model_pairs += wt * basket.pair(model)
             stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
             resid_sq += tw[i] * inner_product(grid, model, model)
             w_ubar += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)

@@ -150,6 +150,26 @@ class TestRunAll:
         assert stream.getvalue().splitlines()[-1] == "overall: PASS"
 
 
+class TestManufacturedCases:
+    """Criteria 8 and 9 read criterion 6's cases without its descent oracle."""
+
+    def test_cached_without_oracle(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the manufactured cases must not run oracle_mp")
+
+        monkeypatch.setattr(acceptance, "oracle_mp", no_oracle)
+        lab = AcceptanceLab()
+        basket, cases = lab.manufactured
+        assert lab.manufactured[1] is cases
+        assert len(cases) == 10
+        assert {case["interior"] for case in cases} == {True, False}
+        for case in cases:
+            sol = case["solution"]
+            assert sol.source == "closed_form"
+            assert sol.constraint_active is not case["interior"]
+        assert len(basket) == 8
+
+
 class TestDeterminismSubprocess:
     """Criterion 11's children must import the nslab under test, from any cwd."""
 

@@ -17,7 +17,6 @@ from nslab.filtering import (
     filtered_pressure_hat,
     kernel_for,
     local_balance_test,
-    make_filtered_state,
     make_kernel,
     resolved_balance,
     reynolds_stress,
@@ -153,16 +152,6 @@ class TestFilteredPressure:
         scale = np.abs(ddt).max()
         assert np.abs(lhs - ddt).max() < 1e-12 * scale
         assert p_hat[0, 0, 0] == 0.0
-
-    def test_filtered_state_bundle(self, grid, u_hat):
-        kernel = kernel_for(grid, np.pi / 2.0)
-        state = make_filtered_state(grid, kernel, u_hat, time=0.25)
-        assert state.delta == kernel.delta
-        assert state.time == 0.25
-        assert state.stress.shape == (3, 3) + grid.shape
-        assert np.abs(
-            state.ubar_hat - kernel.multiplier * u_hat
-        ).max() == 0.0
 
 
 class TestResolvedBalance:
