@@ -112,7 +112,7 @@ def _random_band(grid, ic):
 def energy_spectrum(grid, u_hat):
     """Shell-summed kinetic energy spectrum.
 
-    Returns (shells, energies) for integer shells 1..floor(n/3) with the
+    Returns (shells, energies) for integer shells 1..grid.dealias_cutoff with the
     convention sum(energies) = kinetic energy of the dealiased field.
     """
     k_mag = np.sqrt(grid.k_sq)

@@ -92,7 +92,10 @@ class Grid:
             inv = np.where(self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0.0, self.k_sq, 1.0), 0.0)
         self.inv_k_sq = inv
 
-        self.dealias_cutoff = self.n // 3
+        # Two-thirds rule: keep |k_i| < n/3 on every axis.  A product of two
+        # kept modes then reaches at most 2*cutoff, and its alias
+        # 2*cutoff - n stays below -cutoff, so no retained mode is polluted.
+        self.dealias_cutoff = (self.n - 1) // 3
         cut = self.dealias_cutoff
         self.dealias_mask = (
             (np.abs(self.k1) <= cut) & (np.abs(self.k2) <= cut) & (np.abs(self.k3) <= cut)
@@ -193,7 +196,8 @@ def leray_project(grid, v_hat):
 
 
 def dealias(grid, f_hat):
-    """Two-thirds-rule truncation: zero every mode with any |k_i| > floor(n/3)."""
+    """Two-thirds-rule truncation: zero every mode with any |k_i| >= n/3,
+    i.e. keep |k_i| <= grid.dealias_cutoff = floor((n - 1)/3)."""
     return f_hat * grid.dealias_mask
 
 

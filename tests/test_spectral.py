@@ -202,6 +202,17 @@ class TestDifferentialOperators:
         assert np.abs(d[~live]).max() == 0.0
         assert np.abs((d - random_scalar)[live]).max() == 0.0
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_edge_mode_square_does_not_alias(self, n):
+        """cos(p x)^2 = (1 + cos(2p x))/2 for the last kept mode p: the 2p
+        harmonic must alias onto a truncated mode, never back onto +-p."""
+        g = Grid(n=n, nu=0.1, dt=1e-3, t_end=1e-2)
+        p = g.dealias_cutoff
+        sq = dealias(g, g.forward(np.cos(p * g.x[0]) ** 2))
+        # an aliased 2p harmonic would put 1/4 there
+        assert max(abs(sq[p, 0, 0]), abs(sq[-p, 0, 0])) < 1e-14
+        assert sq[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+
 
 class TestInnerProducts:
     """Parseval identities tying the spectral and collocation quadratures."""
