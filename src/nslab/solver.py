@@ -126,34 +126,37 @@ def energy_spectrum(grid, u_hat):
 
 
 def nonlinear_term(grid, u_hat):
-    """Projected, dealiased advection term -P[(u.grad)u] in spectral space."""
-    u = grid.inverse(u_hat)
-    grad = grid.inverse(spectral.gradient(grid, u_hat))  # [i, j] = d_i u_j
-    adv = np.einsum("ixyz,ijxyz->jxyz", u, grad)
-    return -spectral.leray_project(grid, spectral.dealias(grid, grid.forward(adv)))
+    """Advection term P[u x omega] in spectral space, dealiased and projected.
 
-
-def _if_factors(grid, dt):
-    cache = getattr(grid, "_if_cache", None)
-    if cache is None:
-        cache = {}
-        grid._if_cache = cache
-    key = float(dt)
-    if key not in cache:
-        half = np.exp(-grid.nu * grid.k_sq * (0.5 * dt))
-        cache[key] = (half, half * half)
-    return cache[key]
+    u x omega = (u.grad)u - grad(|u|^2/2) with the sign flipped, and the Leray
+    projector P removes the gradient, so this equals -P[(u.grad)u].  One
+    inverse transform of (u, omega) and one forward transform of the product.
+    """
+    uw = grid.inverse(np.concatenate((u_hat, spectral.curl(grid, u_hat))))
+    u, w = uw[:3], uw[3:]
+    f = grid.forward(
+        np.stack((u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]))
+    )
+    keep, e = grid.dealiased_leray
+    return keep * f - e * (e[0] * f[0] + e[1] * f[1] + e[2] * f[2])
 
 
 def step(grid, u_hat, dt=None):
     """One integrating-factor RK4 step of length dt (default grid.dt)."""
-    dt = grid.dt if dt is None else float(dt)
-    e_half, e_full = _if_factors(grid, dt)
-    a = dt * nonlinear_term(grid, u_hat)
-    b = dt * nonlinear_term(grid, e_half * (u_hat + 0.5 * a))
-    c = dt * nonlinear_term(grid, e_half * u_hat + 0.5 * b)
-    d = dt * nonlinear_term(grid, e_full * u_hat + e_half * c)
-    return e_full * u_hat + (e_full * a + 2.0 * e_half * (b + c) + d) / 6.0
+    if dt is None:
+        dt, e_half = grid.dt, grid.half_step_decay
+    else:
+        dt = float(dt)
+        e_half = np.exp(-grid.nu * grid.k_sq * (0.5 * dt))
+    # Stages k_i = N(.); the full-step factor is applied as e_half twice:
+    # e u + (e dt k1 + 2 e_half dt (k2 + k3) + dt k4) / 6
+    #   = e_half (e_half u + dt (e_half k1 + 2 (k2 + k3)) / 6) + dt k4 / 6
+    u_half = e_half * u_hat
+    k1 = nonlinear_term(grid, u_hat)
+    k2 = nonlinear_term(grid, u_half + e_half * (0.5 * dt * k1))
+    k3 = nonlinear_term(grid, u_half + 0.5 * dt * k2)
+    k4 = nonlinear_term(grid, e_half * (u_half + dt * k3))
+    return e_half * (u_half + (dt / 6.0) * (e_half * k1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
 
 
 @dataclass

@@ -23,6 +23,8 @@ is a single-point invariant.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -120,11 +122,27 @@ class Grid:
 
     def forward(self, field):
         """Real field(s) (..., n, n, n) -> spectral coefficients (..., n, n, nh)."""
-        return np.fft.rfftn(field, axes=(-3, -2, -1)) / self.n**3
+        return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward")
 
     def inverse(self, field_hat):
         """Spectral coefficients (..., n, n, nh) -> real field(s) (..., n, n, n)."""
-        return np.fft.irfftn(field_hat * self.n**3, s=self.shape, axes=(-3, -2, -1))
+        return np.fft.irfftn(field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward")
+
+    @cached_property
+    def dealiased_leray(self):
+        """(keep, e): the solver's dealias-then-Leray multiplier in two parts.
+
+        leray_project(dealias(v)) = keep * v - e * (e . v), where keep is the
+        dealias mask with the mean mode dropped and e = keep * k / |k|.
+        """
+        keep = self.dealias_mask.astype(np.float64)
+        keep[0, 0, 0] = 0.0
+        return keep, self.k_vec * (keep * np.sqrt(self.inv_k_sq))
+
+    @cached_property
+    def half_step_decay(self):
+        """exp(-nu |k|^2 dt / 2): the viscous integrating factor over half a step."""
+        return np.exp(-self.nu * self.k_sq * (0.5 * self.dt))
 
     def __repr__(self):
         return (
