@@ -55,7 +55,12 @@ from .spectral import (
     trapezoid_weights,
 )
 
-DEGENERATE_DENOMINATOR = 1e-12
+# A Lagrange ratio divides by int s<grad v*, grad psi>.  An element whose
+# denominator is below this fraction of its flux scale (BasketPairing.scale)
+# is nearly orthogonal to the minimizer: its ratio would amplify the
+# pairings' round-off by more than 1/DEGENERATE_RTOL and so measure its own
+# conditioning, not the identity.  el_residual still tests every element.
+DEGENERATE_RTOL = 1e-4
 ACTIVITY_RTOL = 1e-10
 # A refinement series is "at the cancellation floor" when every entry is below
 # this fraction of its triangle-inequality majorant: the pairing cancels to
@@ -407,11 +412,11 @@ def pair_basket(solution, flux, basket):
 def lagrange_ratio(pairing):
     """Per-element ratio int s<J, grad psi> / int s<grad v*, grad psi>.
 
-    Elements whose denominator falls below DEGENERATE_DENOMINATOR are
-    skipped (ratio NaN); if all are degenerate that is an error.  Every
-    surviving ratio must match one_minus_two_lambda.
+    Elements whose denominator is at most DEGENERATE_RTOL times their flux
+    scale are skipped (ratio NaN); if all are degenerate that is an error.
+    Every surviving ratio must match one_minus_two_lambda.
     """
-    ok = np.abs(pairing.vstar) > DEGENERATE_DENOMINATOR
+    ok = np.abs(pairing.vstar) > DEGENERATE_RTOL * pairing.scale
     if not np.any(ok):
         raise MinimizerError("all basket denominators degenerate")
     ratios = np.full(len(ok), np.nan)

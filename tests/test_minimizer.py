@@ -27,6 +27,8 @@ import pytest
 from nslab.basket import build_basket, spacetime_gradient_norm, window_l2_sq
 from nslab.filtering import kernel_for, reynolds_stress_hat
 from nslab.minimizer import (
+    DEGENERATE_RTOL,
+    BasketPairing,
     FluxField,
     MinimizerError,
     MinimizerSolution,
@@ -328,6 +330,22 @@ class TestWeakDiagnostics:
         )
         with pytest.raises(MinimizerError, match="degenerate"):
             lagrange_ratio(pair_basket(fake, flux, basket))
+
+    def test_lagrange_cutoff_is_relative_to_scale(self):
+        """Rescaling a pairing's flux, vstar and scale together changes
+        neither the skipped elements nor the maximal deviation."""
+        rng = np.random.default_rng(4)
+        scale = rng.uniform(0.5, 2.0, 12)
+        vstar = scale * 10.0 ** rng.uniform(-7.0, -1.0, 12) * rng.choice((-1.0, 1.0), 12)
+        flux = 3.0 * vstar * (1.0 + 1e-3 * rng.standard_normal(12))
+        report = lagrange_ratio(BasketPairing(3.0, flux, vstar, scale))
+        skipped = np.isnan(report["ratios"])
+        assert np.array_equal(skipped, np.abs(vstar) <= DEGENERATE_RTOL * scale)
+        assert 0 < skipped.sum() < 12
+        for c in (1e-10, 1e10):
+            scaled = lagrange_ratio(BasketPairing(3.0, c * flux, c * vstar, c * scale))
+            assert np.array_equal(np.isnan(scaled["ratios"]), skipped)
+            assert scaled["max_deviation"] == pytest.approx(report["max_deviation"], rel=1e-12)
 
     def test_el_residual_roundoff(self, flux, big_w, basket):
         """The weak Euler-Lagrange defect of the exact solution is round-off."""
