@@ -8,7 +8,8 @@
 
 Each stage reads only what earlier stages wrote, so any stage can be re-run;
 re-running writes byte-identical artifacts (nothing time- or host-dependent
-is ever persisted).  A lock file guards against concurrent writers.
+is ever persisted).  A lock file naming the writer's pid guards against
+concurrent writers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -59,18 +61,76 @@ class RunPaths:
 
 @contextlib.contextmanager
 def run_lock(paths):
+    """Hold the run directory's lock file, which names this process's pid.
+
+    A lock naming a pid that no longer runs was left by a crashed stage: it
+    is reported on stderr and taken over.  A live pid, or a lock without a
+    pid, refuses the stage.
+    """
+    if not _create_lock(paths.lock):
+        holder = _lock_pid(paths.lock)
+        if holder is None or _pid_alive(holder) or not _take_stale_lock(paths, holder):
+            raise PipelineError(
+                f"{paths.run_dir}: locked by another writer (remove stale {LOCK_NAME} if none)"
+            )
     try:
-        fd = os.open(paths.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineError(
-            f"{paths.run_dir}: locked by another writer (remove stale {LOCK_NAME} if none)"
-        ) from None
-    try:
-        os.close(fd)
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(paths.lock)
+
+
+def _create_lock(path):
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return True
+
+
+def _lock_pid(path):
+    """The positive pid a lock file names, else None (missing, empty, garbled)."""
+    try:
+        with open(path, "rb") as fh:
+            pid = int(fh.read(32).strip() or b"0")
+    except (FileNotFoundError, ValueError):
+        return None
+    return pid if pid > 0 else None
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # running, owned by another user
+        pass
+    return True
+
+
+def _take_stale_lock(paths, dead_pid):
+    # Move the stale lock aside atomically, so that of two stages taking it
+    # over only one succeeds; a lock that turns out to be a fresh one written
+    # since it was read is linked back in place.
+    aside = f"{paths.lock}.{os.getpid()}"
+    try:
+        os.rename(paths.lock, aside)
+    except FileNotFoundError:
+        return _create_lock(paths.lock)
+    try:
+        if _lock_pid(aside) != dead_pid:
+            with contextlib.suppress(FileExistsError):
+                os.link(aside, paths.lock)
+            return False
+    finally:
+        os.unlink(aside)
+    print(
+        f"{paths.run_dir}: taking over stale {LOCK_NAME} of pid {dead_pid}, which is not running",
+        file=sys.stderr,
+    )
+    return _create_lock(paths.lock)
 
 
 def _write_json(path, obj):

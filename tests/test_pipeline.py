@@ -19,6 +19,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -120,7 +121,7 @@ class TestSimulateStage:
         assert echoed["grid"]["snapshot_stride"] == 1
 
     def test_lock_blocks_concurrent_writer(self, completed):
-        """A stale lock file makes every stage refuse to write."""
+        """A lock file without a pid makes every stage refuse to write."""
         paths = completed["paths"]
         with open(paths.lock, "w", encoding="utf-8"):
             pass
@@ -129,6 +130,41 @@ class TestSimulateStage:
                 pipeline.cmd_analyze(completed["run_dir"])
         finally:
             os.unlink(paths.lock)
+
+    def test_lock_of_live_pid_refuses(self, completed):
+        """A lock naming a running process (this one) refuses the stage."""
+        paths = completed["paths"]
+        with open(paths.lock, "w", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        try:
+            with pytest.raises(PipelineError, match="locked"):
+                pipeline.cmd_report(completed["run_dir"])
+        finally:
+            os.unlink(paths.lock)
+
+    def test_lock_of_dead_pid_is_taken_over(self, completed, capsys, monkeypatch):
+        """A lock naming an exited process is reported stale on stderr and
+        taken over; while the stage runs the lock names this process."""
+        paths = completed["paths"]
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        with open(paths.lock, "w", encoding="ascii") as fh:
+            fh.write(f"{child.pid}\n")
+        held = []
+        read_json = pipeline._read_json
+
+        def read_json_noting_lock(path):
+            with open(paths.lock, encoding="ascii") as fh:
+                held.append(fh.read())
+            return read_json(path)
+
+        monkeypatch.setattr(pipeline, "_read_json", read_json_noting_lock)
+        pipeline.cmd_report(completed["run_dir"])
+        assert held[-1] == f"{os.getpid()}\n"  # read inside the stage
+        assert f"stale .lock of pid {child.pid}" in capsys.readouterr().err
+        assert not [f for f in os.listdir(completed["run_dir"]) if f.startswith(".lock")]
+        summary = os.path.join(paths.report_dir, "summary.json")
+        assert completed["grab"](summary) == completed["summary"]
 
     def test_lock_released(self, completed):
         """No lock file survives a successful stage."""
