@@ -1,15 +1,22 @@
 """Time integration of incompressible Navier-Stokes on the periodic box.
 
-The advection term is evaluated pseudo-spectrally (two-thirds dealiased,
-Leray-projected) and advanced with classical RK4 in integrating-factor
-variables, so the viscous semigroup exp(-nu |k|^2 t) is applied exactly and
-never restricts the step.  Pressure is never formed during stepping; the
-projection removes it mode by mode.
+The advection term is taken in rotational form, P[u x omega] with the
+vorticity omega = curl u: u and omega are brought to the grid in one inverse
+transform, their cross product goes back in one forward transform, and one
+precomputed multiplier applies the two-thirds dealiasing and the Leray
+projector P.  Since u x omega = -(u.grad)u + grad(|u|^2/2) and P removes
+gradients, this is the convective term -P[(u.grad)u] with 9 transforms
+instead of 15; it is exact because the two-thirds rule keeps the product
+alias-free on the retained modes.  u.(u x omega) = 0 pointwise, so the term
+moves energy between modes only.  The step is classical RK4 in
+integrating-factor variables, so the viscous semigroup exp(-nu |k|^2 t) is
+applied exactly and never restricts the step.  Pressure is never formed
+during stepping; the projection removes it mode by mode.
 
 Beltrami (ABC) initial data gives an exact analytic solution of the discrete
-system: the projected advection term vanishes identically for an eigenfield
-of curl, so the computed flow must follow u(t) = exp(-nu t) u(0) to round-off.
-That closed form is the solver's primary oracle.
+system: omega = u for an eigenfield of curl, so u x omega vanishes pointwise
+and the computed flow must follow u(t) = exp(-nu t) u(0) to round-off.  That
+closed form is the solver's primary oracle.
 """
 
 from __future__ import annotations
@@ -126,11 +133,12 @@ def energy_spectrum(grid, u_hat):
 
 
 def nonlinear_term(grid, u_hat):
-    """Advection term P[u x omega] in spectral space, dealiased and projected.
+    """Dealiased, projected advection term P[u x omega] in spectral space.
 
-    u x omega = (u.grad)u - grad(|u|^2/2) with the sign flipped, and the Leray
-    projector P removes the gradient, so this equals -P[(u.grad)u].  One
-    inverse transform of (u, omega) and one forward transform of the product.
+    Equal to -P[(u.grad)u], since u x omega = grad(|u|^2/2) - (u.grad)u and
+    P removes gradients.  One inverse transform of the stacked (u, omega) and
+    one forward transform of their product; zero for Beltrami data (omega =
+    u).
     """
     uw = grid.inverse(np.concatenate((u_hat, spectral.curl(grid, u_hat))))
     u, w = uw[:3], uw[3:]
