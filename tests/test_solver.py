@@ -230,6 +230,8 @@ class TestRotationalForm:
         assert np.abs(nonlinear_term(grid, u) - ref).max() / np.abs(ref).max() < 1e-13
 
     def test_one_inverse_and_one_forward(self, grid, monkeypatch):
+        """One call makes one inverse of the stacked (u, omega) and one
+        forward transform of u x omega, nothing else."""
         calls = []
         for name in ("forward", "inverse"):
             original = getattr(Grid, name)
