@@ -35,6 +35,7 @@ import sys
 import tempfile
 import time as time_mod
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,88 +102,69 @@ class CriterionResult:
 class AcceptanceLab:
     """Caches the shared runs, the per-width audit and the manufactured cases."""
 
-    def __init__(self):
-        self._beltrami = None
-        self._cascade = None
-        self._basket = None
-        self._audit = None
-        self._manufactured = None
-
-    @property
+    @cached_property
     def beltrami(self):
-        if self._beltrami is None:
-            grid = Grid(**BELTRAMI)
-            u0 = make_initial(grid, InitialCondition(kind="beltrami_abc"))
-            self._beltrami = simulate(grid, u0)
-        return self._beltrami
+        grid = Grid(**BELTRAMI)
+        u0 = make_initial(grid, InitialCondition(kind="beltrami_abc"))
+        return simulate(grid, u0)
 
     @property
     def beltrami_schedule(self):
         return width_schedule(self.beltrami.grid, BELTRAMI_DELTA0, BELTRAMI_COUNT)
 
-    @property
+    @cached_property
     def cascade(self):
-        if self._cascade is None:
-            grid = Grid(**CASCADE)
-            u0 = make_initial(grid, InitialCondition(kind="random_band", **CASCADE_INIT))
-            self._cascade = simulate(grid, u0)
-        return self._cascade
+        grid = Grid(**CASCADE)
+        u0 = make_initial(grid, InitialCondition(kind="random_band", **CASCADE_INIT))
+        return simulate(grid, u0)
 
-    @property
+    @cached_property
     def basket(self):
-        if self._basket is None:
-            self._basket = build_basket(self.beltrami.grid, t_end=BELTRAMI["t_end"])
-        return self._basket
+        return build_basket(self.beltrami.grid, t_end=BELTRAMI["t_end"])
 
-    @property
+    @cached_property
     def audit(self):
         """Minimizer audit of the Beltrami run at every schedule width.
 
         The finest v* is dropped: at 101 snapshots it holds tens of MB that
         no criterion reads.
         """
-        if self._audit is None:
-            traj = self.beltrami
-            report = audit_widths(
-                traj, self.beltrami_schedule, self.basket, default_radius_sq(traj)
-            )
-            self._audit = replace(report, solution=None)
-        return self._audit
+        traj = self.beltrami
+        report = audit_widths(traj, self.beltrami_schedule, self.basket, default_radius_sq(traj))
+        return replace(report, solution=None)
 
-    @property
+    @cached_property
     def manufactured(self):
         """(basket, cases): ten manufactured fluxes with closed-form solutions,
         checked by criterion 6's oracle and paired by criteria 8 and 9."""
-        if self._manufactured is None:
-            grid = Grid(n=16, nu=0.05, dt=0.1, t_end=1.0, snapshot_stride=1)
-            times = np.linspace(0.0, 1.0, 5)
-            basket = build_basket(grid, t_end=1.0, seed=515, size=8, max_mode=2)
-            cases = []
-            for case in range(10):
-                rng = np.random.default_rng(100 + case)
-                profile = random_divergence_free(grid, rng, max_k_sq=9, amplitude=1.0)
-                svals = 1.0 + 0.5 * np.sin(2.0 * np.pi * times + rng.uniform(0.0, 2.0 * np.pi))
-                scale = rng.uniform(0.5, 2.0)
-                flux = make_gradient_flux(grid, times, profile, svals, scale)
-                w_exact = np.stack([scale * s * profile for s in svals])
-                big_w = enstrophy_integral(grid, times, w_exact)
-                interior = case % 2 == 0
-                radius_sq = 2.0 * big_w if interior else 0.25 * big_w
-                cases.append(
-                    {
-                        "grid": grid,
-                        "times": times,
-                        "flux": flux,
-                        "w_exact": w_exact,
-                        "big_w": big_w,
-                        "radius_sq": radius_sq,
-                        "interior": interior,
-                        "seed": 1000 + case,
-                        "solution": solve_mp(flux, radius_sq),
-                    }
-                )
-            self._manufactured = (basket, cases)
-        return self._manufactured
+        grid = Grid(n=16, nu=0.05, dt=0.1, t_end=1.0, snapshot_stride=1)
+        times = np.linspace(0.0, 1.0, 5)
+        basket = build_basket(grid, t_end=1.0, seed=515, size=8, max_mode=2)
+        cases = []
+        for case in range(10):
+            rng = np.random.default_rng(100 + case)
+            profile = random_divergence_free(grid, rng, max_k_sq=9, amplitude=1.0)
+            svals = 1.0 + 0.5 * np.sin(2.0 * np.pi * times + rng.uniform(0.0, 2.0 * np.pi))
+            scale = rng.uniform(0.5, 2.0)
+            flux = make_gradient_flux(grid, times, profile, svals, scale)
+            w_exact = np.stack([scale * s * profile for s in svals])
+            big_w = enstrophy_integral(grid, times, w_exact)
+            interior = case % 2 == 0
+            radius_sq = 2.0 * big_w if interior else 0.25 * big_w
+            cases.append(
+                {
+                    "grid": grid,
+                    "times": times,
+                    "flux": flux,
+                    "w_exact": w_exact,
+                    "big_w": big_w,
+                    "radius_sq": radius_sq,
+                    "interior": interior,
+                    "seed": 1000 + case,
+                    "solution": solve_mp(flux, radius_sq),
+                }
+            )
+        return basket, cases
 
 
 def _result(number, name, passed, detail, t0):

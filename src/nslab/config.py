@@ -3,14 +3,7 @@
 One file drives the whole pipeline.  Parsing is strict: unknown keys are
 errors at every level, required keys must be present, and grid/filter/basket
 values are validated against the same rules the library enforces, so a
-config that loads is a config that runs.  Key tree:
-
-    grid      {n, nu, dt, t_end, snapshot_stride}
-    init      {kind, amplitude, seed, slope, k_min, k_max}
-    filters   {delta0, count}
-    minimizer {radius_override, oracle {iters, starts, seed}}
-    basket    {seed, size, max_mode}
-    output    {dir}
+config that loads is a config that runs.  `SCHEMA` is the key tree.
 
 `NSLAB_OUT` overrides the root under which relative output.dir paths are
 created.
@@ -30,6 +23,43 @@ from .spectral import Grid, GridError
 
 OUTPUT_ROOT_ENV = "NSLAB_OUT"
 
+REQUIRED = object()
+
+# section -> key -> (type, default); a nested mapping is a subsection.  A
+# default of REQUIRED makes the key mandatory; None makes it optional and
+# leaves it out of the echo when absent.  The keys are the parameter names of
+# Grid, InitialCondition, build_basket and oracle_mp.
+SCHEMA = {
+    "grid": {
+        "n": (int, REQUIRED),
+        "nu": (float, REQUIRED),
+        "dt": (float, REQUIRED),
+        "t_end": (float, REQUIRED),
+        "snapshot_stride": (int, 10),
+    },
+    "init": {
+        "kind": (str, REQUIRED),
+        "amplitude": (float, 1.0),
+        "seed": (int, None),
+        "slope": (float, None),
+        "k_min": (int, None),
+        "k_max": (int, None),
+    },
+    "filters": {"delta0": (float, math.pi / 4), "count": (int, 3)},
+    "minimizer": {
+        "radius_override": (float, None),
+        "oracle": {"iters": (int, 2000), "starts": (int, 3), "seed": (int, 7)},
+    },
+    "basket": {
+        "seed": (int, basket_mod.DEFAULT_SEED),
+        "size": (int, basket_mod.DEFAULT_SIZE),
+        "max_mode": (int, basket_mod.DEFAULT_MAX_MODE),
+    },
+    "output": {"dir": (str, REQUIRED)},
+}
+
+_BAND_KEYS = ("seed", "slope", "k_min", "k_max")
+
 
 class ConfigError(ValueError):
     """A config file that cannot drive a run; message names the bad key."""
@@ -41,26 +71,21 @@ def _require_mapping(value, where):
     return value
 
 
-def _take(mapping, where, key, kind, required=True, default=None):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{where}.{key}: missing")
-        return default
-    value = mapping.pop(key)
+def _typed(value, kind, where):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
         value = float(value)
         if not math.isfinite(value):
-            raise ConfigError(f"{where}.{key}: not finite")
+            raise ConfigError(f"{where}: not finite")
         return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return value
     if kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
+            raise ConfigError(f"{where}: expected a string, got {value!r}")
         return value
     raise AssertionError(kind)
 
@@ -70,206 +95,94 @@ def _reject_unknown(mapping, where):
         raise ConfigError(f"{where}: unknown key(s) {sorted(mapping)}")
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    iters: int = 2000
-    starts: int = 3
-    seed: int = 7
+def _walk(schema, raw, where=""):
+    """Type a tree of SCHEMA, filling defaults; `where` is its dotted path."""
+    raw = dict(_require_mapping(raw, where or "config"))
+    out = {}
+    for key, spec in schema.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(spec, dict):
+            out[key] = _walk(spec, raw.pop(key, None) or {}, path)
+        elif key in raw:
+            out[key] = _typed(raw.pop(key), spec[0], path)
+        elif spec[1] is REQUIRED:
+            raise ConfigError(f"{path}: missing")
+        else:
+            out[key] = spec[1]
+    _reject_unknown(raw, where or "config")
+    return out
+
+
+def _drop_none(section):
+    return {
+        key: _drop_none(value) if isinstance(value, dict) else value
+        for key, value in section.items()
+        if value is not None
+    }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid_n: int
-    grid_nu: float
-    grid_dt: float
-    grid_t_end: float
-    grid_snapshot_stride: int
-    init_kind: str
-    init_amplitude: float
-    init_seed: int | None
-    init_slope: float | None
-    init_k_min: int | None
-    init_k_max: int | None
-    filters_delta0: float
-    filters_count: int
-    minimizer_radius_override: float | None
-    oracle: OracleConfig
-    basket_seed: int
-    basket_size: int
-    basket_max_mode: int
-    output_dir: str
+    """A parsed config: one mapping per SCHEMA section, keyed as in the file."""
+
+    grid: dict
+    init: dict
+    filters: dict
+    minimizer: dict
+    basket: dict
+    output: dict
 
     def make_grid(self):
-        return Grid(
-            n=self.grid_n,
-            nu=self.grid_nu,
-            dt=self.grid_dt,
-            t_end=self.grid_t_end,
-            snapshot_stride=self.grid_snapshot_stride,
-        )
+        return Grid(**self.grid)
 
     def make_initial_condition(self):
-        return InitialCondition(
-            kind=self.init_kind,
-            amplitude=self.init_amplitude,
-            seed=self.init_seed,
-            slope=self.init_slope,
-            k_min=self.init_k_min,
-            k_max=self.init_k_max,
-        )
+        return InitialCondition(**self.init)
 
     def make_schedule(self, grid):
-        return width_schedule(grid, self.filters_delta0, self.filters_count)
+        return width_schedule(grid, self.filters["delta0"], self.filters["count"])
 
     def make_basket(self, grid):
-        return basket_mod.build_basket(
-            grid,
-            t_end=self.grid_t_end,
-            seed=self.basket_seed,
-            size=self.basket_size,
-            max_mode=self.basket_max_mode,
-        )
+        return basket_mod.build_basket(grid, t_end=self.grid["t_end"], **self.basket)
 
     def resolve_output_dir(self, root=None):
-        if os.path.isabs(self.output_dir):
-            return self.output_dir
+        output_dir = self.output["dir"]
+        if os.path.isabs(output_dir):
+            return output_dir
         root = root if root is not None else os.environ.get(OUTPUT_ROOT_ENV, ".")
-        return os.path.join(root, self.output_dir)
+        return os.path.join(root, output_dir)
 
     def to_dict(self):
-        return {
-            "grid": {
-                "n": self.grid_n,
-                "nu": self.grid_nu,
-                "dt": self.grid_dt,
-                "t_end": self.grid_t_end,
-                "snapshot_stride": self.grid_snapshot_stride,
-            },
-            "init": {
-                "kind": self.init_kind,
-                "amplitude": self.init_amplitude,
-                **({"seed": self.init_seed} if self.init_seed is not None else {}),
-                **({"slope": self.init_slope} if self.init_slope is not None else {}),
-                **({"k_min": self.init_k_min} if self.init_k_min is not None else {}),
-                **({"k_max": self.init_k_max} if self.init_k_max is not None else {}),
-            },
-            "filters": {"delta0": self.filters_delta0, "count": self.filters_count},
-            "minimizer": {
-                **(
-                    {"radius_override": self.minimizer_radius_override}
-                    if self.minimizer_radius_override is not None
-                    else {}
-                ),
-                "oracle": {
-                    "iters": self.oracle.iters,
-                    "starts": self.oracle.starts,
-                    "seed": self.oracle.seed,
-                },
-            },
-            "basket": {
-                "seed": self.basket_seed,
-                "size": self.basket_size,
-                "max_mode": self.basket_max_mode,
-            },
-            "output": {"dir": self.output_dir},
-        }
+        return {name: _drop_none(getattr(self, name)) for name in SCHEMA}
 
 
 def parse_config(data):
     """Validate a parsed JSON object tree into a RunConfig."""
-    data = dict(_require_mapping(data, "config"))
-
-    grid = dict(_require_mapping(data.pop("grid", None) or {}, "grid"))
-    n = _take(grid, "grid", "n", int)
-    nu = _take(grid, "grid", "nu", float)
-    dt = _take(grid, "grid", "dt", float)
-    t_end = _take(grid, "grid", "t_end", float)
-    stride = _take(grid, "grid", "snapshot_stride", int, required=False, default=10)
-    _reject_unknown(grid, "grid")
-
-    init = dict(_require_mapping(data.pop("init", None) or {}, "init"))
-    kind = _take(init, "init", "kind", str)
-    amplitude = _take(init, "init", "amplitude", float, required=False, default=1.0)
-    seed = _take(init, "init", "seed", int, required=False)
-    slope = _take(init, "init", "slope", float, required=False)
-    k_min = _take(init, "init", "k_min", int, required=False)
-    k_max = _take(init, "init", "k_max", int, required=False)
-    _reject_unknown(init, "init")
-    if kind not in ("taylor_green", "beltrami_abc", "random_band"):
-        raise ConfigError(f"init.kind: unknown kind {kind!r}")
-    if kind == "random_band":
-        for name, val in (("seed", seed), ("slope", slope), ("k_min", k_min), ("k_max", k_max)):
-            if val is None:
+    cfg = RunConfig(**_walk(SCHEMA, data))
+    init = cfg.init
+    if init["kind"] not in ("taylor_green", "beltrami_abc", "random_band"):
+        raise ConfigError(f"init.kind: unknown kind {init['kind']!r}")
+    if init["kind"] == "random_band":
+        for name in _BAND_KEYS:
+            if init[name] is None:
                 raise ConfigError(f"init.{name}: required for random_band")
-    else:
-        for name, val in (("slope", slope), ("k_min", k_min), ("k_max", k_max)):
-            if val is not None:
+    else:  # a seed is harmless for the deterministic kinds
+        for name in _BAND_KEYS[1:]:
+            if init[name] is not None:
                 raise ConfigError(f"init.{name}: only valid for random_band")
-
-    filters = dict(_require_mapping(data.pop("filters", None) or {}, "filters"))
-    delta0 = _take(filters, "filters", "delta0", float, required=False, default=math.pi / 4)
-    count = _take(filters, "filters", "count", int, required=False, default=3)
-    _reject_unknown(filters, "filters")
-    if count < 3:
+    if cfg.filters["count"] < 3:
         raise ConfigError(
             "filters.count: need at least three widths (the defect fit and the "
             "refinement trends use the finest three)"
         )
-
-    minimizer = dict(_require_mapping(data.pop("minimizer", None) or {}, "minimizer"))
-    radius_override = _take(minimizer, "minimizer", "radius_override", float, required=False)
-    oracle_raw = dict(
-        _require_mapping(minimizer.pop("oracle", None) or {}, "minimizer.oracle")
-    )
-    oracle = OracleConfig(
-        iters=_take(oracle_raw, "minimizer.oracle", "iters", int, required=False, default=2000),
-        starts=_take(oracle_raw, "minimizer.oracle", "starts", int, required=False, default=3),
-        seed=_take(oracle_raw, "minimizer.oracle", "seed", int, required=False, default=7),
-    )
-    _reject_unknown(oracle_raw, "minimizer.oracle")
-    _reject_unknown(minimizer, "minimizer")
+    radius_override = cfg.minimizer["radius_override"]
     if radius_override is not None and radius_override <= 0.0:
         raise ConfigError("minimizer.radius_override: must be positive")
-    if oracle.iters < 1 or oracle.starts < 1:
+    oracle = cfg.minimizer["oracle"]
+    if oracle["iters"] < 1 or oracle["starts"] < 1:
         raise ConfigError("minimizer.oracle: iters and starts must be positive")
-
-    basket = dict(_require_mapping(data.pop("basket", None) or {}, "basket"))
-    basket_seed = _take(basket, "basket", "seed", int, required=False, default=basket_mod.DEFAULT_SEED)
-    basket_size = _take(basket, "basket", "size", int, required=False, default=basket_mod.DEFAULT_SIZE)
-    basket_max_mode = _take(
-        basket, "basket", "max_mode", int, required=False, default=basket_mod.DEFAULT_MAX_MODE
-    )
-    _reject_unknown(basket, "basket")
-
-    output = dict(_require_mapping(data.pop("output", None) or {}, "output"))
-    output_dir = _take(output, "output", "dir", str)
-    _reject_unknown(output, "output")
-    if not output_dir:
+    if not cfg.output["dir"]:
         raise ConfigError("output.dir: empty")
 
-    _reject_unknown(data, "config")
-
-    cfg = RunConfig(
-        grid_n=n,
-        grid_nu=nu,
-        grid_dt=dt,
-        grid_t_end=t_end,
-        grid_snapshot_stride=stride,
-        init_kind=kind,
-        init_amplitude=amplitude,
-        init_seed=seed,
-        init_slope=slope,
-        init_k_min=k_min,
-        init_k_max=k_max,
-        filters_delta0=delta0,
-        filters_count=count,
-        minimizer_radius_override=radius_override,
-        oracle=oracle,
-        basket_seed=basket_seed,
-        basket_size=basket_size,
-        basket_max_mode=basket_max_mode,
-        output_dir=output_dir,
-    )
     # Cross-validate against the library's own rules so load-time failure is
     # the only failure mode for a bad config.
     try:
@@ -282,9 +195,11 @@ def parse_config(data):
                 "basket window vanishes at t = 0 and t = t_end"
             )
         cfg.make_schedule(grid_obj)
-        if basket_size < 1 or basket_max_mode < 1 or basket_max_mode > grid_obj.dealias_cutoff:
+        size, max_mode = cfg.basket["size"], cfg.basket["max_mode"]
+        if size < 1 or max_mode < 1 or max_mode > grid_obj.dealias_cutoff:
             raise ConfigError("basket: size/max_mode out of range for this grid")
-        if kind == "random_band":
+        k_min, k_max = init["k_min"], init["k_max"]
+        if init["kind"] == "random_band":
             if not 1 <= k_min <= k_max <= grid_obj.dealias_cutoff:
                 raise ConfigError(
                     f"init: band [{k_min}, {k_max}] outside [1, {grid_obj.dealias_cutoff}]"

@@ -50,7 +50,6 @@ from .spectral import (
     inverse_laplacian,
     leray_project,
     norm_sq,
-    sym_gradient,
     tensor_divergence,
     trapezoid_weights,
 )
@@ -433,7 +432,13 @@ def el_residual(pairing):
     """Weak Euler-Lagrange defect over the basket, relative units.
 
     For each element: |(1-2 lambda) int s<grad v*, grad psi> - int s<J, grad psi>|
-    normalized by the larger of the two pairings and the flux scale.
+    normalized by the larger of the two pairings and the flux scale
+    ||J|| ||phi_k||.  The scale bounds the flux pairing (Cauchy-Schwarz), so
+    criterion 9's bound is relative to it, not to the element's own pairing.
+    For an element that lagrange_ratio keeps, the defect relative to its own
+    pairing is |ratio - (1-2 lambda)| / |ratio|, at most max_deviation since
+    |ratio| ~ 1-2 lambda >= 1; criterion 8 certifies that.  Only the skipped
+    elements rest on the scale-relative bound alone.
     """
     weighted = pairing.one_minus_two_lambda * pairing.vstar
     scale = np.maximum(
@@ -673,7 +678,8 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
                 v_hats[i] = w_hat
             w_sq = gradient_norm_sq(grid, w_hat)
             big_w += tw[i] * w_sq
-            j_w += tw[i] * inner_product(grid, j_hat, gradient(grid, w_hat))
+            grad_w = gradient(grid, w_hat)
+            j_w += tw[i] * inner_product(grid, j_hat, grad_w)
             j_sq += tw[i] * inner_product(grid, j_hat, j_hat)
             pw = basket.pair_gradient(w_hat)
             pair_j += wt * basket.pair(j_hat)
@@ -683,17 +689,19 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             b += wt * basket.pair(div_r)
             maj_a += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
             maj_b += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
-            sym_w = sym_gradient(grid, w_hat)
+            sym_w = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
+            sym_ub = 0.5 * (grad_ub + np.swapaxes(grad_ub, 0, 1))
             model = r_hat - 2.0 * sym_w
-            el_tensor = r_hat - 2.0 * nu * sym_gradient(grid, ub_hat) + 2.0 * sym_w
+            el_tensor = r_hat - 2.0 * nu * sym_ub + 2.0 * sym_w
             el_pairs += wt * basket.pair(el_tensor)
             model_pairs += wt * basket.pair(model)
             stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
             resid_sq += tw[i] * inner_product(grid, model, model)
             w_ubar += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
             big_w1 += tw[i] * gradient_norm_sq(grid, w1_hat)
-            j1_w1 += tw[i] * inner_product(grid, j1_hat, gradient(grid, w1_hat))
-            r_w1 += tw[i] * inner_product(grid, r_hat, gradient(grid, w1_hat))
+            grad_w1 = gradient(grid, w1_hat)
+            j1_w1 += tw[i] * inner_product(grid, j1_hat, grad_w1)
+            r_w1 += tw[i] * inner_product(grid, r_hat, grad_w1)
             u_w1 += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
             r_u += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
 

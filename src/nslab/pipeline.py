@@ -38,6 +38,7 @@ from .minimizer import oracle_mp, solution_gap
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 LOCK_NAME = ".lock"
+STAGES = ("simulate", "analyze", "minimize", "report")
 
 
 class PipelineError(RuntimeError):
@@ -153,6 +154,19 @@ def _load_state(paths):
     return _read_json(paths.state)
 
 
+def _forget_later_stages(paths, state, stage):
+    """Unmark the stages after `stage` before it rewrites what they read.
+
+    In an in-order run there is nothing to unmark and run.json is untouched.
+    """
+    stages = state["stages"]
+    later = [name for name in STAGES[STAGES.index(stage) + 1 :] if name in stages]
+    for name in later:
+        del stages[name]
+    if later:
+        _write_json(paths.state, state)
+
+
 def _require_stage(state, stage, run_dir):
     if not state.get("stages", {}).get(stage, False):
         raise PipelineError(f"{run_dir}: missing stage '{stage}' (run it first)")
@@ -244,6 +258,7 @@ def cmd_analyze(run_dir):
     if state.get("status") != "ok":
         raise PipelineError(f"{run_dir}: cannot analyze a '{state.get('status')}' run")
     with run_lock(paths):
+        _forget_later_stages(paths, state, "analyze")
         schedule = cfg.make_schedule(grid)
         rows = []
         balance_rows = []
@@ -302,13 +317,12 @@ def cmd_minimize(run_dir, oracle=False):
     state = _load_state(paths)
     _require_stage(state, "analyze", run_dir)
     with run_lock(paths):
+        _forget_later_stages(paths, state, "minimize")
         schedule = cfg.make_schedule(grid)
         basket = cfg.make_basket(grid)
-        radius_sq = (
-            cfg.minimizer_radius_override
-            if cfg.minimizer_radius_override is not None
-            else default_radius_sq(traj)
-        )
+        radius_sq = cfg.minimizer["radius_override"]
+        if radius_sq is None:
+            radius_sq = default_radius_sq(traj)
         audit = audit_widths(traj, schedule, basket, radius_sq)
         weak = audit.weak
         records = []
@@ -339,9 +353,7 @@ def cmd_minimize(run_dir, oracle=False):
             osol = oracle_mp(
                 assemble_flux(traj, kernel_for(grid, schedule[-1])),
                 radius_sq,
-                iters=cfg.oracle.iters,
-                seed=cfg.oracle.seed,
-                starts=cfg.oracle.starts,
+                **cfg.minimizer["oracle"],
             )
             oracle_record = {
                 "delta": schedule[-1],

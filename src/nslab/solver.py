@@ -149,13 +149,9 @@ def nonlinear_term(grid, u_hat):
     return keep * f - e * (e[0] * f[0] + e[1] * f[1] + e[2] * f[2])
 
 
-def step(grid, u_hat, dt=None):
-    """One integrating-factor RK4 step of length dt (default grid.dt)."""
-    if dt is None:
-        dt, e_half = grid.dt, grid.half_step_decay
-    else:
-        dt = float(dt)
-        e_half = np.exp(-grid.nu * grid.k_sq * (0.5 * dt))
+def step(grid, u_hat):
+    """One integrating-factor RK4 step of length grid.dt."""
+    dt, e_half = grid.dt, grid.half_step_decay
     # Stages k_i = N(.); the full-step factor is applied as e_half twice:
     # e u + (e dt k1 + 2 e_half dt (k2 + k3) + dt k4) / 6
     #   = e_half (e_half u + dt (e_half k1 + 2 (k2 + k3)) / 6) + dt k4 / 6

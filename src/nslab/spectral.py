@@ -158,13 +158,6 @@ def gradient(grid, f_hat):
     return 1j * grid.k_vec.reshape((3,) + (1,) * (f_hat.ndim - 3) + grid.spectral_shape) * f_hat
 
 
-def sym_gradient(grid, v_hat):
-    """Symmetric spectral gradient of a vector field:
-    (3, n, n, nh) -> (3, 3, n, n, nh), out[i, j] = ((d_i v_j + d_j v_i)/2)_hat."""
-    g = gradient(grid, v_hat)
-    return 0.5 * (g + np.swapaxes(g, 0, 1))
-
-
 def divergence(grid, v_hat):
     """Spectral divergence of a vector field (3, n, n, nh) -> (n, n, nh)."""
     return 1j * (

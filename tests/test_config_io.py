@@ -25,7 +25,6 @@ import pytest
 from nslab import cli
 from nslab.config import (
     ConfigError,
-    OracleConfig,
     OUTPUT_ROOT_ENV,
     dump_config,
     load_config,
@@ -73,18 +72,18 @@ class TestConfigParsing:
     def test_minimal_config_and_defaults(self):
         """Omitted optional sections fall back to the documented defaults."""
         cfg = parse_config(base_config())
-        assert cfg.grid_n == 16
-        assert cfg.grid_snapshot_stride == 5
-        assert cfg.init_kind == "taylor_green"
-        assert cfg.init_amplitude == 0.7
-        assert cfg.init_seed is None
-        assert cfg.filters_count == 3
-        assert cfg.minimizer_radius_override is None
-        assert cfg.oracle == OracleConfig(iters=2000, starts=3, seed=7)
-        assert cfg.basket_seed == 2025
-        assert cfg.basket_size == 12
-        assert cfg.basket_max_mode == 2
-        assert cfg.output_dir == "runs/example"
+        assert cfg.grid["n"] == 16
+        assert cfg.grid["snapshot_stride"] == 5
+        assert cfg.init["kind"] == "taylor_green"
+        assert cfg.init["amplitude"] == 0.7
+        assert cfg.init["seed"] is None
+        assert cfg.filters["count"] == 3
+        assert cfg.minimizer["radius_override"] is None
+        assert cfg.minimizer["oracle"] == {"iters": 2000, "starts": 3, "seed": 7}
+        assert cfg.basket["seed"] == 2025
+        assert cfg.basket["size"] == 12
+        assert cfg.basket["max_mode"] == 2
+        assert cfg.output["dir"] == "runs/example"
 
     def test_grid_and_schedule_constructors(self):
         """The parsed config builds the library objects it promises."""
@@ -322,6 +321,15 @@ class TestConfigFiles:
         assert not (tmp_path / "run").exists()
         data["grid"]["snapshot_stride"] = 1
         assert parse_config(data).make_grid().steps == 2
+
+    def test_readme_example_loads(self):
+        """The example config in README.md parses as shown."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(block))
+        assert cfg.make_grid().n == 32
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

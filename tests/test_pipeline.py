@@ -210,6 +210,28 @@ class TestStageOrdering:
         with pytest.raises(PipelineError, match="missing stage"):
             pipeline.cmd_report(run_dir)
 
+    def test_rerun_stage_unmarks_later_stages(self, completed, tmp_path, capsys):
+        """A rerun stage leaves the stages after it to be rerun as well.
+
+        Otherwise report would trust the NaN minimizer cells that a second
+        analyze writes to the width ledger.
+        """
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        state_path = RunPaths(run_dir).state
+
+        def stages():
+            return set(json.load(open(state_path))["stages"])
+
+        pipeline.cmd_minimize(run_dir)
+        assert stages() == {"simulate", "analyze", "minimize"}
+        pipeline.cmd_analyze(run_dir)
+        assert stages() == {"simulate", "analyze"}
+        with pytest.raises(PipelineError, match="missing stage 'minimize'"):
+            pipeline.cmd_report(run_dir)
+        assert cli.main(["report", run_dir]) == 1
+        assert "missing stage 'minimize'" in capsys.readouterr().err
+
 
 class TestAnalyzeStage:
     def test_width_ledger_before_minimize(self, completed):

@@ -31,7 +31,6 @@ from nslab.spectral import (
     leray_project,
     norm_sq,
     random_divergence_free,
-    sym_gradient,
     tensor_divergence,
     trapezoid_weights,
 )
@@ -147,10 +146,6 @@ class TestDifferentialOperators:
         for j in range(3):
             single = gradient(grid, random_vector[j])
             assert np.abs(g[:, j] - single).max() < 1e-15
-
-    def test_sym_gradient_symmetry(self, grid, random_vector):
-        s = sym_gradient(grid, random_vector)
-        assert np.abs(s - np.swapaxes(s, 0, 1)).max() == 0.0
 
     def test_divergence_of_gradient_is_laplacian(self, grid, random_scalar):
         lhs = divergence(grid, gradient(grid, random_scalar))
