@@ -3,13 +3,20 @@ constrained space-time minimization on the torus."""
 
 from .basket import TestBasket, build_basket
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .dissipation import defect_cross_validate, defect_space_time, richardson_extrapolate
+from .dissipation import (
+    analyze_widths,
+    defect_cross_validate,
+    defect_space_time,
+    richardson_extrapolate,
+)
 from .filtering import (
     FilterKernel,
     kernel_for,
     make_kernel,
     resolved_balance,
     reynolds_stress,
+    reynolds_stress_hat,
+    velocity_product_hat,
     width_schedule,
 )
 from .minimizer import (
@@ -43,6 +50,7 @@ __all__ = [
     "RunConfig",
     "TestBasket",
     "Trajectory",
+    "analyze_widths",
     "assemble_flux",
     "audit_widths",
     "build_basket",
@@ -62,9 +70,11 @@ __all__ = [
     "read_snapshot",
     "resolved_balance",
     "reynolds_stress",
+    "reynolds_stress_hat",
     "richardson_extrapolate",
     "simulate",
     "solve_mp",
+    "velocity_product_hat",
     "width_schedule",
     "write_snapshot",
 ]

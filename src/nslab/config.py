@@ -102,7 +102,7 @@ def _walk(schema, raw, where=""):
     for key, spec in schema.items():
         path = f"{where}.{key}" if where else key
         if isinstance(spec, dict):
-            out[key] = _walk(spec, raw.pop(key, None) or {}, path)
+            out[key] = _walk(spec, raw.pop(key) if key in raw else {}, path)
         elif key in raw:
             out[key] = _typed(raw.pop(key), spec[0], path)
         elif spec[1] is REQUIRED:

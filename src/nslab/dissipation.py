@@ -17,12 +17,22 @@ Both integrate against dyadic width schedules and extrapolate to delta -> 0
 by a Richardson fit on the finest three widths.  The structure-function sum
 is not evaluated offset by offset: expanding du |du|^2 turns it into five
 circular correlations of the sampled grad(eta_delta) with pointwise products
-of u (the discrete Duchon-Robert form): 27 scalar FFTs per call, three of
-them for the kernel gradient, whatever delta is.  offsets_count(), the number
-of offsets the sum covers, stays for perfbench/stage_trace.py, which logs it.
+of u (the discrete Duchon-Robert form), 27 scalar FFTs in all, whatever
+delta is.  They split by what they depend on: 13 per snapshot
+(structure_fields: u and the transforms of u_j u_k, u |u|^2 and |u|^2), 3
+per width (kernel_gradient_hat, cached per grid) and 11 inverse transforms
+per (width, snapshot) pair (defect_structure_function).  The stress-strain
+density reduces one Reynolds stress per pair, given to it by the caller:
+with Pi = velocity_product_hat formed once per snapshot (9 transforms), the
+stress costs 9 per pair and the density 15 more (6 stress and 9 strain
+components back to real space).  offsets_count(), the number of offsets
+the structure sum covers, stays for perfbench/stage_trace.py, which logs it.
 
 The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
+analyze_widths runs both, and the resolved budget, in one pass with the
+snapshots outside and the widths inside, so each pair's stress is
+assembled once and serves the budget and the stress-strain density.
 """
 
 from __future__ import annotations
@@ -31,11 +41,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import kernel_for, reynolds_stress, wrapped_radius_sq
+from .filtering import (
+    _SYMMETRIC_INDEX,
+    _UPPER,
+    BalanceReport,
+    balance_terms,
+    cached_per_width,
+    kernel_for,
+    reynolds_stress_hat,
+    velocity_product_hat,
+    wrapped_radius_sq,
+)
 from .spectral import VOLUME, dealias, gradient
-
-# Position of the pair (j, k) in the upper-triangle order of np.triu_indices(3).
-_SYMMETRIC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class DissipationError(ValueError):
@@ -80,46 +97,91 @@ def _kernel_gradient_hat(grid, delta):
     return grid.forward(amp * disp)
 
 
-def defect_structure_function(grid, u_hat, delta):
+def kernel_gradient_hat(grid, delta):
+    """VOLUME / 4 * conj(_kernel_gradient_hat), cached per grid and width.
+
+    conj(g_hat) * f_hat is the transform of the correlation C[g, f] / n^3;
+    folding n^3 into the prefactor h^3 / 4 of the offset sum gives
+    VOLUME / 4.  grad(eta_delta) is sampled once per width, not once per
+    snapshot.
+    """
+    return cached_per_width(
+        grid,
+        "_kernel_gradient_cache",
+        delta,
+        lambda grid, delta: 0.25 * VOLUME * np.conj(_kernel_gradient_hat(grid, delta)),
+    )
+
+
+@dataclass(frozen=True)
+class StructureFields:
+    """The width-independent inputs of the structure density at one snapshot."""
+
+    u_hat: np.ndarray  # dealiased velocity (3, n, n, nh)
+    u: np.ndarray  # its real field (3, n, n, n)
+    pairs: np.ndarray  # u_j u_k for j <= k, (6, n, n, n)
+    speed_sq: np.ndarray  # |u|^2
+    pairs_hat: np.ndarray  # (u_j u_k)^ as a (3, 3, n, n, nh) tensor
+    cubic_hat: np.ndarray  # (u |u|^2)^
+    speed_sq_hat: np.ndarray  # (|u|^2)^
+
+
+def structure_fields(grid, u_hat):
+    """StructureFields of one snapshot: 3 inverse and 10 forward transforms."""
+    u_hat = dealias(grid, u_hat)
+    u = grid.inverse(u_hat)
+    j, k = _UPPER
+    pairs = u[j] * u[k]
+    speed_sq = np.sum(pairs[j == k], axis=0)
+    return StructureFields(
+        u_hat=u_hat,
+        u=u,
+        pairs=pairs,
+        speed_sq=speed_sq,
+        pairs_hat=grid.forward(pairs)[_SYMMETRIC_INDEX],
+        cubic_hat=grid.forward(u * speed_sq),
+        speed_sq_hat=grid.forward(speed_sq),
+    )
+
+
+def defect_structure_function(grid, fields, delta):
     """Structure-function transfer density, real field of shape (n, n, n).
 
-    With g = grad(eta_delta), v = u(x + y) and w = u(x), the offset sum
-    sum_y g . (v - w) |v - w|^2 is the sum of five circular correlations
-    C[g_k, f](x) = sum_y g_k(y) f(x + y), each weighted pointwise by w:
+    fields = structure_fields(grid, u_hat).  With g = grad(eta_delta),
+    v = u(x + y) and w = u(x), the offset sum sum_y g . (v - w) |v - w|^2 is
+    the sum of five circular correlations C[g_k, f](x) = sum_y g_k(y) f(x + y),
+    each weighted pointwise by w:
 
         C[g_k, u_k |u|^2] - w_j (2 C[g_k, u_k u_j] + C[g_j, |u|^2])
         + |w|^2 C[g_k, u_k] + 2 w_j w_k C[g_k, u_j].
 
     The sixth term, -w_k |w|^2 sum_y g_k(y), vanishes because g is odd.
+    Per call: 11 inverse transforms.
     """
-    u_hat = dealias(grid, u_hat)
-    u = grid.inverse(u_hat)
-    # conj(g_hat) * f_hat is the transform of C[g, f] / n^3; folding n^3 into
-    # the prefactor h^3 / 4 gives VOLUME / 4.
-    g_hat = 0.25 * VOLUME * np.conj(_kernel_gradient_hat(grid, delta))
-    j, k = np.triu_indices(3)
-    pairs = u[j] * u[k]  # u_j u_k for j <= k
-    speed_sq = np.sum(pairs[j == k], axis=0)
-    pairs_hat = grid.forward(pairs)[_SYMMETRIC_INDEX]  # (3, 3, n, n, nh)
-
-    cubic_hat = np.einsum("k...,k...->...", g_hat, grid.forward(u * speed_sq))
+    g_hat = kernel_gradient_hat(grid, delta)
+    u_hat, u, pairs = fields.u_hat, fields.u, fields.pairs
+    j, k = _UPPER
+    cubic_hat = np.einsum("k...,k...->...", g_hat, fields.cubic_hat)
     div_hat = np.einsum("k...,k...->...", g_hat, u_hat)
-    vec_hat = 2.0 * np.einsum("k...,kj...->j...", g_hat, pairs_hat)
-    vec_hat += g_hat * grid.forward(speed_sq)
+    vec_hat = 2.0 * np.einsum("k...,kj...->j...", g_hat, fields.pairs_hat)
+    vec_hat += g_hat * fields.speed_sq_hat
     sym_hat = g_hat[k] * u_hat[j] + g_hat[j] * u_hat[k]  # C[g_k, u_j] + C[g_j, u_k]
 
     density = grid.inverse(cubic_hat)
-    density += speed_sq * grid.inverse(div_hat)
+    density += fields.speed_sq * grid.inverse(div_hat)
     density -= np.einsum("j...,j...->...", u, grid.inverse(vec_hat))
     weights = np.where(j == k, 1.0, 2.0)
     density += np.einsum("p,p...,p...->...", weights, pairs, grid.inverse(sym_hat))
     return density
 
 
-def defect_stress_strain(grid, u_hat, delta):
-    """Stress-strain transfer density -R_ij d_i ubar_j, real field (n, n, n)."""
+def defect_stress_strain(grid, u_hat, delta, r_hat):
+    """Stress-strain transfer density -R_ij d_i ubar_j, real field (n, n, n).
+
+    r_hat is the Reynolds stress of u_hat at this width (reynolds_stress_hat).
+    """
     kernel = kernel_for(grid, delta)
-    stress = reynolds_stress(grid, kernel, u_hat)
+    stress = grid.inverse(r_hat[_UPPER])[_SYMMETRIC_INDEX]
     grad_ub = grid.inverse(gradient(grid, kernel.multiplier * u_hat))
     return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
 
@@ -137,9 +199,17 @@ def defect_space_time(trajectory, delta, estimator):
     """
     grid = trajectory.grid
     if estimator == "structure":
-        density = lambda u_hat: defect_structure_function(grid, u_hat, delta)
+        density = lambda u_hat: defect_structure_function(
+            grid, structure_fields(grid, u_hat), delta
+        )
     elif estimator == "stress":
-        density = lambda u_hat: defect_stress_strain(grid, u_hat, delta)
+        kernel = kernel_for(grid, delta)
+        density = lambda u_hat: defect_stress_strain(
+            grid,
+            u_hat,
+            delta,
+            reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat)),
+        )
     else:
         raise DissipationError(f"unknown estimator {estimator!r}")
     series = np.array(
@@ -199,6 +269,38 @@ class CrossValidationReport:
     structure_series: np.ndarray = field(repr=False)
     stress_series: np.ndarray = field(repr=False)
 
+    @classmethod
+    def from_series(cls, trajectory, deltas, structure_series, stress_series):
+        """Fits and gaps from per-width space-integral series; deltas coarse
+        to fine, one series row per width."""
+        times = trajectory.times
+        struct_vals = tuple(float(np.trapezoid(s, times)) for s in structure_series)
+        stress_vals = tuple(float(np.trapezoid(s, times)) for s in stress_series)
+        s_fine = struct_vals[-1]
+        t_fine = stress_vals[-1]
+        gap = abs(s_fine - t_fine)
+        scale = max(abs(s_fine), abs(t_fine))
+        dissipation_scale = float(trajectory.dissipation[-1])
+        return cls(
+            deltas=tuple(deltas),
+            structure=struct_vals,
+            stress=stress_vals,
+            structure_fit=richardson_extrapolate(deltas[-3:], struct_vals[-3:]),
+            stress_fit=richardson_extrapolate(deltas[-3:], stress_vals[-3:]),
+            gap_rel=gap / scale if scale > 0.0 else 0.0,
+            gap_dissipation=gap / dissipation_scale if dissipation_scale > 0.0 else gap,
+            dissipation_scale=dissipation_scale,
+            structure_series=np.asarray(structure_series),
+            stress_series=np.asarray(stress_series),
+        )
+
+
+def _coarse_to_fine(deltas):
+    deltas = sorted((float(d) for d in deltas), reverse=True)
+    if len(deltas) < 3:
+        raise DissipationError(f"{len(deltas)} widths given; need three for extrapolation")
+    return deltas
+
 
 def defect_cross_validate(trajectory, deltas):
     """Run both estimators on a dyadic schedule and compare them.
@@ -206,32 +308,43 @@ def defect_cross_validate(trajectory, deltas):
     At least three widths are required: the Richardson fits use the finest
     three.
     """
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if len(deltas) < 3:
-        raise DissipationError(f"{len(deltas)} widths given; need three for extrapolation")
-    struct_vals, struct_series = zip(
-        *(defect_space_time(trajectory, d, "structure") for d in deltas)
+    deltas = _coarse_to_fine(deltas)
+    return CrossValidationReport.from_series(
+        trajectory,
+        deltas,
+        [defect_space_time(trajectory, d, "structure")[1] for d in deltas],
+        [defect_space_time(trajectory, d, "stress")[1] for d in deltas],
     )
-    stress_vals, stress_series = zip(*(defect_space_time(trajectory, d, "stress") for d in deltas))
-    struct_fit = richardson_extrapolate(deltas[-3:], struct_vals[-3:])
-    stress_fit = richardson_extrapolate(deltas[-3:], stress_vals[-3:])
 
-    s_fine = struct_vals[-1]
-    t_fine = stress_vals[-1]
-    gap = abs(s_fine - t_fine)
-    scale = max(abs(s_fine), abs(t_fine))
-    gap_rel = gap / scale if scale > 0.0 else 0.0
-    dissipation_scale = float(trajectory.dissipation[-1])
-    gap_dissipation = gap / dissipation_scale if dissipation_scale > 0.0 else gap
-    return CrossValidationReport(
-        deltas=tuple(deltas),
-        structure=struct_vals,
-        stress=stress_vals,
-        structure_fit=struct_fit,
-        stress_fit=stress_fit,
-        gap_rel=gap_rel,
-        gap_dissipation=gap_dissipation,
-        dissipation_scale=dissipation_scale,
-        structure_series=np.asarray(struct_series),
-        stress_series=np.asarray(stress_series),
-    )
+
+def analyze_widths(trajectory, deltas):
+    """The resolved budget and both estimators at every width, in one pass.
+
+    Snapshots run in the outer loop and widths in the inner one.  Per
+    snapshot Pi and the structure fields are formed once; per (width,
+    snapshot) pair the Reynolds stress is assembled once, and the budget
+    terms and the stress-strain density are two reductions of it.  Each
+    width's series fill in time order, so the results equal those of
+    resolved_balance and defect_cross_validate bit for bit.  Returns (one
+    BalanceReport per width, the CrossValidationReport), widths coarse to
+    fine.
+    """
+    deltas = _coarse_to_fine(deltas)
+    grid = trajectory.grid
+    kernels = [kernel_for(grid, d) for d in deltas]
+    terms = np.empty((len(deltas), 4, len(trajectory)))
+    structure = np.empty((len(deltas), len(trajectory)))
+    stress = np.empty((len(deltas), len(trajectory)))
+    for i, u_hat in enumerate(trajectory.u_hats):
+        product_hat = velocity_product_hat(grid, u_hat)
+        fields = structure_fields(grid, u_hat)
+        for w, (delta, kernel) in enumerate(zip(deltas, kernels)):
+            r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+            terms[w, :, i] = balance_terms(grid, kernel, u_hat, r_hat)
+            structure[w, i] = space_integral(grid, defect_structure_function(grid, fields, delta))
+            stress[w, i] = space_integral(grid, defect_stress_strain(grid, u_hat, delta, r_hat))
+    balances = [
+        BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms[w])
+        for w, kernel in enumerate(kernels)
+    ]
+    return balances, CrossValidationReport.from_series(trajectory, deltas, structure, stress)

@@ -22,7 +22,12 @@ so that the resolved-scale energy balance
 
     d/dt 1/2||ubar||^2 + nu ||grad ubar||^2 = <R, grad ubar>
 
-holds to round-off for trajectories produced by the solver.
+holds to round-off for trajectories produced by the solver.  The product
+Pi = dealias((u_j u_k)^) does not depend on the width: velocity_product_hat
+forms it once per snapshot, and reynolds_stress_hat and
+filtered_pressure_hat take it as an argument.  Both symmetric tensors are
+formed as their 6 upper-triangle components and expanded through
+_SYMMETRIC_INDEX.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ from .spectral import (
 )
 
 MULTIPLIER_IMAG_TOL = 1e-12
+
+# Upper-triangle pairs (j, k), j <= k, in np.triu_indices(3) order, and the
+# position of each (j, k) of a 3 x 3 tensor in that order.
+_UPPER = np.triu_indices(3)
+_SYMMETRIC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class KernelError(ValueError):
@@ -107,16 +117,19 @@ def make_kernel(grid, delta):
     )
 
 
-def kernel_for(grid, delta):
-    """make_kernel with per-grid caching (kernels are reused across snapshots)."""
-    cache = getattr(grid, "_kernel_cache", None)
-    if cache is None:
-        cache = {}
-        grid._kernel_cache = cache
+def cached_per_width(grid, name, delta, build):
+    """build(grid, delta), made once per grid and width and kept on the grid
+    in the table `name` (per-width data is reused across snapshots)."""
+    cache = grid.__dict__.setdefault(name, {})
     key = round(float(delta), 12)
     if key not in cache:
-        cache[key] = make_kernel(grid, delta)
+        cache[key] = build(grid, delta)
     return cache[key]
+
+
+def kernel_for(grid, delta):
+    """make_kernel with per-grid caching."""
+    return cached_per_width(grid, "_kernel_cache", delta, make_kernel)
 
 
 def width_schedule(grid, delta0, count):
@@ -133,29 +146,41 @@ def width_schedule(grid, delta0, count):
     return widths
 
 
-def reynolds_stress_hat(grid, kernel, u_hat):
-    """Spectral filtered Reynolds stress, shape (3, 3, n, n, n//2+1).
+def velocity_product_hat(grid, u_hat):
+    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1).
 
-    R_ij = m * dealias((u_i u_j)^) - (ubar_i ubar_j)^ with ubar = m * u.
+    u is the dealiased velocity; 3 inverse and 6 forward scalar transforms.
+    The product does not depend on the filter width, so one Pi serves every
+    width at a snapshot.
     """
     u = grid.inverse(dealias(grid, u_hat))
-    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
-    filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
+    j, k = _UPPER
+    return dealias(grid, grid.forward(u[j] * u[k]))
+
+
+def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
+    """Spectral filtered Reynolds stress, shape (3, 3, n, n, n//2+1).
+
+    R_ij = m * Pi_ij - (ubar_i ubar_j)^ with ubar = m * u and Pi =
+    velocity_product_hat(grid, u_hat).  Per call: 3 inverse and 6 forward
+    scalar transforms; with Pi's 9 per snapshot that is 18 for one width and
+    9 + 9 per width for several.
+    """
     ubar = grid.inverse(kernel.multiplier * u_hat)
-    resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
-    return filtered - grid.forward(resolved)
+    j, k = _UPPER
+    stress = kernel.multiplier * product_hat - grid.forward(ubar[j] * ubar[k])
+    return stress[_SYMMETRIC_INDEX]
 
 
 def reynolds_stress(grid, kernel, u_hat):
     """Real-space filtered Reynolds stress, shape (3, 3, n, n, n)."""
-    return grid.inverse(reynolds_stress_hat(grid, kernel, u_hat))
+    r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+    return grid.inverse(r_hat)
 
 
-def filtered_pressure_hat(grid, kernel, u_hat):
-    """Zero-mean filtered pressure from -lap(pbar) = div div filter(u (x) u)."""
-    u = grid.inverse(dealias(grid, u_hat))
-    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
-    t_hat = kernel.multiplier * dealias(grid, grid.forward(prod))
+def filtered_pressure_hat(grid, kernel, product_hat):
+    """Zero-mean filtered pressure from -lap(pbar) = div div (m * Pi)."""
+    t_hat = (kernel.multiplier * product_hat)[_SYMMETRIC_INDEX]
     kk = np.einsum("ixyz,jxyz,ijxyz->xyz", grid.k_vec, grid.k_vec, t_hat)
     return -kk * grid.inv_k_sq
 
@@ -179,37 +204,45 @@ class BalanceReport:
     grad_sq: np.ndarray = field(repr=False)
     flux: np.ndarray = field(repr=False)
 
+    @classmethod
+    def from_series(cls, delta, nu, times, energy, grad_sq, flux, stress_sq):
+        """Budget of per-snapshot balance_terms series, trapezoid rule in time."""
+        viscous = nu * np.trapezoid(grad_sq, times)
+        stress_flux = np.trapezoid(flux, times)
+        drop = energy[-1] - energy[0]
+        return cls(
+            delta=delta,
+            energy_drop=drop,
+            viscous=viscous,
+            stress_flux=stress_flux,
+            residual=abs(drop + viscous - stress_flux),
+            stress_norm=float(np.sqrt(max(np.trapezoid(stress_sq, times), 0.0))),
+            times=times.copy(),
+            resolved_energy=energy,
+            grad_sq=grad_sq,
+            flux=flux,
+        )
+
+
+def balance_terms(grid, kernel, u_hat, r_hat):
+    """One snapshot's budget terms from its stress r_hat at this width:
+    (1/2 ||ubar||^2, ||grad ubar||^2, <R, grad ubar>, ||R||^2)."""
+    ub_hat = kernel.multiplier * u_hat
+    return (
+        0.5 * norm_sq(grid, ub_hat),
+        gradient_norm_sq(grid, ub_hat),
+        inner_product(grid, r_hat, gradient(grid, ub_hat)),
+        inner_product(grid, r_hat, r_hat),
+    )
+
 
 def resolved_balance(trajectory, kernel):
     grid = trajectory.grid
-    times = trajectory.times
-    n_snap = len(trajectory)
-    energy = np.empty(n_snap)
-    grad_sq = np.empty(n_snap)
-    flux = np.empty(n_snap)
-    stress_sq = np.empty(n_snap)
-    for i in range(n_snap):
-        ub_hat = kernel.multiplier * trajectory.u_hats[i]
-        energy[i] = 0.5 * norm_sq(grid, ub_hat)
-        grad_sq[i] = gradient_norm_sq(grid, ub_hat)
-        r_hat = reynolds_stress_hat(grid, kernel, trajectory.u_hats[i])
-        flux[i] = inner_product(grid, r_hat, gradient(grid, ub_hat))
-        stress_sq[i] = inner_product(grid, r_hat, r_hat)
-    viscous = grid.nu * np.trapezoid(grad_sq, times)
-    stress_flux = np.trapezoid(flux, times)
-    drop = energy[-1] - energy[0]
-    return BalanceReport(
-        delta=kernel.delta,
-        energy_drop=drop,
-        viscous=viscous,
-        stress_flux=stress_flux,
-        residual=abs(drop + viscous - stress_flux),
-        stress_norm=float(np.sqrt(max(np.trapezoid(stress_sq, times), 0.0))),
-        times=times.copy(),
-        resolved_energy=energy,
-        grad_sq=grad_sq,
-        flux=flux,
-    )
+    terms = np.empty((4, len(trajectory)))
+    for i, u_hat in enumerate(trajectory.u_hats):
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+        terms[:, i] = balance_terms(grid, kernel, u_hat, r_hat)
+    return BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms)
 
 
 def local_balance_test(trajectory, kernel, phi, window):
@@ -249,14 +282,14 @@ def local_balance_test(trajectory, kernel, phi, window):
     boundary_density = np.empty(n_snap)
     for i in range(n_snap):
         u_hat = trajectory.u_hats[i]
+        product_hat = velocity_product_hat(grid, u_hat)
         ub_hat = kernel.multiplier * u_hat
         ub = grid.inverse(ub_hat)
         e = np.einsum("ixyz,ixyz->xyz", ub, ub)
-        pbar = grid.inverse(filtered_pressure_hat(grid, kernel, u_hat))
+        pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
         grad_ub = grid.inverse(gradient(grid, ub_hat))
-        div_r = grid.inverse(
-            tensor_divergence(grid, reynolds_stress_hat(grid, kernel, u_hat))
-        )
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+        div_r = grid.inverse(tensor_divergence(grid, r_hat))
         boundary_density[i] = grid_inner_product(grid, e, phi)
         time_term[i] = grid_inner_product(grid, e, phi) * s_dot[i] + grid.nu * s[
             i

@@ -3,13 +3,17 @@
 Every ledger file starts with the schema line `# nslab csv schema 1`, then a
 mandatory header row, then data rows with floats printed at 17 significant
 digits (lossless for f64).  Readers reject unknown schema versions.  Columns
-are fixed tuples so reruns are byte-identical.
+are fixed tuples so reruns are byte-identical.  Ledgers and the stages'
+JSON records are written through atomic_open, so a write that fails midway
+leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -52,9 +56,25 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Open a temporary sibling of `path` for writing text; it replaces
+    `path` only once the block completes.  On any error the temporary file
+    is removed and `path` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_ledger(path, columns, rows):
     """rows: iterable of sequences matching `columns` (floats)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(SCHEMA_LINE + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

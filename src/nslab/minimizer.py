@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basket import spacetime_gradient_norm
-from .filtering import kernel_for, reynolds_stress_hat
+from .filtering import kernel_for, reynolds_stress_hat, velocity_product_hat
 from .spectral import (
     VOLUME,
     dealias,
@@ -129,7 +129,7 @@ def assemble_flux(trajectory, kernel):
     grid = trajectory.grid
     j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
     for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
         j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
     return FluxField(grid, trajectory.times, j_hats)
 
@@ -668,7 +668,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
         for i, u_hat in enumerate(u_hats):
             wt = weights[i]
             ub_hat = kernel.multiplier * u_hat
-            r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+            r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
             grad_ub = gradient(grid, ub_hat)
             j_hat = nu * grad_ub - r_hat
             j1_hat = grad_ub - r_hat

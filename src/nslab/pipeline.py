@@ -24,10 +24,11 @@ import numpy as np
 from . import snapshots as snap_mod
 from .config import load_config
 from .config import dump_config
-from .dissipation import defect_cross_validate
-from .filtering import kernel_for, resolved_balance
+from .dissipation import analyze_widths
+from .filtering import kernel_for
 from .ledger import (
     LedgerError,
+    atomic_open,
     read_ledger,
     read_width_ledger,
     write_time_ledger,
@@ -135,7 +136,7 @@ def _take_stale_lock(paths, dead_pid):
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -260,14 +261,13 @@ def cmd_analyze(run_dir):
     with run_lock(paths):
         _forget_later_stages(paths, state, "analyze")
         schedule = cfg.make_schedule(grid)
+        balances, defect = analyze_widths(traj, schedule)
         rows = []
         balance_rows = []
-        for delta in schedule:
-            kernel = kernel_for(grid, delta)
-            rep = resolved_balance(traj, kernel)
-            rows.append(
+        for rep, structure, stress in zip(balances, defect.structure, defect.stress):
+            balance_rows.append(
                 {
-                    "delta": delta,
+                    "delta": rep.delta,
                     "resolved_lhs": rep.energy_drop,
                     "resolved_viscous": rep.viscous,
                     "resolved_flux": rep.stress_flux,
@@ -275,13 +275,7 @@ def cmd_analyze(run_dir):
                     "stress_norm": rep.stress_norm,
                 }
             )
-            balance_rows.append(rows[-1].copy())
-
-        defect = defect_cross_validate(traj, schedule)
-        for row in rows:
-            i = defect.deltas.index(row["delta"])
-            row["defect_structure"] = defect.structure[i]
-            row["defect_stress"] = defect.stress[i]
+            rows.append(dict(balance_rows[-1], defect_structure=structure, defect_stress=stress))
         defect_summary = {
             "deltas": list(defect.deltas),
             "structure": list(defect.structure),

@@ -2,6 +2,7 @@
 
 Validates:
 - strict config parsing: defaults, unknown-key rejection at every level,
+  sections that are not objects (falsy ones included) rejected by name,
   type and finiteness checks, per-kind initial-condition requirements, and
   cross-validation against grid/filter/basket rules, including the
   three-width minimum of the filter schedule
@@ -11,7 +12,8 @@ Validates:
   documented x1-fastest order, and every malformed-file class is rejected
   with a named reason
 - ledger schema line, 17-significant-digit float round trips, fixed column
-  tuples, NaN padding for missing keys, and byte-identical rewrites
+  tuples, NaN padding for missing keys, byte-identical rewrites, and
+  atomic replacement (a failed write keeps the previous file)
 """
 
 import json
@@ -24,6 +26,7 @@ import pytest
 
 from nslab import cli
 from nslab.config import (
+    SCHEMA,
     ConfigError,
     OUTPUT_ROOT_ENV,
     dump_config,
@@ -241,6 +244,31 @@ class TestConfigParsing:
     def test_config_not_mapping(self):
         with pytest.raises(ConfigError, match="expected an object"):
             parse_config([1, 2, 3])
+
+    def test_falsy_section_is_not_omitted(self, tmp_path, capsys):
+        """A section or subsection given as null, 0, 0.0, "" or [] is a
+        malformed section, not an omitted one: it is rejected by name, and
+        the CLI exits 2 before any stage runs."""
+        sections = [(name,) for name in SCHEMA] + [("minimizer", "oracle")]
+        for path in sections:
+            for value in (None, 0, 0.0, "", []):
+                data = base_config()
+                data["minimizer"] = {"oracle": {}}
+                node = data
+                for part in path[:-1]:
+                    node = node[part]
+                node[path[-1]] = value
+                where = ".".join(path)
+                with pytest.raises(ConfigError, match=rf"^{where}: expected an object$"):
+                    parse_config(data)
+        data = base_config()
+        data["basket"] = 0
+        data["output"]["dir"] = str(tmp_path / "run")
+        config_path = tmp_path / "falsy_basket.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(config_path)]) == 2
+        assert "basket: expected an object" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestOutputResolution:
@@ -534,6 +562,17 @@ class TestLedgers:
     def test_row_width_checked_on_write(self, tmp_path):
         with pytest.raises(LedgerError, match="row width"):
             write_ledger(tmp_path / "ledger.csv", ("a", "b"), [(1.0,)])
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        """A write that fails after some rows leaves the old ledger intact
+        and no temporary file behind."""
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, ("a", "b"), [(1.0, 2.0)])
+        before = path.read_bytes()
+        with pytest.raises(LedgerError, match="row width"):
+            write_ledger(path, ("a", "b"), [(3.0, 4.0)] * 1000 + [(5.0,)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ledger.csv"]
 
     def test_row_width_checked_on_read(self, tmp_path):
         path = tmp_path / "ledger.csv"

@@ -6,6 +6,9 @@ Validates:
   modular-index offset sums) on a closed-triad field
 - pointwise agreement of the correlation form of the structure function with
   a direct offset-by-offset np.roll loop on random fields
+- the densities from shared per-snapshot and per-width transforms equal the
+  per-call formulas they replaced bit for bit, and the one-pass
+  analyze_widths equals resolved_balance and defect_cross_validate
 - exact zeros for single-mode fields (no closed triads)
 - odd/even symmetry of both estimators under u -> -u
 - translation invariance of the space integrals
@@ -17,8 +20,10 @@ Validates:
 import numpy as np
 import pytest
 
+from nslab import dissipation
 from nslab.dissipation import (
     DissipationError,
+    analyze_widths,
     defect_cross_validate,
     defect_space_time,
     defect_stress_strain,
@@ -26,10 +31,17 @@ from nslab.dissipation import (
     offsets_count,
     richardson_extrapolate,
     space_integral,
+    structure_fields,
 )
-from nslab.filtering import kernel_for
+from nslab.filtering import (
+    kernel_for,
+    resolved_balance,
+    reynolds_stress_hat,
+    velocity_product_hat,
+    width_schedule,
+)
 from nslab.solver import InitialCondition, make_initial, simulate
-from nslab.spectral import Grid, dealias
+from nslab.spectral import VOLUME, Grid, dealias, gradient
 
 # Frozen output of tools/oracle_defect_direct.py (n=16, a=1.1, b=0.8, c=0.6).
 # The oracle shares no code with the package: filtering is an explicit
@@ -39,6 +51,17 @@ ORACLE = {
     np.pi: {"structure": 9.152876244470944, "stress": 7.586243519218473},
     np.pi / 2.0: {"structure": 3.68551507995784, "stress": 6.229181381980347},
 }
+
+
+def structure_density(grid, u_hat, delta):
+    return defect_structure_function(grid, structure_fields(grid, u_hat), delta)
+
+
+def stress_density(grid, u_hat, delta):
+    r_hat = reynolds_stress_hat(
+        grid, kernel_for(grid, delta), u_hat, velocity_product_hat(grid, u_hat)
+    )
+    return defect_stress_strain(grid, u_hat, delta, r_hat)
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +125,90 @@ class TestAgainstDirectLoop:
         delta = cells * g.h
         u_hat = g.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
         ref = direct_structure_density(g, u_hat, delta)
-        fast = defect_structure_function(g, u_hat, delta)
+        fast = structure_density(g, u_hat, delta)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_structure_density(grid, u_hat, delta):
+    """The structure density as computed before its transforms were shared:
+    all 27 transforms per call, grad(eta_delta) sampled each time."""
+    u_hat = dealias(grid, u_hat)
+    u = grid.inverse(u_hat)
+    g_hat = 0.25 * VOLUME * np.conj(dissipation._kernel_gradient_hat(grid, delta))
+    j, k = np.triu_indices(3)
+    pairs = u[j] * u[k]
+    speed_sq = np.sum(pairs[j == k], axis=0)
+    index = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+    pairs_hat = grid.forward(pairs)[index]
+    cubic_hat = np.einsum("k...,k...->...", g_hat, grid.forward(u * speed_sq))
+    div_hat = np.einsum("k...,k...->...", g_hat, u_hat)
+    vec_hat = 2.0 * np.einsum("k...,kj...->j...", g_hat, pairs_hat)
+    vec_hat += g_hat * grid.forward(speed_sq)
+    sym_hat = g_hat[k] * u_hat[j] + g_hat[j] * u_hat[k]
+    density = grid.inverse(cubic_hat)
+    density += speed_sq * grid.inverse(div_hat)
+    density -= np.einsum("j...,j...->...", u, grid.inverse(vec_hat))
+    weights = np.where(j == k, 1.0, 2.0)
+    density += np.einsum("p,p...,p...->...", weights, pairs, grid.inverse(sym_hat))
+    return density
+
+
+def reference_stress_density(grid, u_hat, delta):
+    """The stress-strain density as computed before: the nine-component
+    stress formed per call, all nine components back to real space."""
+    kernel = kernel_for(grid, delta)
+    u = grid.inverse(dealias(grid, u_hat))
+    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
+    filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
+    ubar = grid.inverse(kernel.multiplier * u_hat)
+    resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
+    stress = grid.inverse(filtered - grid.forward(resolved))
+    grad_ub = grid.inverse(gradient(grid, kernel.multiplier * u_hat))
+    return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
+
+
+class TestSharedTransforms:
+    """Per-snapshot and per-width transforms shared across widths change no bit."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_densities_match_reference(self, n):
+        g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
+        u_hat = g.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
+        fields = structure_fields(g, u_hat)
+        product_hat = velocity_product_hat(g, u_hat)
+        for delta in width_schedule(g, np.pi, 3):
+            structure = defect_structure_function(g, fields, delta)
+            assert np.array_equal(structure, reference_structure_density(g, u_hat, delta))
+            r_hat = reynolds_stress_hat(g, kernel_for(g, delta), u_hat, product_hat)
+            stress = defect_stress_strain(g, u_hat, delta, r_hat)
+            assert np.array_equal(stress, reference_stress_density(g, u_hat, delta))
+
+    def test_one_pass_matches_per_width_reductions(self, grid, trajectory):
+        deltas = [np.pi / 4.0, np.pi, np.pi / 2.0]
+        balances, defect = analyze_widths(trajectory, deltas)
+        reference = defect_cross_validate(trajectory, deltas)
+        assert defect.deltas == reference.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
+        assert defect.structure == reference.structure
+        assert defect.stress == reference.stress
+        assert np.array_equal(defect.structure_series, reference.structure_series)
+        assert np.array_equal(defect.stress_series, reference.stress_series)
+        assert (defect.gap_rel, defect.gap_dissipation) == (
+            reference.gap_rel,
+            reference.gap_dissipation,
+        )
+        for balance, delta in zip(balances, defect.deltas):
+            expected = resolved_balance(trajectory, kernel_for(grid, delta))
+            assert balance.delta == delta
+            assert (balance.energy_drop, balance.viscous, balance.stress_flux) == (
+                expected.energy_drop,
+                expected.viscous,
+                expected.stress_flux,
+            )
+            assert (balance.residual, balance.stress_norm) == (
+                expected.residual,
+                expected.stress_norm,
+            )
+            assert np.array_equal(balance.flux, expected.flux)
 
 
 class TestAgainstDirectOracle:
@@ -111,12 +216,12 @@ class TestAgainstDirectOracle:
 
     @pytest.mark.parametrize("delta", [np.pi, np.pi / 2.0])
     def test_structure_function(self, grid, triad_hat, delta):
-        value = space_integral(grid, defect_structure_function(grid, triad_hat, delta))
+        value = space_integral(grid, structure_density(grid, triad_hat, delta))
         assert value == pytest.approx(ORACLE[delta]["structure"], rel=1e-12)
 
     @pytest.mark.parametrize("delta", [np.pi, np.pi / 2.0])
     def test_stress_strain(self, grid, triad_hat, delta):
-        value = space_integral(grid, defect_stress_strain(grid, triad_hat, delta))
+        value = space_integral(grid, stress_density(grid, triad_hat, delta))
         assert value == pytest.approx(ORACLE[delta]["stress"], rel=1e-12)
 
     def test_single_mode_vanishes(self, grid):
@@ -124,8 +229,8 @@ class TestAgainstDirectOracle:
         x1 = grid.x[0]
         u_hat = grid.forward(np.stack([np.zeros(grid.shape)] * 2 + [1.1 * np.cos(x1)]))
         for delta in (np.pi, np.pi / 2.0):
-            s = space_integral(grid, defect_structure_function(grid, u_hat, delta))
-            t = space_integral(grid, defect_stress_strain(grid, u_hat, delta))
+            s = space_integral(grid, structure_density(grid, u_hat, delta))
+            t = space_integral(grid, stress_density(grid, u_hat, delta))
             assert abs(s) < 1e-12
             assert abs(t) < 1e-12
 
@@ -134,18 +239,18 @@ class TestSymmetries:
     def test_odd_under_negation(self, grid, triad_hat):
         """Both densities are cubic in u, hence odd: D(-u) = -D(u)."""
         delta = np.pi / 2.0
-        s_plus = defect_structure_function(grid, triad_hat, delta)
-        s_minus = defect_structure_function(grid, -triad_hat, delta)
+        s_plus = structure_density(grid, triad_hat, delta)
+        s_minus = structure_density(grid, -triad_hat, delta)
         assert np.abs(s_plus + s_minus).max() < 1e-12 * np.abs(s_plus).max()
-        t_plus = defect_stress_strain(grid, triad_hat, delta)
-        t_minus = defect_stress_strain(grid, -triad_hat, delta)
+        t_plus = stress_density(grid, triad_hat, delta)
+        t_minus = stress_density(grid, -triad_hat, delta)
         assert np.abs(t_plus + t_minus).max() < 1e-12 * np.abs(t_plus).max()
 
     def test_translation_invariance(self, grid, triad_hat):
         """Shifting the field moves the density but not its integral."""
         delta = np.pi / 2.0
         shifted = grid.forward(np.roll(grid.inverse(triad_hat), (3, 5, 1), axis=(1, 2, 3)))
-        for estimator in (defect_structure_function, defect_stress_strain):
+        for estimator in (structure_density, stress_density):
             ref = space_integral(grid, estimator(grid, triad_hat, delta))
             moved = space_integral(grid, estimator(grid, shifted, delta))
             assert moved == pytest.approx(ref, rel=1e-11)
@@ -168,7 +273,7 @@ class TestSpaceTime:
     def test_series_matches_snapshots(self, grid, trajectory):
         _, series = defect_space_time(trajectory, np.pi / 2.0, "stress")
         direct = space_integral(
-            grid, defect_stress_strain(grid, trajectory.u_hats[0], np.pi / 2.0)
+            grid, stress_density(grid, trajectory.u_hats[0], np.pi / 2.0)
         )
         assert series[0] == pytest.approx(direct)
 

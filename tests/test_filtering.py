@@ -3,7 +3,9 @@
 Validates:
 - kernel normalization and the spectral-multiplier/circular-convolution identity
 - width validation (box embedding above, grid resolution below)
-- Reynolds stress symmetry and its trace/energy identity
+- Reynolds stress symmetry and its trace/energy identity; the stress from
+  the shared product Pi equals the nine-component formula it replaced bit
+  for bit
 - filtered pressure against the operator-composed Poisson equation
 - resolved and local energy budgets closing on solver trajectories
 - window functions and their analytic derivatives
@@ -21,6 +23,7 @@ from nslab.filtering import (
     resolved_balance,
     reynolds_stress,
     reynolds_stress_hat,
+    velocity_product_hat,
     width_schedule,
     wrapped_radius_sq,
 )
@@ -115,7 +118,31 @@ class TestWidthSchedule:
             width_schedule(grid, np.pi, 0)
 
 
+def reference_stress_hat(grid, kernel, u_hat):
+    """The stress as assembled before Pi was shared: all nine components of
+    m * dealias((u_i u_j)^) - (ubar_i ubar_j)^, the product formed per call."""
+    u = grid.inverse(dealias(grid, u_hat))
+    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
+    filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
+    ubar = grid.inverse(kernel.multiplier * u_hat)
+    resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
+    return filtered - grid.forward(resolved)
+
+
 class TestReynoldsStress:
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_shared_product_matches_reference(self, n):
+        """One Pi per snapshot, 6 components each side, reproduces the
+        nine-component formula exactly at every width."""
+        g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
+        u_hat = g.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
+        product_hat = velocity_product_hat(g, u_hat)
+        assert product_hat.shape == (6,) + g.spectral_shape
+        for delta in width_schedule(g, np.pi, 3):
+            kernel = kernel_for(g, delta)
+            shared = reynolds_stress_hat(g, kernel, u_hat, product_hat)
+            assert np.array_equal(shared, reference_stress_hat(g, kernel, u_hat))
+
     def test_symmetry(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
         r = reynolds_stress(grid, kernel, u_hat)
@@ -124,7 +151,7 @@ class TestReynoldsStress:
     def test_trace_energy_identity(self, grid, u_hat):
         """integral tr(R) = ||u||^2 - ||ubar||^2 for dealiased u (Parseval)."""
         kernel = kernel_for(grid, np.pi / 2.0)
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
         trace = r_hat[0, 0] + r_hat[1, 1] + r_hat[2, 2]
         ud = dealias(grid, u_hat)
         expected = norm_sq(grid, ud) - norm_sq(grid, kernel.multiplier * ud)
@@ -135,7 +162,7 @@ class TestReynoldsStress:
 
     def test_hermitian(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat)
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
         assert hermitian_defect(grid, r_hat) < 1e-12
 
 
@@ -143,7 +170,7 @@ class TestFilteredPressure:
     def test_poisson_equation(self, grid, u_hat):
         """-lap(pbar) = div div (filtered u x u), composed from tested operators."""
         kernel = kernel_for(grid, np.pi / 2.0)
-        p_hat = filtered_pressure_hat(grid, kernel, u_hat)
+        p_hat = filtered_pressure_hat(grid, kernel, velocity_product_hat(grid, u_hat))
         u = grid.inverse(dealias(grid, u_hat))
         prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
         t_hat = kernel.multiplier * dealias(grid, grid.forward(prod))

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from nslab.basket import build_basket, spacetime_gradient_norm, window_l2_sq
-from nslab.filtering import kernel_for, reynolds_stress_hat
+from nslab.filtering import kernel_for, reynolds_stress_hat, velocity_product_hat
 from nslab.minimizer import (
     DEGENERATE_RTOL,
     BasketPairing,
@@ -174,7 +174,8 @@ class TestFluxField:
         flux = assemble_flux(trajectory, kernel)
         i = len(trajectory) // 2
         u_hat = trajectory.u_hats[i]
-        r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat)
+        product_hat = velocity_product_hat(traj_grid, u_hat)
+        r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat, product_hat)
         expected = traj_grid.nu * gradient(traj_grid, kernel.multiplier * u_hat) - r_hat
         assert np.max(np.abs(flux.j_at(i) - expected)) < 1e-12
 
@@ -421,7 +422,10 @@ class TestTrajectoryDiagnostics:
         for w, row in enumerate(audit.stress_limit["rows"]):
             kernel = kernel_for(grid, row["delta"])
             r_hats = np.stack(
-                [reynolds_stress_hat(grid, kernel, u_hat) for u_hat in trajectory.u_hats]
+                [
+                    reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+                    for u_hat in trajectory.u_hats
+                ]
             )
             j_hats = np.stack(
                 [

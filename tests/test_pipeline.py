@@ -5,12 +5,14 @@ Validates:
   honoring the output-root override and the directory lock
 - stage ordering: each stage demands its predecessors and refuses to analyze
   a blown-up run
-- analyze fills the per-width ledger and the defect-estimator summary;
+- analyze fills the per-width ledger and the defect-estimator summary with
+  one Reynolds stress per (width, snapshot) and one grad(eta) per width;
   minimize folds multipliers and weak pairings into the same ledger,
   persists the finest-width minimizer as snapshots, and streams one Reynolds
   stress per (width, snapshot) with no stored flux
 - report condenses everything into summary.json, summary.txt and .dat files
-- rerunning any stage reproduces byte-identical artifacts
+- rerunning any stage reproduces byte-identical artifacts, and a JSON
+  record whose write fails midway leaves the previous record in place
 - blow-up runs keep their partial artifacts and propagate the failure
 - CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input
 """
@@ -25,7 +27,7 @@ import sys
 import numpy as np
 import pytest
 
-from nslab import cli, filtering, minimizer, pipeline
+from nslab import cli, dissipation, filtering, minimizer, pipeline
 from nslab.config import OUTPUT_ROOT_ENV
 from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger
 from nslab.pipeline import PipelineError, RunPaths
@@ -265,8 +267,8 @@ class TestAnalyzeStage:
 
     def test_stress_defect_is_negated_resolved_flux(self, completed):
         """The stress-strain defect and the resolved-balance flux are the
-        same pairing <R, grad ubar> with opposite signs, each from its own
-        stress assembly."""
+        same pairing <R, grad ubar> with opposite signs, two reductions of
+        one stress assembly per (width, snapshot)."""
         analysis = json.loads(completed["analysis"])
         defect = analysis["defect"]
         flux = {row["delta"]: row["resolved_flux"] for row in analysis["balance"]}
@@ -274,6 +276,19 @@ class TestAnalyzeStage:
         assert scale > 0.0
         for delta, stress in zip(defect["deltas"], defect["stress"]):
             assert abs(stress + flux[delta]) <= 1e-12 * scale
+
+    def test_one_stress_per_pair(self, completed, tmp_path, monkeypatch):
+        """analyze assembles one Reynolds stress per (width, snapshot) pair,
+        3 widths x 11 snapshots, and samples grad(eta) once per width; its
+        artifacts are unchanged."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
+        sample_calls = count_calls(monkeypatch, dissipation._kernel_gradient_hat)
+        pipeline.cmd_analyze(str(copy_dir))
+        assert (len(stress_calls), len(sample_calls)) == (3 * 11, 3)
+        analysis = completed["grab"](RunPaths(str(copy_dir)).analysis)
+        assert analysis == completed["analysis"]
 
 
 class TestMinimizeStage:
@@ -339,6 +354,19 @@ class TestMinimizeStage:
         assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11, 0, 0)
         pipeline.cmd_minimize(str(copy_dir), oracle=True)
         assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11 + 4 * 11, 1, 0)
+
+
+class TestAtomicWrites:
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        """A stage record whose serialization fails midway leaves the
+        previous record intact and no temporary file behind."""
+        path = tmp_path / "run.json"
+        pipeline._write_json(str(path), {"stages": {"simulate": True}})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            pipeline._write_json(str(path), {"a": list(range(1000)), "b": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.json"]
 
 
 def count_calls(monkeypatch, func):
