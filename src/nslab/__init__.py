@@ -6,7 +6,6 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .dissipation import (
     analyze_widths,
     defect_cross_validate,
-    defect_space_time,
     richardson_extrapolate,
 )
 from .filtering import (
@@ -14,7 +13,6 @@ from .filtering import (
     kernel_for,
     make_kernel,
     resolved_balance,
-    reynolds_stress,
     reynolds_stress_hat,
     velocity_product_hat,
     width_schedule,
@@ -55,7 +53,6 @@ __all__ = [
     "audit_widths",
     "build_basket",
     "defect_cross_validate",
-    "defect_space_time",
     "el_residual",
     "k_functional",
     "kernel_for",
@@ -69,7 +66,6 @@ __all__ = [
     "parse_config",
     "read_snapshot",
     "resolved_balance",
-    "reynolds_stress",
     "reynolds_stress_hat",
     "richardson_extrapolate",
     "simulate",

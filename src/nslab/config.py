@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import basket as basket_mod
 from .filtering import KernelError, width_schedule
+from .ledger import atomic_open
 from .solver import InitialCondition
 from .spectral import Grid, GridError
 
@@ -222,6 +223,6 @@ def load_config(path):
 
 def dump_config(cfg, path):
     """Echo the resolved config (defaults filled) deterministically."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

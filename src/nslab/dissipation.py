@@ -32,7 +32,9 @@ The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
 analyze_widths runs both, and the resolved budget, in one pass with the
 snapshots outside and the widths inside, so each pair's stress is
-assembled once and serves the budget and the stress-strain density.
+assembled once and serves the budget and the stress-strain density.  It is
+the only loop over (width, snapshot) pairs here: defect_cross_validate
+returns its CrossValidationReport.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .filtering import (
     kernel_for,
     reynolds_stress_hat,
     velocity_product_hat,
+    wrapped_displacements,
     wrapped_radius_sq,
 )
 from .spectral import VOLUME, dealias, gradient
@@ -57,11 +60,6 @@ from .spectral import VOLUME, dealias, gradient
 
 class DissipationError(ValueError):
     """A dissipation-defect request that the driver refuses to run."""
-
-
-def _wrapped_displacements(grid):
-    coords = grid.h * np.arange(grid.n)
-    return np.where(coords <= np.pi, coords, coords - 2.0 * np.pi)
 
 
 def offsets_count(grid, delta):
@@ -80,7 +78,7 @@ def _kernel_gradient_hat(grid, delta):
     """
     delta = float(delta)
     norm_const = kernel_for(grid, delta).norm_const
-    d = _wrapped_displacements(grid)
+    d = wrapped_displacements(grid)
     disp = np.stack(np.meshgrid(d, d, d, indexing="ij"))
     r = np.sqrt(np.sum(disp**2, axis=0))
     mask = (r > 0.0) & (r < delta)
@@ -190,34 +188,6 @@ def space_integral(grid, density):
     return grid.h**3 * float(np.sum(density))
 
 
-def defect_space_time(trajectory, delta, estimator):
-    """Space-time integral of a transfer density over a trajectory.
-
-    estimator is "structure" or "stress".  Returns (total, per_snapshot)
-    where per_snapshot holds the space integrals and total is their
-    trapezoid quadrature in time.
-    """
-    grid = trajectory.grid
-    if estimator == "structure":
-        density = lambda u_hat: defect_structure_function(
-            grid, structure_fields(grid, u_hat), delta
-        )
-    elif estimator == "stress":
-        kernel = kernel_for(grid, delta)
-        density = lambda u_hat: defect_stress_strain(
-            grid,
-            u_hat,
-            delta,
-            reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat)),
-        )
-    else:
-        raise DissipationError(f"unknown estimator {estimator!r}")
-    series = np.array(
-        [space_integral(grid, density(trajectory.u_hats[i])) for i in range(len(trajectory))]
-    )
-    return float(np.trapezoid(series, trajectory.times)), series
-
-
 @dataclass(frozen=True)
 class RichardsonFit:
     """Power-law fit I(delta) ~ limit + c delta^order from the finest three widths."""
@@ -302,21 +272,6 @@ def _coarse_to_fine(deltas):
     return deltas
 
 
-def defect_cross_validate(trajectory, deltas):
-    """Run both estimators on a dyadic schedule and compare them.
-
-    At least three widths are required: the Richardson fits use the finest
-    three.
-    """
-    deltas = _coarse_to_fine(deltas)
-    return CrossValidationReport.from_series(
-        trajectory,
-        deltas,
-        [defect_space_time(trajectory, d, "structure")[1] for d in deltas],
-        [defect_space_time(trajectory, d, "stress")[1] for d in deltas],
-    )
-
-
 def analyze_widths(trajectory, deltas):
     """The resolved budget and both estimators at every width, in one pass.
 
@@ -324,10 +279,9 @@ def analyze_widths(trajectory, deltas):
     snapshot Pi and the structure fields are formed once; per (width,
     snapshot) pair the Reynolds stress is assembled once, and the budget
     terms and the stress-strain density are two reductions of it.  Each
-    width's series fill in time order, so the results equal those of
-    resolved_balance and defect_cross_validate bit for bit.  Returns (one
-    BalanceReport per width, the CrossValidationReport), widths coarse to
-    fine.
+    width's series fill in time order, so the budgets equal those of
+    resolved_balance bit for bit.  Returns (one BalanceReport per width, the
+    CrossValidationReport), widths coarse to fine.
     """
     deltas = _coarse_to_fine(deltas)
     grid = trajectory.grid
@@ -348,3 +302,13 @@ def analyze_widths(trajectory, deltas):
         for w, kernel in enumerate(kernels)
     ]
     return balances, CrossValidationReport.from_series(trajectory, deltas, structure, stress)
+
+
+def defect_cross_validate(trajectory, deltas):
+    """Both estimators on a dyadic schedule and their comparison: the
+    CrossValidationReport of analyze_widths, the pass that analyze runs.
+
+    At least three widths are required: the Richardson fits use the finest
+    three.
+    """
+    return analyze_widths(trajectory, deltas)[1]

@@ -60,10 +60,15 @@ class KernelError(ValueError):
     """The requested filter width cannot be represented on the grid."""
 
 
+def wrapped_displacements(grid):
+    """Grid coordinates along one axis, wrapped into (-pi, pi]."""
+    coords = grid.h * np.arange(grid.n)
+    return np.where(coords <= np.pi, coords, coords - 2.0 * np.pi)
+
+
 def wrapped_radius_sq(grid):
     """Squared distance to the nearest periodic image of the origin, shape (n, n, n)."""
-    coords = grid.h * np.arange(grid.n)
-    d = np.where(coords <= np.pi, coords, coords - 2.0 * np.pi)
+    d = wrapped_displacements(grid)
     return (
         d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2
     )
@@ -78,10 +83,6 @@ class FilterKernel:
     multiplier: np.ndarray = field(repr=False)  # (n, n, n//2+1), real
     norm_const: float  # the C above; shared with the pointwise-defect estimator
     min_multiplier: float
-
-    def __call__(self, field_hat):
-        """Apply the filter to a spectral field (any leading component axes)."""
-        return self.multiplier * field_hat
 
 
 def make_kernel(grid, delta):
@@ -170,12 +171,6 @@ def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
     j, k = _UPPER
     stress = kernel.multiplier * product_hat - grid.forward(ubar[j] * ubar[k])
     return stress[_SYMMETRIC_INDEX]
-
-
-def reynolds_stress(grid, kernel, u_hat):
-    """Real-space filtered Reynolds stress, shape (3, 3, n, n, n)."""
-    r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-    return grid.inverse(r_hat)
 
 
 def filtered_pressure_hat(grid, kernel, product_hat):

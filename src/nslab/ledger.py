@@ -3,9 +3,9 @@
 Every ledger file starts with the schema line `# nslab csv schema 1`, then a
 mandatory header row, then data rows with floats printed at 17 significant
 digits (lossless for f64).  Readers reject unknown schema versions.  Columns
-are fixed tuples so reruns are byte-identical.  Ledgers and the stages'
-JSON records are written through atomic_open, so a write that fails midway
-leaves the previous file in place.
+are fixed tuples so reruns are byte-identical.  Ledgers, the stages' JSON
+records, the config echo and the report's text files are written through
+atomic_open, so a write that fails midway leaves the previous file in place.
 """
 
 from __future__ import annotations

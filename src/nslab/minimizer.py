@@ -20,16 +20,19 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
   than by formula, so agreement with solve_mp is a genuine cross-check and
   the two paths are never merged.
 
-audit_widths is the entry point for a trajectory.  Per filter width it
-streams one pass over the snapshots: one Reynolds stress each, from which J,
-w and the nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2 follow.  Since
-v* = w / s with one scalar s per width, every integral is accumulated in w
-unscaled (the stress-modeling tensors (1 - 2 lambda) sym grad v* are
-sym grad w outright); after the pass the ball rule turns W into s, lambda
-and activity, and the s-dependent sums are divided by s or s^2.  Only the
-finest v* is stored.  Basket pairings use TestBasket.pair/pair_gradient; the
-Lagrange ratios and weak Euler-Lagrange residuals share one BasketPairing;
-weak_convergence_diag and stress_limit_diagnostics reduce across widths.
+audit_widths is the entry point for a trajectory.  Like
+dissipation.analyze_widths it makes one pass with the snapshots outside and
+the widths inside: Pi = velocity_product_hat, grad u and its basket pairing
+once per snapshot, one Reynolds stress per (width, snapshot) pair, from
+which J, w and the nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2
+follow.  Since v* = w / s with one scalar s per width, every integral is
+accumulated in w unscaled, one row per width (the stress-modeling tensors
+(1 - 2 lambda) sym grad v* are sym grad w outright); after the pass the ball
+rule turns each width's W into s, lambda and activity, and the s-dependent
+sums are divided by s or s^2.  Only the finest v* is stored.  Basket
+pairings use TestBasket.pair/pair_gradient; the Lagrange ratios and weak
+Euler-Lagrange residuals share one BasketPairing; weak_convergence_diag and
+stress_limit_diagnostics reduce across widths.
 """
 
 from __future__ import annotations
@@ -90,9 +93,6 @@ class FluxField:
 
     def __len__(self):
         return len(self.times)
-
-    def j_at(self, i):
-        return self.j_hats[i]
 
     def poisson_rhs(self):
         """b[s] = P (div J)_hat per snapshot; cached."""
@@ -164,7 +164,7 @@ def k_functional(flux, v_hats):
     for i in range(len(flux)):
         total += tw[i] * (
             0.5 * gradient_norm_sq(grid, v_hats[i])
-            - inner_product(grid, flux.j_at(i), gradient(grid, v_hats[i]))
+            - inner_product(grid, flux.j_hats[i], gradient(grid, v_hats[i]))
         )
     return float(total)
 
@@ -400,7 +400,7 @@ def pair_basket(solution, flux, basket):
     pair_v = np.zeros(len(basket))
     j_sq = 0.0
     for i in range(len(flux)):
-        j_hat = flux.j_at(i)
+        j_hat = flux.j_hats[i]
         pair_j += weights[i] * basket.pair(j_hat)
         pair_v += weights[i] * basket.pair_gradient(solution.v_hats[i])
         j_sq += flux.weights[i] * inner_product(grid, j_hat, j_hat)
@@ -639,10 +639,13 @@ class AuditReport:
 def audit_widths(trajectory, deltas, basket, radius_sq):
     """Solve the minimization at every width and audit its identities.
 
-    Per width: one pass over the snapshots with one Reynolds stress each,
-    accumulating the unscaled integrals of w = (1-2 lambda) v* and of the
-    nu = 1 minimizer w1, then one ball rule per problem to scale them.
-    Widths run coarse to fine; only the finest width's v* is kept.
+    One pass over the snapshots, widths inside: per snapshot Pi, grad u and
+    its basket pairing are formed once, per (width, snapshot) pair one
+    Reynolds stress.  Each width's unscaled integrals of w = (1-2 lambda) v*
+    and of the nu = 1 minimizer w1 sit in a row of arrays with a leading
+    width axis and are added in time order; after the pass one ball rule per
+    problem scales them.  Widths run coarse to fine; only the finest width's
+    v* is kept.
     """
     if len(deltas) < 3:
         raise MinimizerError("need at least three widths for refinement trends")
@@ -650,111 +653,121 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     grid = trajectory.grid
     nu = grid.nu
     times = trajectory.times
-    u_hats = trajectory.u_hats
     tw = trapezoid_weights(times)
     weights = _basket_weights(basket, times)
     basket_norms = _basket_norms(basket, times)
-    grad_u_pair = np.stack([basket.pair_gradient(u_hat) for u_hat in u_hats])
-    grad_u_snap = np.array([np.sqrt(gradient_norm_sq(grid, u_hat)) for u_hat in u_hats])
-    grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
     psi_l2, psi_grad = basket.norms()
+    ordered = sorted((float(d) for d in deltas), reverse=True)
+    kernels = [kernel_for(grid, delta) for delta in ordered]
+    finest = len(kernels) - 1
 
-    def audit(delta, v_hats=None):
-        """One width's row; v_hats, if given, receives v* = w / s."""
-        kernel = kernel_for(grid, delta)
-        pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros((8, len(basket)))
-        big_w = j_w = j_sq = stress_sq = resid_sq = w_ubar = 0.0
-        big_w1 = j1_w1 = r_w1 = u_w1 = r_u = 0.0
-        for i, u_hat in enumerate(u_hats):
-            wt = weights[i]
+    pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros(
+        (8, len(kernels), len(basket))
+    )
+    big_w, j_w, j_sq, stress_sq, resid_sq, w_ubar, big_w1, j1_w1, r_w1, u_w1, r_u = np.zeros(
+        (11, len(kernels))
+    )
+    grad_u_snap = np.empty(len(trajectory))
+    v_hats = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
+    for i, u_hat in enumerate(trajectory.u_hats):
+        product_hat = velocity_product_hat(grid, u_hat)
+        grad_u = gradient(grid, u_hat)
+        grad_u_pair = basket.pair_gradient(u_hat)
+        grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
+        wt = weights[i]
+        for m, kernel in enumerate(kernels):
             ub_hat = kernel.multiplier * u_hat
-            r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+            r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
             grad_ub = gradient(grid, ub_hat)
             j_hat = nu * grad_ub - r_hat
             j1_hat = grad_ub - r_hat
             w_hat = -_poisson_rhs(grid, j_hat) * grid.inv_k_sq
             w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
-            if v_hats is not None:
+            if m == finest:
                 v_hats[i] = w_hat
             w_sq = gradient_norm_sq(grid, w_hat)
-            big_w += tw[i] * w_sq
+            big_w[m] += tw[i] * w_sq
             grad_w = gradient(grid, w_hat)
-            j_w += tw[i] * inner_product(grid, j_hat, grad_w)
-            j_sq += tw[i] * inner_product(grid, j_hat, j_hat)
+            j_w[m] += tw[i] * inner_product(grid, j_hat, grad_w)
+            j_sq[m] += tw[i] * inner_product(grid, j_hat, j_hat)
             pw = basket.pair_gradient(w_hat)
-            pair_j += wt * basket.pair(j_hat)
-            pair_w += wt * pw
-            a += wt * (pw - nu * grad_u_pair[i])
+            pair_j[m] += wt * basket.pair(j_hat)
+            pair_w[m] += wt * pw
+            a[m] += wt * (pw - nu * grad_u_pair)
             div_r = tensor_divergence(grid, r_hat)
-            b += wt * basket.pair(div_r)
-            maj_a += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
-            maj_b += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
+            b[m] += wt * basket.pair(div_r)
+            maj_a[m] += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
+            maj_b[m] += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
             sym_w = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
             sym_ub = 0.5 * (grad_ub + np.swapaxes(grad_ub, 0, 1))
             model = r_hat - 2.0 * sym_w
             el_tensor = r_hat - 2.0 * nu * sym_ub + 2.0 * sym_w
-            el_pairs += wt * basket.pair(el_tensor)
-            model_pairs += wt * basket.pair(model)
-            stress_sq += tw[i] * inner_product(grid, r_hat, r_hat)
-            resid_sq += tw[i] * inner_product(grid, model, model)
-            w_ubar += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
-            big_w1 += tw[i] * gradient_norm_sq(grid, w1_hat)
+            el_pairs[m] += wt * basket.pair(el_tensor)
+            model_pairs[m] += wt * basket.pair(model)
+            stress_sq[m] += tw[i] * inner_product(grid, r_hat, r_hat)
+            resid_sq[m] += tw[i] * inner_product(grid, model, model)
+            w_ubar[m] += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
+            big_w1[m] += tw[i] * gradient_norm_sq(grid, w1_hat)
             grad_w1 = gradient(grid, w1_hat)
-            j1_w1 += tw[i] * inner_product(grid, j1_hat, grad_w1)
-            r_w1 += tw[i] * inner_product(grid, r_hat, grad_w1)
-            u_w1 += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
-            r_u += tw[i] * inner_product(grid, r_hat, gradient(grid, u_hat))
+            j1_w1[m] += tw[i] * inner_product(grid, j1_hat, grad_w1)
+            r_w1[m] += tw[i] * inner_product(grid, r_hat, grad_w1)
+            u_w1[m] += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
+            r_u[m] += tw[i] * inner_product(grid, r_hat, grad_u)
 
-        s, lam, active = _ball_rule(big_w, radius_sq)
+    widths = []
+    for m, (delta, kernel) in enumerate(zip(ordered, kernels)):
+        s, lam, active = _ball_rule(big_w[m], radius_sq)
         omtl = 1.0 - 2.0 * lam
-        if v_hats is not None:
-            v_hats /= s
         sol = MinimizerSolution(
             times=times.copy(),
             v_hats=None,
             lam=lam,
             one_minus_two_lambda=omtl,
-            enstrophy_used=float(big_w / s**2),
+            enstrophy_used=float(big_w[m] / s**2),
             radius_sq=radius_sq,
-            k_value=float(0.5 * big_w / s**2 - j_w / s),
+            k_value=float(0.5 * big_w[m] / s**2 - j_w[m] / s),
             constraint_active=active,
             source="closed_form",
         )
-        s1, lam1, _ = _ball_rule(big_w1, radius_sq)
-        k1, j1_v1 = 0.5 * big_w1 / s1**2, j1_w1 / s1
+        s1, lam1, _ = _ball_rule(big_w1[m], radius_sq)
+        k1, j1_v1 = 0.5 * big_w1[m] / s1**2, j1_w1[m] / s1
         stress_limit = {
             "delta": kernel.delta,
             "lambda": lam1,
             "one_minus_two_lambda": 1.0 - 2.0 * lam1,
-            "stress_vstar": r_w1 / s1,
-            "stress_gradu": r_u,
-            "gradu_gradv": u_w1 / s1,
+            "stress_vstar": r_w1[m] / s1,
+            "stress_gradu": r_u[m],
+            "gradu_gradv": u_w1[m] / s1,
             "k_value": k1 - j1_v1,
             "k_value_negated": k1 + j1_v1,
             "minimality_ok": bool(k1 - j1_v1 <= k1 + j1_v1 + 1e-12 * max(1.0, abs(k1 + j1_v1))),
         }
-        flux_norm = float(np.sqrt(max(j_sq, 0.0)))
-        pairing = BasketPairing(omtl, pair_j, pair_w / s, flux_norm * basket_norms)
-        return WidthAudit(
-            delta=delta,
-            solution=sol,
-            lagrange=lagrange_ratio(pairing),
-            el=el_residual(pairing),
-            boussinesq=boussinesq_residual(
-                kernel.delta, el_pairs, model_pairs, stress_sq, resid_sq, basket_norms
-            ),
-            energy_drop=energy_drop_identity(trajectory, kernel, w_ubar),
-            a=a,
-            b=b,
-            a_majorant=maj_a,
-            b_majorant=maj_b,
-            stress_limit=stress_limit,
+        flux_norm = float(np.sqrt(max(j_sq[m], 0.0)))
+        pairing = BasketPairing(omtl, pair_j[m], pair_w[m] / s, flux_norm * basket_norms)
+        widths.append(
+            WidthAudit(
+                delta=delta,
+                solution=sol,
+                lagrange=lagrange_ratio(pairing),
+                el=el_residual(pairing),
+                boussinesq=boussinesq_residual(
+                    kernel.delta,
+                    el_pairs[m],
+                    model_pairs[m],
+                    stress_sq[m],
+                    resid_sq[m],
+                    basket_norms,
+                ),
+                energy_drop=energy_drop_identity(trajectory, kernel, w_ubar[m]),
+                a=a[m],
+                b=b[m],
+                a_majorant=maj_a[m],
+                b_majorant=maj_b[m],
+                stress_limit=stress_limit,
+            )
         )
-
-    ordered = sorted((float(d) for d in deltas), reverse=True)
-    widths = [audit(delta) for delta in ordered[:-1]]
-    v_hats = np.empty((len(times), 3) + grid.spectral_shape, dtype=complex)
-    widths.append(audit(ordered[-1], v_hats))
+    v_hats /= s  # the finest width's, the loop's last
+    grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
     return AuditReport(
         widths=tuple(widths),
         weak=weak_convergence_diag(widths, nu, grad_u_norm, basket_norms),

@@ -155,16 +155,17 @@ def _load_state(paths):
     return _read_json(paths.state)
 
 
-def _forget_later_stages(paths, state, stage):
-    """Unmark the stages after `stage` before it rewrites what they read.
+def _forget_stages(paths, state, stage):
+    """Unmark `stage` and every stage after it before `stage` rewrites its
+    artifacts, which the later stages read.
 
     In an in-order run there is nothing to unmark and run.json is untouched.
     """
     stages = state["stages"]
-    later = [name for name in STAGES[STAGES.index(stage) + 1 :] if name in stages]
-    for name in later:
+    forgotten = [name for name in STAGES[STAGES.index(stage) :] if name in stages]
+    for name in forgotten:
         del stages[name]
-    if later:
+    if forgotten:
         _write_json(paths.state, state)
 
 
@@ -196,6 +197,7 @@ def cmd_simulate(config_path, output_root=None):
             status = "blow_up"
             failure = exc
 
+        _forget_stages(paths, _load_state(paths), "simulate")
         if os.path.isdir(paths.snapshots):
             for old in snap_mod.list_snapshots(paths.snapshots):
                 os.unlink(old)
@@ -259,7 +261,7 @@ def cmd_analyze(run_dir):
     if state.get("status") != "ok":
         raise PipelineError(f"{run_dir}: cannot analyze a '{state.get('status')}' run")
     with run_lock(paths):
-        _forget_later_stages(paths, state, "analyze")
+        _forget_stages(paths, state, "analyze")
         schedule = cfg.make_schedule(grid)
         balances, defect = analyze_widths(traj, schedule)
         rows = []
@@ -311,7 +313,7 @@ def cmd_minimize(run_dir, oracle=False):
     state = _load_state(paths)
     _require_stage(state, "analyze", run_dir)
     with run_lock(paths):
-        _forget_later_stages(paths, state, "minimize")
+        _forget_stages(paths, state, "minimize")
         schedule = cfg.make_schedule(grid)
         basket = cfg.make_basket(grid)
         radius_sq = cfg.minimizer["radius_override"]
@@ -509,11 +511,11 @@ def cmd_report(run_dir):
             f"weak convergence: monotone_a={weak['monotone_a']} "
             f"monotone_b={weak['monotone_b']} final_a_normalized={weak['final_a_normalized']:.3e}"
         )
-        with open(os.path.join(paths.report_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(paths.report_dir, "summary.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
 
         def write_dat(name, header_cols, rows):
-            with open(os.path.join(paths.report_dir, name), "w", encoding="utf-8") as fh:
+            with atomic_open(os.path.join(paths.report_dir, name)) as fh:
                 fh.write("# " + "  ".join(header_cols) + "\n")
                 for r in rows:
                     fh.write("  ".join(f"{v:.17g}" for v in r) + "\n")

@@ -7,8 +7,9 @@ Validates:
 - pointwise agreement of the correlation form of the structure function with
   a direct offset-by-offset np.roll loop on random fields
 - the densities from shared per-snapshot and per-width transforms equal the
-  per-call formulas they replaced bit for bit, and the one-pass
-  analyze_widths equals resolved_balance and defect_cross_validate
+  per-call formulas they replaced bit for bit; the one-pass analyze_widths
+  equals resolved_balance, and its estimator series are the per-pair
+  density integrals
 - exact zeros for single-mode fields (no closed triads)
 - odd/even symmetry of both estimators under u -> -u
 - translation invariance of the space integrals
@@ -25,7 +26,6 @@ from nslab.dissipation import (
     DissipationError,
     analyze_widths,
     defect_cross_validate,
-    defect_space_time,
     defect_stress_strain,
     defect_structure_function,
     offsets_count,
@@ -186,16 +186,6 @@ class TestSharedTransforms:
     def test_one_pass_matches_per_width_reductions(self, grid, trajectory):
         deltas = [np.pi / 4.0, np.pi, np.pi / 2.0]
         balances, defect = analyze_widths(trajectory, deltas)
-        reference = defect_cross_validate(trajectory, deltas)
-        assert defect.deltas == reference.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
-        assert defect.structure == reference.structure
-        assert defect.stress == reference.stress
-        assert np.array_equal(defect.structure_series, reference.structure_series)
-        assert np.array_equal(defect.stress_series, reference.stress_series)
-        assert (defect.gap_rel, defect.gap_dissipation) == (
-            reference.gap_rel,
-            reference.gap_dissipation,
-        )
         for balance, delta in zip(balances, defect.deltas):
             expected = resolved_balance(trajectory, kernel_for(grid, delta))
             assert balance.delta == delta
@@ -209,6 +199,26 @@ class TestSharedTransforms:
                 expected.stress_norm,
             )
             assert np.array_equal(balance.flux, expected.flux)
+
+    def test_series_are_per_pair_integrals(self, grid, trajectory):
+        """Each width's estimator series holds the space integrals of the
+        per-pair densities bit for bit, and its total is their trapezoid."""
+        _, defect = analyze_widths(trajectory, [np.pi / 4.0, np.pi, np.pi / 2.0])
+        assert defect.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
+        assert defect.structure_series.shape == (3, len(trajectory))
+        for w, delta in enumerate(defect.deltas):
+            for density, series, totals in (
+                (structure_density, defect.structure_series, defect.structure),
+                (stress_density, defect.stress_series, defect.stress),
+            ):
+                expected = np.array(
+                    [
+                        space_integral(grid, density(grid, u_hat, delta))
+                        for u_hat in trajectory.u_hats
+                    ]
+                )
+                assert np.array_equal(series[w], expected)
+                assert totals[w] == float(np.trapezoid(expected, trajectory.times))
 
 
 class TestAgainstDirectOracle:
@@ -262,24 +272,6 @@ def trajectory(grid):
         kind="random_band", amplitude=0.4, seed=3, slope=-1.0, k_min=1, k_max=3
     )
     return simulate(grid, make_initial(grid, ic))
-
-
-class TestSpaceTime:
-    def test_total_is_trapezoid_of_series(self, grid, trajectory):
-        total, series = defect_space_time(trajectory, np.pi / 2.0, "stress")
-        assert series.shape == (len(trajectory),)
-        assert total == pytest.approx(float(np.trapezoid(series, trajectory.times)))
-
-    def test_series_matches_snapshots(self, grid, trajectory):
-        _, series = defect_space_time(trajectory, np.pi / 2.0, "stress")
-        direct = space_integral(
-            grid, stress_density(grid, trajectory.u_hats[0], np.pi / 2.0)
-        )
-        assert series[0] == pytest.approx(direct)
-
-    def test_unknown_estimator(self, trajectory):
-        with pytest.raises(DissipationError, match="unknown estimator"):
-            defect_space_time(trajectory, np.pi / 2.0, "vorticity")
 
 
 class TestRichardson:

@@ -166,7 +166,7 @@ class TestFluxField:
         """make_gradient_flux stores scale * s_i * grad(phi) per snapshot."""
         g = gradient(grid, profile)
         for i, s in enumerate(svals):
-            assert np.max(np.abs(flux.j_at(i) - SCALE * s * g)) < 1e-14
+            assert np.max(np.abs(flux.j_hats[i] - SCALE * s * g)) < 1e-14
 
     def test_assembled_flux_matches_definition(self, traj_grid, trajectory):
         """assemble_flux produces nu grad(ubar) - R per snapshot."""
@@ -177,7 +177,7 @@ class TestFluxField:
         product_hat = velocity_product_hat(traj_grid, u_hat)
         r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat, product_hat)
         expected = traj_grid.nu * gradient(traj_grid, kernel.multiplier * u_hat) - r_hat
-        assert np.max(np.abs(flux.j_at(i) - expected)) < 1e-12
+        assert np.max(np.abs(flux.j_hats[i] - expected)) < 1e-12
 
 
 class TestManufacturedInterior:

@@ -11,8 +11,9 @@ Validates:
   persists the finest-width minimizer as snapshots, and streams one Reynolds
   stress per (width, snapshot) with no stored flux
 - report condenses everything into summary.json, summary.txt and .dat files
-- rerunning any stage reproduces byte-identical artifacts, and a JSON
-  record whose write fails midway leaves the previous record in place
+- rerunning any stage reproduces byte-identical artifacts, an interrupted
+  simulate rerun leaves no stage marked, and a JSON record or config echo
+  whose write fails midway leaves the previous file in place
 - blow-up runs keep their partial artifacts and propagate the failure
 - CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input
 """
@@ -23,16 +24,21 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nslab import cli, dissipation, filtering, minimizer, pipeline
-from nslab.config import OUTPUT_ROOT_ENV
+from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots
+from nslab.config import OUTPUT_ROOT_ENV, dump_config
 from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger
 from nslab.pipeline import PipelineError, RunPaths
-from nslab.snapshots import list_snapshots, read_snapshot
+from nslab.snapshots import list_snapshots, read_snapshot, write_snapshot
 from nslab.solver import BlowUpError
+
+
+class Interrupted(Exception):
+    """Stands in for a signal or crash that stops a stage midway."""
 
 
 def make_config(run_dir, **overrides):
@@ -234,6 +240,30 @@ class TestStageOrdering:
         assert cli.main(["report", run_dir]) == 1
         assert "missing stage 'minimize'" in capsys.readouterr().err
 
+    def test_interrupted_simulate_rerun_unmarks_every_stage(
+        self, completed, tmp_path, monkeypatch
+    ):
+        """A simulate rerun that stops after replacing one snapshot leaves no
+        stage marked, so report refuses the stale analysis and minimize
+        records instead of condensing them."""
+        run_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], run_dir)
+        config_path = write_config(tmp_path / "cfg.json", make_config(run_dir))
+        written = []
+
+        def write_one(path, time, field):
+            if written:
+                raise Interrupted(path)
+            written.append(path)
+            write_snapshot(path, time, field)
+
+        monkeypatch.setattr(snapshots, "write_snapshot", write_one)
+        with pytest.raises(Interrupted):
+            pipeline.cmd_simulate(config_path)
+        assert json.load(open(RunPaths(str(run_dir)).state))["stages"] == {}
+        with pytest.raises(PipelineError, match="missing stage"):
+            pipeline.cmd_report(str(run_dir))
+
 
 class TestAnalyzeStage:
     def test_width_ledger_before_minimize(self, completed):
@@ -343,17 +373,21 @@ class TestMinimizeStage:
 
     def test_one_flux_and_stress_per_width(self, completed, tmp_path, monkeypatch):
         """minimize streams one Reynolds stress per (width, snapshot) pair,
-        3 widths x 11 snapshots, with no stored flux and no solve_mp; only
-        the oracle assembles a flux, the finest one, for itself."""
+        3 widths x 11 snapshots, and one product Pi per snapshot, with no
+        stored flux and no solve_mp; only the oracle assembles a flux, the
+        finest one, for itself."""
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
+        product_calls = count_calls(monkeypatch, filtering.velocity_product_hat)
         flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
         solve_calls = count_calls(monkeypatch, minimizer.solve_mp)
         pipeline.cmd_minimize(str(copy_dir))
-        assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11, 0, 0)
+        assert (len(stress_calls), len(product_calls)) == (3 * 11, 11)
+        assert (len(flux_calls), len(solve_calls)) == (0, 0)
         pipeline.cmd_minimize(str(copy_dir), oracle=True)
-        assert (len(stress_calls), len(flux_calls), len(solve_calls)) == (3 * 11 + 4 * 11, 1, 0)
+        assert (len(stress_calls), len(product_calls)) == (3 * 11 + 4 * 11, 11 + (11 + 11))
+        assert (len(flux_calls), len(solve_calls)) == (1, 0)
 
 
 class TestAtomicWrites:
@@ -367,6 +401,16 @@ class TestAtomicWrites:
             pipeline._write_json(str(path), {"a": list(range(1000)), "b": object()})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_failed_config_echo_keeps_previous_file(self, tmp_path):
+        """The config echo is written the same way as the stage records."""
+        path = tmp_path / "config.json"
+        path.write_bytes(b"{}\n")
+        broken = SimpleNamespace(to_dict=lambda: {"a": list(range(1000)), "b": object()})
+        with pytest.raises(TypeError):
+            dump_config(broken, str(path))
+        assert path.read_bytes() == b"{}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 def count_calls(monkeypatch, func):
