@@ -200,16 +200,22 @@ class TestSharedTransforms:
             )
             assert np.array_equal(balance.flux, expected.flux)
 
-    def test_series_are_per_pair_integrals(self, grid, trajectory):
-        """Each width's estimator series holds the space integrals of the
-        per-pair densities bit for bit, and its total is their trapezoid."""
-        _, defect = analyze_widths(trajectory, [np.pi / 4.0, np.pi, np.pi / 2.0])
+
+class TestSpaceTime:
+    """Each width's estimator series from the one-pass analyze_widths."""
+
+    DELTAS = [np.pi / 4.0, np.pi, np.pi / 2.0]
+
+    def test_series_matches_snapshots(self, grid, trajectory):
+        """Each series holds the space integrals of the per-pair densities
+        bit for bit, at every width and snapshot."""
+        _, defect = analyze_widths(trajectory, self.DELTAS)
         assert defect.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
         assert defect.structure_series.shape == (3, len(trajectory))
         for w, delta in enumerate(defect.deltas):
-            for density, series, totals in (
-                (structure_density, defect.structure_series, defect.structure),
-                (stress_density, defect.stress_series, defect.stress),
+            for density, series in (
+                (structure_density, defect.structure_series),
+                (stress_density, defect.stress_series),
             ):
                 expected = np.array(
                     [
@@ -218,7 +224,16 @@ class TestSharedTransforms:
                     ]
                 )
                 assert np.array_equal(series[w], expected)
-                assert totals[w] == float(np.trapezoid(expected, trajectory.times))
+
+    def test_total_is_trapezoid_of_series(self, grid, trajectory):
+        _, defect = analyze_widths(trajectory, self.DELTAS)
+        assert defect.stress_series.shape == (3, len(trajectory))
+        for w in range(len(defect.deltas)):
+            for series, totals in (
+                (defect.structure_series, defect.structure),
+                (defect.stress_series, defect.stress),
+            ):
+                assert totals[w] == float(np.trapezoid(series[w], trajectory.times))
 
 
 class TestAgainstDirectOracle:
