@@ -10,6 +10,7 @@ from .dissipation import (
 )
 from .filtering import (
     FilterKernel,
+    filtered_pairs,
     kernel_for,
     make_kernel,
     resolved_balance,
@@ -54,6 +55,7 @@ __all__ = [
     "build_basket",
     "defect_cross_validate",
     "el_residual",
+    "filtered_pairs",
     "k_functional",
     "kernel_for",
     "kkt_report",

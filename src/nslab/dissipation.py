@@ -22,19 +22,18 @@ delta is.  They split by what they depend on: 13 per snapshot
 (structure_fields: u and the transforms of u_j u_k, u |u|^2 and |u|^2), 3
 per width (kernel_gradient_hat, cached per grid) and 11 inverse transforms
 per (width, snapshot) pair (defect_structure_function).  The stress-strain
-density reduces one Reynolds stress per pair, given to it by the caller:
-with Pi = velocity_product_hat formed once per snapshot (9 transforms), the
-stress costs 9 per pair and the density 15 more (6 stress and 9 strain
-components back to real space).  offsets_count(), the number of offsets
-the structure sum covers, stays for perfbench/stage_trace.py, which logs it.
+density reduces a pair's filtered velocity and Reynolds stress: 15 inverse
+transforms (6 stress and 9 strain components back to real space).
+offsets_count(), the number of offsets the structure sum covers, stays for
+perfbench/stage_trace.py, which logs it.
 
 The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
-analyze_widths runs both, and the resolved budget, in one pass with the
-snapshots outside and the widths inside, so each pair's stress is
-assembled once and serves the budget and the stress-strain density.  It is
-the only loop over (width, snapshot) pairs here: defect_cross_validate
-returns its CrossValidationReport.
+analyze_widths runs both, and the resolved budget, over the pairs of
+filtering.filtered_pairs (the pair loop is described there), adding only
+the structure fields once per snapshot; each pair's stress serves the
+budget and the stress-strain density.  defect_cross_validate returns its
+CrossValidationReport.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ from .filtering import (
     BalanceReport,
     balance_terms,
     cached_per_width,
+    filtered_pairs,
     kernel_for,
-    reynolds_stress_hat,
-    velocity_product_hat,
     wrapped_displacements,
     wrapped_radius_sq,
 )
@@ -173,14 +171,15 @@ def defect_structure_function(grid, fields, delta):
     return density
 
 
-def defect_stress_strain(grid, u_hat, delta, r_hat):
+def defect_stress_strain(grid, ub_hat, delta, r_hat):
     """Stress-strain transfer density -R_ij d_i ubar_j, real field (n, n, n).
 
-    r_hat is the Reynolds stress of u_hat at this width (reynolds_stress_hat).
+    ub_hat and r_hat are a pair's filtered velocity and Reynolds stress
+    (filtering.filtered_pairs).  The formula does not read delta, the pair's
+    width; perfbench/stage_trace.py logs it from this position.
     """
-    kernel = kernel_for(grid, delta)
     stress = grid.inverse(r_hat[_UPPER])[_SYMMETRIC_INDEX]
-    grad_ub = grid.inverse(gradient(grid, kernel.multiplier * u_hat))
+    grad_ub = grid.inverse(gradient(grid, ub_hat))
     return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
 
 
@@ -275,13 +274,12 @@ def _coarse_to_fine(deltas):
 def analyze_widths(trajectory, deltas):
     """The resolved budget and both estimators at every width, in one pass.
 
-    Snapshots run in the outer loop and widths in the inner one.  Per
-    snapshot Pi and the structure fields are formed once; per (width,
-    snapshot) pair the Reynolds stress is assembled once, and the budget
-    terms and the stress-strain density are two reductions of it.  Each
-    width's series fill in time order, so the budgets equal those of
-    resolved_balance bit for bit.  Returns (one BalanceReport per width, the
-    CrossValidationReport), widths coarse to fine.
+    Over filtering.filtered_pairs, with the structure fields formed once per
+    snapshot; the budget terms and the stress-strain density are two
+    reductions of each pair.  Each width's series fill in time order, so the
+    budgets equal those of resolved_balance bit for bit.  Returns (one
+    BalanceReport per width, the CrossValidationReport), widths coarse to
+    fine.
     """
     deltas = _coarse_to_fine(deltas)
     grid = trajectory.grid
@@ -289,14 +287,13 @@ def analyze_widths(trajectory, deltas):
     terms = np.empty((len(deltas), 4, len(trajectory)))
     structure = np.empty((len(deltas), len(trajectory)))
     stress = np.empty((len(deltas), len(trajectory)))
-    for i, u_hat in enumerate(trajectory.u_hats):
-        product_hat = velocity_product_hat(grid, u_hat)
+    for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
         fields = structure_fields(grid, u_hat)
-        for w, (delta, kernel) in enumerate(zip(deltas, kernels)):
-            r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
-            terms[w, :, i] = balance_terms(grid, kernel, u_hat, r_hat)
+        for w, _, ub_hat, r_hat in pairs:
+            delta = deltas[w]
+            terms[w, :, i] = balance_terms(grid, ub_hat, r_hat)
             structure[w, i] = space_integral(grid, defect_structure_function(grid, fields, delta))
-            stress[w, i] = space_integral(grid, defect_stress_strain(grid, u_hat, delta, r_hat))
+            stress[w, i] = space_integral(grid, defect_stress_strain(grid, ub_hat, delta, r_hat))
     balances = [
         BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms[w])
         for w, kernel in enumerate(kernels)

@@ -28,6 +28,16 @@ forms it once per snapshot, and reynolds_stress_hat and
 filtered_pressure_hat take it as an argument.  Both symmetric tensors are
 formed as their 6 upper-triangle components and expanded through
 _SYMMETRIC_INDEX.
+
+filtered_pairs is the one loop over (width, snapshot) pairs, and the only
+caller of velocity_product_hat and reynolds_stress_hat.  Snapshots run
+outside and widths inside: per snapshot it forms Pi once (9 transforms) and
+yields (i, u_hat, Pi, pairs); pairs then yields (m, kernel, ubar_hat, R_hat)
+for each width m, forming the stress (9 transforms) only when the consumer
+asks for it, so one stress is alive at a time.  Every consumer reduces the
+pair it is given: resolved_balance and local_balance_test here,
+dissipation.analyze_widths, minimizer.audit_widths and
+minimizer.assemble_flux.
 """
 
 from __future__ import annotations
@@ -173,6 +183,21 @@ def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
     return stress[_SYMMETRIC_INDEX]
 
 
+def filtered_pairs(trajectory, kernels):
+    """Per snapshot (i, u_hat, Pi, pairs); pairs lazily yields (m, kernel,
+    ubar_hat, R_hat) for each of the kernels, in their order."""
+    grid = trajectory.grid
+    for i, u_hat in enumerate(trajectory.u_hats):
+        product_hat = velocity_product_hat(grid, u_hat)
+        yield i, u_hat, product_hat, _pairs(grid, kernels, u_hat, product_hat)
+
+
+def _pairs(grid, kernels, u_hat, product_hat):
+    for m, kernel in enumerate(kernels):
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+        yield m, kernel, kernel.multiplier * u_hat, r_hat
+
+
 def filtered_pressure_hat(grid, kernel, product_hat):
     """Zero-mean filtered pressure from -lap(pbar) = div div (m * Pi)."""
     t_hat = (kernel.multiplier * product_hat)[_SYMMETRIC_INDEX]
@@ -219,10 +244,9 @@ class BalanceReport:
         )
 
 
-def balance_terms(grid, kernel, u_hat, r_hat):
-    """One snapshot's budget terms from its stress r_hat at this width:
+def balance_terms(grid, ub_hat, r_hat):
+    """One pair's budget terms from its filtered velocity and stress:
     (1/2 ||ubar||^2, ||grad ubar||^2, <R, grad ubar>, ||R||^2)."""
-    ub_hat = kernel.multiplier * u_hat
     return (
         0.5 * norm_sq(grid, ub_hat),
         gradient_norm_sq(grid, ub_hat),
@@ -234,9 +258,9 @@ def balance_terms(grid, kernel, u_hat, r_hat):
 def resolved_balance(trajectory, kernel):
     grid = trajectory.grid
     terms = np.empty((4, len(trajectory)))
-    for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-        terms[:, i] = balance_terms(grid, kernel, u_hat, r_hat)
+    for i, _, _, pairs in filtered_pairs(trajectory, [kernel]):
+        for _, _, ub_hat, r_hat in pairs:
+            terms[:, i] = balance_terms(grid, ub_hat, r_hat)
     return BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms)
 
 
@@ -275,26 +299,24 @@ def local_balance_test(trajectory, kernel, phi, window):
     viscous = np.empty(n_snap)
     transfer = np.empty(n_snap)
     boundary_density = np.empty(n_snap)
-    for i in range(n_snap):
-        u_hat = trajectory.u_hats[i]
-        product_hat = velocity_product_hat(grid, u_hat)
-        ub_hat = kernel.multiplier * u_hat
-        ub = grid.inverse(ub_hat)
-        e = np.einsum("ixyz,ixyz->xyz", ub, ub)
-        pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
-        grad_ub = grid.inverse(gradient(grid, ub_hat))
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
-        div_r = grid.inverse(tensor_divergence(grid, r_hat))
-        boundary_density[i] = grid_inner_product(grid, e, phi)
-        time_term[i] = grid_inner_product(grid, e, phi) * s_dot[i] + grid.nu * s[
-            i
-        ] * grid_inner_product(grid, e, lap_phi)
-        adv = np.einsum("ixyz,ixyz->xyz", ub, grad_phi)
-        transport[i] = s[i] * grid_inner_product(grid, e + 2.0 * pbar, adv)
-        gg = np.einsum("ijxyz,ijxyz->xyz", grad_ub, grad_ub)
-        viscous[i] = -2.0 * grid.nu * s[i] * grid_inner_product(grid, gg, phi)
-        ur = np.einsum("ixyz,ixyz->xyz", ub, div_r)
-        transfer[i] = -2.0 * s[i] * grid_inner_product(grid, ur, phi)
+    for i, _, product_hat, pairs in filtered_pairs(trajectory, [kernel]):
+        for _, _, ub_hat, r_hat in pairs:
+            ub = grid.inverse(ub_hat)
+            e = np.einsum("ixyz,ixyz->xyz", ub, ub)
+            pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
+            grad_ub = grid.inverse(gradient(grid, ub_hat))
+            div_r = grid.inverse(tensor_divergence(grid, r_hat))
+            boundary_density[i] = grid_inner_product(grid, e, phi)
+            time_term[i] = (
+                boundary_density[i] * s_dot[i]
+                + grid.nu * s[i] * grid_inner_product(grid, e, lap_phi)
+            )
+            adv = np.einsum("ixyz,ixyz->xyz", ub, grad_phi)
+            transport[i] = s[i] * grid_inner_product(grid, e + 2.0 * pbar, adv)
+            gg = np.einsum("ijxyz,ijxyz->xyz", grad_ub, grad_ub)
+            viscous[i] = -2.0 * grid.nu * s[i] * grid_inner_product(grid, gg, phi)
+            ur = np.einsum("ixyz,ixyz->xyz", ub, div_r)
+            transfer[i] = -2.0 * s[i] * grid_inner_product(grid, ur, phi)
 
     boundary = boundary_density[-1] * s[-1] - boundary_density[0] * s[0]
     terms = {

@@ -20,19 +20,20 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
   than by formula, so agreement with solve_mp is a genuine cross-check and
   the two paths are never merged.
 
-audit_widths is the entry point for a trajectory.  Like
-dissipation.analyze_widths it makes one pass with the snapshots outside and
-the widths inside: Pi = velocity_product_hat, grad u and its basket pairing
-once per snapshot, one Reynolds stress per (width, snapshot) pair, from
-which J, w and the nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2
-follow.  Since v* = w / s with one scalar s per width, every integral is
-accumulated in w unscaled, one row per width (the stress-modeling tensors
-(1 - 2 lambda) sym grad v* are sym grad w outright); after the pass the ball
-rule turns each width's W into s, lambda and activity, and the s-dependent
-sums are divided by s or s^2.  Only the finest v* is stored.  Basket
-pairings use TestBasket.pair/pair_gradient; the Lagrange ratios and weak
-Euler-Lagrange residuals share one BasketPairing; weak_convergence_diag and
-stress_limit_diagnostics reduce across widths.
+audit_widths is the entry point for a trajectory.  It reduces the pairs of
+filtering.filtered_pairs (the pair loop is described there), adding grad u
+and its basket pairing once per snapshot; from each pair's filtered
+velocity and Reynolds stress follow J, w and the nu = 1 minimizer
+w1 = -P div(grad ubar - R) / |k|^2.  assemble_flux stores one width's J
+from the same pairs.  Since v* = w / s with one scalar s per width, every
+integral is accumulated in w unscaled, one row per width (the
+stress-modeling tensors (1 - 2 lambda) sym grad v* are sym grad w
+outright); after the pass the ball rule turns each width's W into s, lambda
+and activity, and the s-dependent sums are divided by s or s^2.  Only the
+finest v* is stored.  Basket pairings use TestBasket.pair/pair_gradient;
+the Lagrange ratios and weak Euler-Lagrange residuals share one
+BasketPairing; weak_convergence_diag and stress_limit_diagnostics reduce
+across widths.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basket import spacetime_gradient_norm
-from .filtering import kernel_for, reynolds_stress_hat, velocity_product_hat
+from .filtering import filtered_pairs, kernel_for
 from .spectral import (
     VOLUME,
     dealias,
@@ -128,9 +129,9 @@ def assemble_flux(trajectory, kernel):
     """Flux of a trajectory at one filter width: J = nu grad(ubar) - R."""
     grid = trajectory.grid
     j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
-    for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
+    for i, _, _, pairs in filtered_pairs(trajectory, [kernel]):
+        for _, _, ub_hat, r_hat in pairs:
+            j_hats[i] = grid.nu * gradient(grid, ub_hat) - r_hat
     return FluxField(grid, trajectory.times, j_hats)
 
 
@@ -491,20 +492,18 @@ def boussinesq_residual(delta, el_pairs, model_pairs, stress_sq, resid_sq, baske
     )
 
 
-def energy_drop_identity(trajectory, kernel, w_ubar):
+def energy_drop_identity(delta, resolved_energy, w_ubar):
     """Resolved energy drop vs -(1-2 lambda) int <grad v*, grad ubar> dt.
 
-    w_ubar is int <grad w, grad ubar> dt for the unconstrained minimizer
+    resolved_energy is the series 1/2 ||ubar||^2 at this width, and w_ubar
+    is int <grad w, grad ubar> dt for the unconstrained minimizer
     w = (1-2 lambda) v*.  The right side is the resolved-balance flux
     rewritten through the weak Euler-Lagrange equation with test function
     ubar, so the residual must match quadrature accuracy on resolved runs.
     """
-    grid = trajectory.grid
-    ub_first = kernel.multiplier * trajectory.u_hats[0]
-    ub_last = kernel.multiplier * trajectory.u_hats[-1]
-    lhs = 0.5 * norm_sq(grid, ub_last) - 0.5 * norm_sq(grid, ub_first)
+    lhs = resolved_energy[-1] - resolved_energy[0]
     rhs = -w_ubar
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "delta": kernel.delta}
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "delta": delta}
 
 
 def _fit_order(deltas, values):
@@ -639,12 +638,11 @@ class AuditReport:
 def audit_widths(trajectory, deltas, basket, radius_sq):
     """Solve the minimization at every width and audit its identities.
 
-    One pass over the snapshots, widths inside: per snapshot Pi, grad u and
-    its basket pairing are formed once, per (width, snapshot) pair one
-    Reynolds stress.  Each width's unscaled integrals of w = (1-2 lambda) v*
-    and of the nu = 1 minimizer w1 sit in a row of arrays with a leading
-    width axis and are added in time order; after the pass one ball rule per
-    problem scales them.  Widths run coarse to fine; only the finest width's
+    One pass over filtering.filtered_pairs, with grad u and its basket
+    pairing formed once per snapshot.  Each width's unscaled integrals of
+    w = (1-2 lambda) v* and of the nu = 1 minimizer w1 sit in a row of
+    arrays with a leading width axis and are added in time order; after the
+    pass one ball rule per problem scales them.  Widths run coarse to fine; only the finest width's
     v* is kept.
     """
     if len(deltas) < 3:
@@ -667,17 +665,16 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     big_w, j_w, j_sq, stress_sq, resid_sq, w_ubar, big_w1, j1_w1, r_w1, u_w1, r_u = np.zeros(
         (11, len(kernels))
     )
+    resolved_energy = np.empty((len(kernels), len(trajectory)))
     grad_u_snap = np.empty(len(trajectory))
     v_hats = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
-    for i, u_hat in enumerate(trajectory.u_hats):
-        product_hat = velocity_product_hat(grid, u_hat)
+    for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
         grad_u = gradient(grid, u_hat)
         grad_u_pair = basket.pair_gradient(u_hat)
         grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
         wt = weights[i]
-        for m, kernel in enumerate(kernels):
-            ub_hat = kernel.multiplier * u_hat
-            r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+        for m, _, ub_hat, r_hat in pairs:
+            resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
             grad_ub = gradient(grid, ub_hat)
             j_hat = nu * grad_ub - r_hat
             j1_hat = grad_ub - r_hat
@@ -758,7 +755,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
                     resid_sq[m],
                     basket_norms,
                 ),
-                energy_drop=energy_drop_identity(trajectory, kernel, w_ubar[m]),
+                energy_drop=energy_drop_identity(kernel.delta, resolved_energy[m], w_ubar[m]),
                 a=a[m],
                 b=b[m],
                 a_majorant=maj_a[m],

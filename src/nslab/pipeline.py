@@ -174,6 +174,34 @@ def _require_stage(state, stage, run_dir):
         raise PipelineError(f"{run_dir}: missing stage '{stage}' (run it first)")
 
 
+def _require_run_dir(paths):
+    if not os.path.isdir(paths.run_dir) or not os.path.exists(paths.config):
+        raise PipelineError(f"{paths.run_dir}: not a run directory (no config.json)")
+
+
+@contextlib.contextmanager
+def _stage(run_dir, stage):
+    """Frame of a stage after simulate; yields the run's RunPaths.
+
+    Under the run lock it reads run.json, requires every earlier stage and
+    an 'ok' run, and unmarks `stage` and every later stage; when the body
+    returns it marks `stage`.  So the body reads the run only while it holds
+    the lock, and a failed body leaves `stage` unmarked.
+    """
+    paths = RunPaths(run_dir)
+    _require_run_dir(paths)
+    with run_lock(paths):
+        state = _load_state(paths)
+        for earlier in STAGES[: STAGES.index(stage)]:
+            _require_stage(state, earlier, run_dir)
+        if state.get("status") != "ok":
+            raise PipelineError(f"{run_dir}: cannot {stage} a '{state.get('status')}' run")
+        _forget_stages(paths, state, stage)
+        yield paths
+        state["stages"][stage] = True
+        _write_json(paths.state, state)
+
+
 def cmd_simulate(config_path, output_root=None):
     """Run the solver for a config; returns the run directory.
 
@@ -228,8 +256,7 @@ def cmd_simulate(config_path, output_root=None):
 def load_run(run_dir):
     """Rebuild (config, grid, trajectory) from a run directory."""
     paths = RunPaths(run_dir)
-    if not os.path.isdir(paths.run_dir) or not os.path.exists(paths.config):
-        raise PipelineError(f"{run_dir}: not a run directory (no config.json)")
+    _require_run_dir(paths)
     cfg = load_config(paths.config)
     grid = cfg.make_grid()
     times, fields = snap_mod.read_trajectory_fields(paths.snapshots)
@@ -254,14 +281,8 @@ def load_run(run_dir):
 
 def cmd_analyze(run_dir):
     """Coarse-graining budgets and dissipation-defect estimates per width."""
-    paths = RunPaths(run_dir)
-    cfg, grid, traj = load_run(run_dir)
-    state = _load_state(paths)
-    _require_stage(state, "simulate", run_dir)
-    if state.get("status") != "ok":
-        raise PipelineError(f"{run_dir}: cannot analyze a '{state.get('status')}' run")
-    with run_lock(paths):
-        _forget_stages(paths, state, "analyze")
+    with _stage(run_dir, "analyze") as paths:
+        cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
         balances, defect = analyze_widths(traj, schedule)
         rows = []
@@ -301,19 +322,13 @@ def cmd_analyze(run_dir):
             "defect": defect_summary,
         }
         _write_json(paths.analysis, analysis)
-        state["stages"]["analyze"] = True
-        _write_json(paths.state, state)
     return run_dir
 
 
 def cmd_minimize(run_dir, oracle=False):
     """Solve the constrained minimization per width and audit its identities."""
-    paths = RunPaths(run_dir)
-    cfg, grid, traj = load_run(run_dir)
-    state = _load_state(paths)
-    _require_stage(state, "analyze", run_dir)
-    with run_lock(paths):
-        _forget_stages(paths, state, "minimize")
+    with _stage(run_dir, "minimize") as paths:
+        cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
         basket = cfg.make_basket(grid)
         radius_sq = cfg.minimizer["radius_override"]
@@ -431,20 +446,12 @@ def cmd_minimize(run_dir, oracle=False):
             row["limit_gradu_gradv"] = limit_row["gradu_gradv"]
             row["limit_dual_proxy"] = limit_row["dual_proxy"]
         write_width_ledger(paths.width_ledger, rows)
-
-        state["stages"]["minimize"] = True
-        _write_json(paths.state, state)
     return run_dir
 
 
 def cmd_report(run_dir):
     """Condense a completed run into summary + plot-ready files."""
-    paths = RunPaths(run_dir)
-    state = _load_state(paths)
-    _require_stage(state, "simulate", run_dir)
-    _require_stage(state, "analyze", run_dir)
-    _require_stage(state, "minimize", run_dir)
-    with run_lock(paths):
+    with _stage(run_dir, "report") as paths:
         analysis = _read_json(paths.analysis)
         minimize = _read_json(paths.minimize)
         _, time_data = read_ledger(paths.time_ledger)
@@ -549,8 +556,6 @@ def cmd_report(run_dir):
                 for row in width_rows
             ],
         )
-        state["stages"]["report"] = True
-        _write_json(paths.state, state)
     return run_dir
 
 

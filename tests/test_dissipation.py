@@ -58,10 +58,9 @@ def structure_density(grid, u_hat, delta):
 
 
 def stress_density(grid, u_hat, delta):
-    r_hat = reynolds_stress_hat(
-        grid, kernel_for(grid, delta), u_hat, velocity_product_hat(grid, u_hat)
-    )
-    return defect_stress_strain(grid, u_hat, delta, r_hat)
+    kernel = kernel_for(grid, delta)
+    r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+    return defect_stress_strain(grid, kernel.multiplier * u_hat, delta, r_hat)
 
 
 @pytest.fixture(scope="module")
@@ -179,11 +178,15 @@ class TestSharedTransforms:
         for delta in width_schedule(g, np.pi, 3):
             structure = defect_structure_function(g, fields, delta)
             assert np.array_equal(structure, reference_structure_density(g, u_hat, delta))
-            r_hat = reynolds_stress_hat(g, kernel_for(g, delta), u_hat, product_hat)
-            stress = defect_stress_strain(g, u_hat, delta, r_hat)
+            kernel = kernel_for(g, delta)
+            r_hat = reynolds_stress_hat(g, kernel, u_hat, product_hat)
+            stress = defect_stress_strain(g, kernel.multiplier * u_hat, delta, r_hat)
             assert np.array_equal(stress, reference_stress_density(g, u_hat, delta))
 
     def test_one_pass_matches_per_width_reductions(self, grid, trajectory):
+        """Each width's budget equals resolved_balance at that width alone;
+        tests/test_filtering.py holds resolved_balance to the per-snapshot
+        loop it had before the pair loop."""
         deltas = [np.pi / 4.0, np.pi, np.pi / 2.0]
         balances, defect = analyze_widths(trajectory, deltas)
         for balance, delta in zip(balances, defect.deltas):

@@ -8,14 +8,23 @@ Validates:
   for bit
 - filtered pressure against the operator-composed Poisson equation
 - resolved and local energy budgets closing on solver trajectories
+- the pair loop filtered_pairs: one product per snapshot, stresses formed
+  only as pairs are drawn; resolved_balance, local_balance_test and
+  assemble_flux equal the per-snapshot loops they replaced bit for bit and
+  form one product and one stress per snapshot
 - window functions and their analytic derivatives
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from nslab import filtering
 from nslab.filtering import (
+    BalanceReport,
     KernelError,
+    filtered_pairs,
     filtered_pressure_hat,
     kernel_for,
     local_balance_test,
@@ -26,13 +35,17 @@ from nslab.filtering import (
     width_schedule,
     wrapped_radius_sq,
 )
+from nslab.minimizer import assemble_flux
 from nslab.solver import InitialCondition, make_initial, simulate
 from nslab.spectral import (
     Grid,
     dealias,
     divergence,
+    gradient,
     gradient_norm_sq,
+    grid_inner_product,
     hermitian_defect,
+    inner_product,
     laplacian,
     norm_sq,
     tensor_divergence,
@@ -257,6 +270,150 @@ class TestLocalBalance:
             local_balance_test(
                 trajectory, kernel, -np.ones(grid.shape), ConstantWindow()
             )
+
+
+def reference_resolved_balance(trajectory, kernel):
+    """resolved_balance as it was before the pair loop: each snapshot forms
+    its own product, stress and filtered velocity."""
+    grid = trajectory.grid
+    terms = np.empty((4, len(trajectory)))
+    for i, u_hat in enumerate(trajectory.u_hats):
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+        ub_hat = kernel.multiplier * u_hat
+        terms[:, i] = (
+            0.5 * norm_sq(grid, ub_hat),
+            gradient_norm_sq(grid, ub_hat),
+            inner_product(grid, r_hat, gradient(grid, ub_hat)),
+            inner_product(grid, r_hat, r_hat),
+        )
+    return BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms)
+
+
+def reference_assemble_flux(trajectory, kernel):
+    """assemble_flux's J = nu grad(ubar) - R as it was before the pair loop."""
+    grid = trajectory.grid
+    j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
+    for i, u_hat in enumerate(trajectory.u_hats):
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
+    return j_hats
+
+
+def reference_local_balance(trajectory, kernel, phi, window):
+    """local_balance_test as it was before the pair loop, with the boundary
+    density e . phi formed a second time inside the time term."""
+    grid = trajectory.grid
+    phi_hat = grid.forward(phi)
+    lap_phi = grid.inverse(laplacian(grid, phi_hat))
+    grad_phi = grid.inverse(gradient(grid, phi_hat))
+    times = trajectory.times
+    n_snap = len(trajectory)
+    s = window(times)
+    s_dot = window.derivative(times)
+    time_term, transport, viscous, transfer, boundary_density = np.empty((5, n_snap))
+    for i in range(n_snap):
+        u_hat = trajectory.u_hats[i]
+        product_hat = velocity_product_hat(grid, u_hat)
+        ub_hat = kernel.multiplier * u_hat
+        ub = grid.inverse(ub_hat)
+        e = np.einsum("ixyz,ixyz->xyz", ub, ub)
+        pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
+        grad_ub = grid.inverse(gradient(grid, ub_hat))
+        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+        div_r = grid.inverse(tensor_divergence(grid, r_hat))
+        boundary_density[i] = grid_inner_product(grid, e, phi)
+        time_term[i] = grid_inner_product(grid, e, phi) * s_dot[i] + grid.nu * s[
+            i
+        ] * grid_inner_product(grid, e, lap_phi)
+        adv = np.einsum("ixyz,ixyz->xyz", ub, grad_phi)
+        transport[i] = s[i] * grid_inner_product(grid, e + 2.0 * pbar, adv)
+        gg = np.einsum("ijxyz,ijxyz->xyz", grad_ub, grad_ub)
+        viscous[i] = -2.0 * grid.nu * s[i] * grid_inner_product(grid, gg, phi)
+        ur = np.einsum("ixyz,ixyz->xyz", ub, div_r)
+        transfer[i] = -2.0 * s[i] * grid_inner_product(grid, ur, phi)
+
+    boundary = boundary_density[-1] * s[-1] - boundary_density[0] * s[0]
+    terms = {
+        "boundary": boundary,
+        "time": np.trapezoid(time_term, times),
+        "transport": np.trapezoid(transport, times),
+        "viscous": np.trapezoid(viscous, times),
+        "transfer": np.trapezoid(transfer, times),
+    }
+    terms["imbalance"] = abs(
+        terms["boundary"]
+        - (terms["time"] + terms["transport"] + terms["viscous"] + terms["transfer"])
+    )
+    return terms
+
+
+def call_log(monkeypatch, name):
+    """Replace filtering.<name> by a wrapper that logs each call."""
+    log = []
+    func = getattr(filtering, name)
+
+    def logged(*args):
+        log.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(filtering, name, logged)
+    return log
+
+
+class TestPairLoop:
+    """filtered_pairs and the consumers that share it."""
+
+    @pytest.fixture
+    def local_inputs(self, grid):
+        x1, x2, _ = grid.x
+        phi = (1.0 + 0.5 * np.cos(x1)) * (1.0 + 0.3 * np.sin(x2))
+        return phi, BumpWindow(t0=-0.2, t1=0.25)
+
+    def test_stresses_formed_as_pairs_are_drawn(self, grid, trajectory, monkeypatch):
+        """Pi is formed when a snapshot is drawn, each stress when its pair
+        is; undrawn pairs form no stress."""
+        products = call_log(monkeypatch, "velocity_product_hat")
+        stresses = call_log(monkeypatch, "reynolds_stress_hat")
+        kernels = [kernel_for(grid, np.pi / 2.0), kernel_for(grid, np.pi / 4.0)]
+        snapshots = filtered_pairs(trajectory, kernels)
+        i, u_hat, product_hat, pairs = next(snapshots)
+        assert (i, len(products), len(stresses)) == (0, 1, 0)
+        assert np.array_equal(u_hat, trajectory.u_hats[0])
+        assert np.array_equal(product_hat, velocity_product_hat(grid, u_hat))
+        for m, (w, kernel, ub_hat, r_hat) in enumerate(pairs):
+            assert kernel is kernels[m]
+            assert (w, len(stresses)) == (m, m + 1)
+            assert np.array_equal(ub_hat, kernel.multiplier * u_hat)
+            assert np.array_equal(r_hat, reference_stress_hat(grid, kernel, u_hat))
+        assert [i for i, *_ in snapshots] == list(range(1, len(trajectory)))
+        assert (len(products), len(stresses)) == (len(trajectory), 2)
+
+    def test_consumers_match_reference_loops(self, grid, trajectory, local_inputs):
+        """Each consumer equals the per-snapshot loop it replaced bit for bit."""
+        kernel = kernel_for(grid, np.pi / 2.0)
+        report = resolved_balance(trajectory, kernel)
+        expected = reference_resolved_balance(trajectory, kernel)
+        for f in fields(BalanceReport):
+            assert np.array_equal(getattr(report, f.name), getattr(expected, f.name)), f.name
+        flux = assemble_flux(trajectory, kernel)
+        assert np.array_equal(flux.j_hats, reference_assemble_flux(trajectory, kernel))
+        terms = local_balance_test(trajectory, kernel, *local_inputs)
+        assert terms == reference_local_balance(trajectory, kernel, *local_inputs)
+
+    def test_consumers_form_one_product_and_stress_per_snapshot(
+        self, grid, trajectory, local_inputs, monkeypatch
+    ):
+        kernel = kernel_for(grid, np.pi / 2.0)
+        for consume in (
+            lambda: resolved_balance(trajectory, kernel),
+            lambda: assemble_flux(trajectory, kernel),
+            lambda: local_balance_test(trajectory, kernel, *local_inputs),
+        ):
+            products = call_log(monkeypatch, "velocity_product_hat")
+            stresses = call_log(monkeypatch, "reynolds_stress_hat")
+            consume()
+            assert (len(products), len(stresses)) == (len(trajectory), len(trajectory))
+            monkeypatch.undo()
 
 
 class TestWindows:

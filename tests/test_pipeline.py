@@ -11,6 +11,7 @@ Validates:
   persists the finest-width minimizer as snapshots, and streams one Reynolds
   stress per (width, snapshot) with no stored flux
 - report condenses everything into summary.json, summary.txt and .dat files
+- analyze and minimize read the run only while holding its lock
 - rerunning any stage reproduces byte-identical artifacts, an interrupted
   simulate rerun leaves no stage marked, and a JSON record or config echo
   whose write fails midway leaves the previous file in place
@@ -173,6 +174,24 @@ class TestSimulateStage:
         assert not [f for f in os.listdir(completed["run_dir"]) if f.startswith(".lock")]
         summary = os.path.join(paths.report_dir, "summary.json")
         assert completed["grab"](summary) == completed["summary"]
+
+    def test_run_is_read_under_the_lock(self, completed, tmp_path, monkeypatch):
+        """analyze and minimize read the run while they hold its lock, so a
+        simulate rerun cannot land between their read and their write."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        lock = RunPaths(run_dir).lock
+        held = []
+        load_run = pipeline.load_run
+
+        def load_run_noting_lock(path):
+            held.append(pipeline._lock_pid(lock))
+            return load_run(path)
+
+        monkeypatch.setattr(pipeline, "load_run", load_run_noting_lock)
+        pipeline.cmd_analyze(run_dir)
+        pipeline.cmd_minimize(run_dir)
+        assert held == [os.getpid(), os.getpid()]
 
     def test_lock_released(self, completed):
         """No lock file survives a successful stage."""
