@@ -126,12 +126,12 @@ class AcceptanceLab:
     def audit(self):
         """Minimizer audit of the Beltrami run at every schedule width.
 
-        The finest v* is dropped: at 101 snapshots it holds tens of MB that
-        no criterion reads.
+        The finest b = P div J, from which the finest v* derives, is
+        dropped: at 101 snapshots it holds tens of MB that no criterion reads.
         """
         traj = self.beltrami
         report = audit_widths(traj, self.beltrami_schedule, self.basket, default_radius_sq(traj))
-        return replace(report, solution=None)
+        return replace(report, rhs=None)
 
     @cached_property
     def manufactured(self):
@@ -294,7 +294,8 @@ def criterion_6(lab):
             closed_ok &= abs(sol.enstrophy_used - radius_sq) <= 1e-12 * radius_sq
             s_exact = np.sqrt(case["big_w"] / radius_sq)
             closed_ok &= abs(sol.one_minus_two_lambda - s_exact) <= 1e-12 * s_exact
-        osol = oracle_mp(flux, radius_sq, iters=30000, seed=case["seed"], starts=3)
+        rhs = flux.poisson_rhs()
+        osol = oracle_mp(grid, flux.times, rhs, radius_sq, iters=30000, seed=case["seed"], starts=3)
         worst_gap = max(worst_gap, solution_gap(grid, case["times"], osol, sol))
         worst_spread = max(worst_spread, osol.start_spread)
         worst_kkt = max(worst_kkt, kkt_report(osol)["complementarity"] / radius_sq)

@@ -35,9 +35,11 @@ outside and widths inside: per snapshot it forms Pi once (9 transforms) and
 yields (i, u_hat, Pi, pairs); pairs then yields (m, kernel, ubar_hat, R_hat)
 for each width m, forming the stress (9 transforms) only when the consumer
 asks for it, so one stress is alive at a time.  Every consumer reduces the
-pair it is given: resolved_balance and local_balance_test here,
-dissipation.analyze_widths, minimizer.audit_widths and
-minimizer.assemble_flux.
+pair it is given.  The pipeline's consumers are dissipation.analyze_widths
+(analyze) and minimizer.audit_widths (minimize, whose finest P div J is
+also the descent oracle's input).  resolved_balance and local_balance_test
+here and minimizer.assemble_flux are library entry points; the tests and
+the acceptance suite use them as independent references.
 """
 
 from __future__ import annotations

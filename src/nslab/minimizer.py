@@ -23,22 +23,26 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
 audit_widths is the entry point for a trajectory.  It reduces the pairs of
 filtering.filtered_pairs (the pair loop is described there), adding grad u
 and its basket pairing once per snapshot; from each pair's filtered
-velocity and Reynolds stress follow J, w and the nu = 1 minimizer
-w1 = -P div(grad ubar - R) / |k|^2.  assemble_flux stores one width's J
-from the same pairs.  Since v* = w / s with one scalar s per width, every
-integral is accumulated in w unscaled, one row per width (the
-stress-modeling tensors (1 - 2 lambda) sym grad v* are sym grad w
-outright); after the pass the ball rule turns each width's W into s, lambda
-and activity, and the s-dependent sums are divided by s or s^2.  Only the
-finest v* is stored.  Basket pairings use TestBasket.pair/pair_gradient;
-the Lagrange ratios and weak Euler-Lagrange residuals share one
-BasketPairing; weak_convergence_diag and stress_limit_diagnostics reduce
-across widths.
+velocity and Reynolds stress follow J, b = P div J, w = -b / |k|^2 and the
+nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2.  Since v* = w / s with
+one scalar s per width, every integral is accumulated in w unscaled, one
+row per width (the stress-modeling tensors (1 - 2 lambda) sym grad v* are
+sym grad w outright); after the pass the ball rule turns each width's W
+into s, lambda and activity, and the s-dependent sums are divided by s or
+s^2.  Of the per-snapshot fields only the finest width's b is kept: it is
+oracle_mp's input, and the finest v* is derived from it one snapshot at a
+time.  Basket pairings use TestBasket.pair/pair_gradient; the Lagrange
+ratios and weak Euler-Lagrange residuals share one BasketPairing;
+weak_convergence_diag and stress_limit_diagnostics reduce across widths.
+
+assemble_flux stores one width's J from the same pair loop as a FluxField.
+It is a library entry point and the tests' independent reference for
+solve_mp and k_functional; no pipeline stage calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,11 +220,16 @@ def _weighted_quadratic(grid, tw5, weight, v):
     return VOLUME * float(np.sum(tw5 * grid.parseval_w * weight * (v.real**2 + v.imag**2)))
 
 
-def oracle_mp(flux, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
+def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
     """Projected gradient descent on the spectral coefficients.
 
-    Reduced objective (exact for divergence-free v, by parts):
-        F(v) = sum_i tw_i ( 1/2 ||grad v_i||^2 + <b_i, v_i> ),  b = P div J.
+    rhs[i] is the Poisson right-hand side b_i = P (div J)_hat at times[i]
+    (flux.poisson_rhs() for a FluxField; minimize passes the finest width's
+    b as audit_widths keeps it), and tw = trapezoid_weights(times).  The
+    reduced objective
+        F(v) = sum_i tw_i ( 1/2 ||grad v_i||^2 + <b_i, v_i> )
+    equals K(v) for divergence-free v, since <J, grad v> = -<b, v> by parts;
+    so the oracle never reads J, and its k_value is F at the returned point.
     Descent runs in the constraint inner product <x, y> = sum_i tw_i
     <grad x_i, grad y_i> -- the metric in which the feasible set is a ball,
     so projection is the exact rescale.  (With the coefficient-wise gradient
@@ -236,14 +245,15 @@ def oracle_mp(flux, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
     radius_sq = float(radius_sq)
     if radius_sq <= 0.0:
         raise MinimizerError("radius_sq must be positive")
-    grid = flux.grid
-    n_snap = len(flux)
-    b = flux.poisson_rhs()
-    tw = flux.weights
+    times = np.asarray(times, dtype=np.float64)
+    if rhs.shape[0] != len(times):
+        raise MinimizerError("times and Poisson right-hand sides disagree")
+    n_snap = len(times)
+    tw = trapezoid_weights(times)
     tw5 = tw.reshape((n_snap, 1, 1, 1, 1))
     k_sq = grid.k_sq
     # b / k^2 in the zero-mean gauge (b has no mean: it is a divergence).
-    bk = np.stack([-inverse_laplacian(grid, b[i]) for i in range(n_snap)])
+    bk = np.stack([-inverse_laplacian(grid, rhs[i]) for i in range(n_snap)])
 
     def a_inner(x, y):
         return VOLUME * float(
@@ -254,7 +264,7 @@ def oracle_mp(flux, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
         return _weighted_quadratic(grid, tw5, k_sq, v)
 
     def objective(v):
-        return 0.5 * constraint(v) + _flat_inner(grid, tw5 * b, v)
+        return 0.5 * constraint(v) + _flat_inner(grid, tw5 * rhs, v)
 
     def project(v):
         c = constraint(v)
@@ -318,20 +328,20 @@ def oracle_mp(flux, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
     f_best, v_best, c_best, pg_best, conv_best = results[0]
     spread = 0.0
     for _, v_other, _, _, _ in results[1:]:
-        d = enstrophy_integral(grid, flux.times, v_best - v_other)
+        d = enstrophy_integral(grid, times, v_best - v_other)
         spread = max(spread, d)
-    spread_ref = max(enstrophy_integral(grid, flux.times, v_best), 1e-300)
+    spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
     pg, mu = projected_gradient(v_best, c_best)
     active = abs(c_best - radius_sq) <= ACTIVITY_RTOL * radius_sq
     lam = -mu if active else 0.0
     return MinimizerSolution(
-        times=flux.times.copy(),
+        times=times.copy(),
         v_hats=v_best,
         lam=lam,
         one_minus_two_lambda=1.0 - 2.0 * lam,
         enstrophy_used=c_best,
         radius_sq=radius_sq,
-        k_value=k_functional(flux, v_best),
+        k_value=f_best,
         constraint_active=active,
         source="oracle",
         iterations=total_iters,
@@ -627,12 +637,29 @@ def stress_limit_diagnostics(widths, basket_norms):
 @dataclass(frozen=True)
 class AuditReport:
     """audit_widths' result: per-width rows, their cross-width reductions,
-    and the finest width's minimizer (for storage and the oracle check)."""
+    and the finest width's minimizer.
+
+    The finest v* is kept as its Poisson right-hand side b = P div J, one
+    row per snapshot, and its scale s: v* = w / s with w = -b / |k|^2.  b is
+    the descent oracle's input, and v_star(i) derives snapshot i of v* by
+    the same elementwise operations as the closed form, so bit for bit.
+    """
 
     widths: tuple  # WidthAudit per width, coarse to fine
     weak: ConvergenceReport
     stress_limit: dict
-    solution: MinimizerSolution = field(repr=False)
+    grid: object = field(repr=False)
+    rhs: np.ndarray = field(repr=False)  # (S, 3, n, n, n//2+1): the finest b
+    scale: float  # the finest s
+
+    @property
+    def solution(self):
+        """The finest width's MinimizerSolution (scalars only)."""
+        return self.widths[-1].solution
+
+    def v_star(self, i):
+        """Snapshot i of the finest width's minimizer v*."""
+        return (-self.rhs[i] * self.grid.inv_k_sq) / self.scale
 
 
 def audit_widths(trajectory, deltas, basket, radius_sq):
@@ -642,8 +669,8 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     pairing formed once per snapshot.  Each width's unscaled integrals of
     w = (1-2 lambda) v* and of the nu = 1 minimizer w1 sit in a row of
     arrays with a leading width axis and are added in time order; after the
-    pass one ball rule per problem scales them.  Widths run coarse to fine; only the finest width's
-    v* is kept.
+    pass one ball rule per problem scales them.  Widths run coarse to fine;
+    of the per-snapshot fields only the finest width's b = P div J is kept.
     """
     if len(deltas) < 3:
         raise MinimizerError("need at least three widths for refinement trends")
@@ -667,7 +694,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     )
     resolved_energy = np.empty((len(kernels), len(trajectory)))
     grad_u_snap = np.empty(len(trajectory))
-    v_hats = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
+    rhs = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
     for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
         grad_u = gradient(grid, u_hat)
         grad_u_pair = basket.pair_gradient(u_hat)
@@ -678,10 +705,11 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             grad_ub = gradient(grid, ub_hat)
             j_hat = nu * grad_ub - r_hat
             j1_hat = grad_ub - r_hat
-            w_hat = -_poisson_rhs(grid, j_hat) * grid.inv_k_sq
-            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
+            b_hat = _poisson_rhs(grid, j_hat)
             if m == finest:
-                v_hats[i] = w_hat
+                rhs[i] = b_hat
+            w_hat = -b_hat * grid.inv_k_sq
+            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
             w_sq = gradient_norm_sq(grid, w_hat)
             big_w[m] += tw[i] * w_sq
             grad_w = gradient(grid, w_hat)
@@ -763,11 +791,12 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
                 stress_limit=stress_limit,
             )
         )
-    v_hats /= s  # the finest width's, the loop's last
     grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
     return AuditReport(
         widths=tuple(widths),
         weak=weak_convergence_diag(widths, nu, grad_u_norm, basket_norms),
         stress_limit=stress_limit_diagnostics(widths, basket_norms),
-        solution=replace(widths[-1].solution, v_hats=v_hats),
+        grid=grid,
+        rhs=rhs,
+        scale=s,  # the finest width's, the loop's last
     )

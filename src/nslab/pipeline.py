@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from . import snapshots as snap_mod
 from .config import load_config
 from .config import dump_config
 from .dissipation import analyze_widths
-from .filtering import kernel_for
 from .ledger import (
     LedgerError,
     atomic_open,
@@ -34,7 +34,7 @@ from .ledger import (
     write_time_ledger,
     write_width_ledger,
 )
-from .minimizer import _fit_order, assemble_flux, audit_widths, default_radius_sq
+from .minimizer import _fit_order, audit_widths, default_radius_sq
 from .minimizer import oracle_mp, solution_gap
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
@@ -254,7 +254,11 @@ def cmd_simulate(config_path, output_root=None):
 
 
 def load_run(run_dir):
-    """Rebuild (config, grid, trajectory) from a run directory."""
+    """Rebuild (config, grid, trajectory) from a run directory.
+
+    The snapshot times must be finite and strictly increasing, every cell
+    of the time ledger finite, and the ledger's times those of the snapshots.
+    """
     paths = RunPaths(run_dir)
     _require_run_dir(paths)
     cfg = load_config(paths.config)
@@ -265,8 +269,22 @@ def load_run(run_dir):
         raise snap_mod.SnapshotFormatError(
             paths.snapshots, "grid mismatch", f"snapshots {fields.shape[1:]}, config {expected}"
         )
+    ordered = np.isfinite(times) & np.append(True, times[1:] > times[:-1])
+    if not ordered.all():
+        i = int(np.argmin(ordered))
+        raise snap_mod.SnapshotFormatError(
+            paths.snapshots,
+            "bad times",
+            f"snapshot {i} at t = {float(times[i])}; times must be finite and strictly increasing",
+        )
     columns, data = read_ledger(paths.time_ledger)
-    if data.shape[0] != len(times) or np.max(np.abs(data[:, 0] - times)) > 1e-12:
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise LedgerError(
+            f"{paths.time_ledger}: non-finite {columns[col]} {float(data[row, col])} in row {row}"
+        )
+    if data.shape[0] != len(times) or not np.all(np.abs(data[:, 0] - times) <= 1e-12):
         raise PipelineError(f"{run_dir}: snapshot times disagree with {columns[0]} ledger")
     u_hats = np.stack([grid.forward(f) for f in fields])
     traj = Trajectory(
@@ -361,14 +379,13 @@ def cmd_minimize(run_dir, oracle=False):
 
         oracle_record = None
         if oracle:
-            osol = oracle_mp(
-                assemble_flux(traj, kernel_for(grid, schedule[-1])),
-                radius_sq,
-                **cfg.minimizer["oracle"],
-            )
+            osol = oracle_mp(grid, traj.times, audit.rhs, radius_sq, **cfg.minimizer["oracle"])
+            v_star = np.stack([audit.v_star(i) for i in range(len(traj))])
             oracle_record = {
                 "delta": schedule[-1],
-                "gap": solution_gap(grid, traj.times, osol, audit.solution),
+                "gap": solution_gap(
+                    grid, traj.times, osol, replace(audit.solution, v_hats=v_star)
+                ),
                 "k_value": osol.k_value,
                 "k_value_closed_form": audit.solution.k_value,
                 "lambda": osol.lam,
@@ -388,7 +405,7 @@ def cmd_minimize(run_dir, oracle=False):
             snap_mod.write_snapshot(
                 snap_mod.snapshot_path(paths.minimizer_dir, i),
                 traj.times[i],
-                grid.inverse(audit.solution.v_hats[i]),
+                grid.inverse(audit.v_star(i)),
             )
         sidecar = {
             "delta": schedule[-1],

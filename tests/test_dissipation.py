@@ -3,7 +3,8 @@
 Validates:
 - frozen reference values from tools/oracle_defect_direct.py (an FFT-free
   reimplementation: circular-convolution filtering, analytic gradients,
-  modular-index offset sums) on a closed-triad field
+  modular-index offset sums) on a closed-triad field, and that the tool run
+  as a script still prints them and its recorded output
 - pointwise agreement of the correlation form of the structure function with
   a direct offset-by-offset np.roll loop on random fields
 - the densities from shared per-snapshot and per-width transforms equal the
@@ -17,6 +18,11 @@ Validates:
 - defect_cross_validate: every width gets both estimators, three widths
   are required, gap metrics
 """
+
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +57,23 @@ ORACLE = {
     np.pi: {"structure": 9.152876244470944, "stress": 7.586243519218473},
     np.pi / 2.0: {"structure": 3.68551507995784, "stress": 6.229181381980347},
 }
+
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "oracle_defect_direct.py"
+_TOOL_VALUE = re.compile(
+    r"^(delta|  structure|  stress|  closed-form stress) *= (?:np\.float64\()?([^)\s]+)", re.M
+)
+
+
+def tool_values(text):
+    """{(delta, name): value} from the printout of oracle_defect_direct.py."""
+    values, delta = {}, None
+    for name, value in _TOOL_VALUE.findall(text):
+        if name == "delta":
+            delta = float(value)
+        else:
+            values[(delta, name.strip())] = float(value)
+    return values
 
 
 def structure_density(grid, u_hat, delta):
@@ -251,6 +274,22 @@ class TestAgainstDirectOracle:
     def test_stress_strain(self, grid, triad_hat, delta):
         value = space_integral(grid, stress_density(grid, triad_hat, delta))
         assert value == pytest.approx(ORACLE[delta]["stress"], rel=1e-12)
+
+    def test_tool_prints_frozen_values(self):
+        """The tool, run as a script, still prints the values frozen in ORACLE
+        and in its recorded output tools/oracle_defect_direct.out."""
+        run = subprocess.run(
+            [sys.executable, str(TOOL)], capture_output=True, text=True, timeout=600, check=True
+        )
+        printed = tool_values(run.stdout)
+        recorded = tool_values(TOOL.with_suffix(".out").read_text(encoding="utf-8"))
+        assert len(printed) == 6
+        assert printed.keys() == recorded.keys()
+        for key, value in printed.items():
+            assert value == pytest.approx(recorded[key], rel=1e-14), key
+        for delta, frozen in ORACLE.items():
+            for name, value in frozen.items():
+                assert printed[(delta, name)] == pytest.approx(value, rel=1e-14), (delta, name)
 
     def test_single_mode_vanishes(self, grid):
         """One Fourier mode has no closed triads: every cubic statistic is 0."""

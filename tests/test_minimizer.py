@@ -16,7 +16,9 @@ Validates:
   identity, the stress-limit rows (checked against a nu = 1 flux assembled
   and solved directly), stress-modeling residuals, and the width-refinement
   report; the streamed audit agrees with solve_mp on an assembled flux at
-  every width and holds no per-snapshot tensor beyond the finest v*
+  every width and holds no per-snapshot tensor beyond the finest b = P div J,
+  which is the assembled flux's bit for bit and gives solve_mp's v* and the
+  oracle's input, with the oracle's k_value equal to K to round-off
 """
 
 import tracemalloc
@@ -126,6 +128,11 @@ TRAJ_DELTAS = (np.pi, np.pi / 2.0, np.pi / 4.0)
 def audit(trajectory, traj_basket):
     """One audit of the trajectory at three widths (coarse to fine)."""
     return audit_widths(trajectory, TRAJ_DELTAS, traj_basket, default_radius_sq(trajectory))
+
+
+def flux_oracle(flux, radius_sq, **options):
+    """oracle_mp on the Poisson right-hand side b = P div J of a FluxField."""
+    return oracle_mp(flux.grid, flux.times, flux.poisson_rhs(), radius_sq, **options)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +269,7 @@ class TestOracleAgreement:
     def test_interior_gap(self, grid, times, flux, big_w):
         """Oracle and closed form coincide when the constraint is slack."""
         closed = solve_mp(flux, radius_sq=2.0 * big_w)
-        oracle = oracle_mp(flux, radius_sq=2.0 * big_w)
+        oracle = flux_oracle(flux, radius_sq=2.0 * big_w)
         assert oracle.converged
         assert oracle.source == "oracle"
         assert closed.source == "closed_form"
@@ -273,7 +280,7 @@ class TestOracleAgreement:
     def test_active_gap_and_multiplier(self, grid, times, flux, big_w):
         """On the boundary the oracle recovers v* and the multiplier from mu."""
         closed = solve_mp(flux, radius_sq=0.25 * big_w)
-        oracle = oracle_mp(flux, radius_sq=0.25 * big_w)
+        oracle = flux_oracle(flux, radius_sq=0.25 * big_w)
         assert oracle.converged
         assert oracle.constraint_active
         assert solution_gap(grid, times, closed, oracle) < 1e-16
@@ -282,12 +289,12 @@ class TestOracleAgreement:
 
     def test_starts_agree(self, flux, big_w):
         """Random feasible starts land on the same point as the zero start."""
-        oracle = oracle_mp(flux, radius_sq=0.25 * big_w, starts=3, seed=4)
+        oracle = flux_oracle(flux, radius_sq=0.25 * big_w, starts=3, seed=4)
         assert oracle.start_spread < 1e-12
 
     def test_gradient_certificate(self, flux, big_w):
         """The projected gradient at the reported point meets the tolerance."""
-        oracle = oracle_mp(flux, radius_sq=2.0 * big_w, tol=1e-10)
+        oracle = flux_oracle(flux, radius_sq=2.0 * big_w, tol=1e-10)
         assert oracle.grad_norm <= 1e-10 * oracle.grad_norm_ref
         assert oracle.iterations >= 1
 
@@ -376,7 +383,7 @@ class TestTrajectoryDiagnostics:
         flux = assemble_flux(trajectory, kernel)
         radius_sq = default_radius_sq(trajectory)
         closed = solve_mp(flux, radius_sq)
-        oracle = oracle_mp(flux, radius_sq)
+        oracle = flux_oracle(flux, radius_sq)
         assert oracle.converged
         assert solution_gap(traj_grid, trajectory.times, closed, oracle) < 1e-12
         assert oracle.lam == pytest.approx(closed.lam, abs=1e-8)
@@ -462,8 +469,9 @@ class TestTrajectoryDiagnostics:
     def test_streamed_audit_matches_solve_mp(self, trajectory, traj_basket, regime):
         """At every width the streamed closed form (unscaled sums divided by
         1 - 2 lambda after the pass) gives the multiplier, enstrophy, K and
-        activity of solve_mp on the assembled flux, and the finest v* is
-        bitwise the same."""
+        activity of solve_mp on the assembled flux.  The finest b the audit
+        keeps is the assembled flux's P div J, and the v* derived from it
+        snapshot by snapshot is solve_mp's, both bit for bit."""
         radius_sq = default_radius_sq(trajectory) if regime == "interior" else 1e-4
         report = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, radius_sq)
         for width in report.widths:
@@ -473,7 +481,25 @@ class TestTrajectoryDiagnostics:
             assert got.constraint_active == sol.constraint_active == (regime == "active")
             for key in ("lam", "one_minus_two_lambda", "enstrophy_used", "k_value"):
                 assert getattr(got, key) == pytest.approx(getattr(sol, key), rel=1e-12), key
-        assert np.array_equal(report.solution.v_hats, sol.v_hats)
+        assert np.array_equal(report.rhs, flux.poisson_rhs())
+        for i in range(len(trajectory)):
+            assert np.array_equal(report.v_star(i), sol.v_hats[i])
+
+    @pytest.mark.parametrize("regime", ["interior", "active"])
+    def test_oracle_on_audit_rhs(self, trajectory, traj_basket, regime):
+        """The oracle run on the audit's finest b reaches solve_mp's point,
+        and its k_value, the reduced objective sum tw (1/2 ||grad v||^2 +
+        <b, v>), is K(v) on the assembled flux to round-off."""
+        radius_sq = default_radius_sq(trajectory) if regime == "interior" else 1e-4
+        report = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, radius_sq)
+        grid, times = trajectory.grid, trajectory.times
+        oracle = oracle_mp(grid, times, report.rhs, radius_sq)
+        flux = assemble_flux(trajectory, kernel_for(grid, TRAJ_DELTAS[-1]))
+        assert oracle.converged
+        assert oracle.constraint_active == (regime == "active")
+        assert solution_gap(grid, times, oracle, solve_mp(flux, radius_sq)) < 1e-12
+        k_literal = k_functional(flux, oracle.v_hats)
+        assert oracle.k_value == pytest.approx(k_literal, rel=1e-14)
 
     def test_audit_memory_does_not_grow_with_snapshots(self):
         """Doubling the snapshots grows the audit's peak allocation by less
@@ -542,12 +568,17 @@ class TestTrajectoryDiagnostics:
 
 
 class TestValidation:
+    def test_oracle_rejects_mismatched_rhs(self, grid, times, flux):
+        """The oracle needs one Poisson right-hand side per snapshot time."""
+        with pytest.raises(MinimizerError, match="disagree"):
+            oracle_mp(grid, times[:-1], flux.poisson_rhs(), radius_sq=1.0)
+
     def test_solve_rejects_nonpositive_radius(self, flux):
         """A zero or negative enstrophy budget is an error for both solvers."""
         with pytest.raises(MinimizerError, match="positive"):
             solve_mp(flux, radius_sq=0.0)
         with pytest.raises(MinimizerError, match="positive"):
-            oracle_mp(flux, radius_sq=-1.0)
+            flux_oracle(flux, radius_sq=-1.0)
 
     def test_refinement_needs_three_widths(self, trajectory, traj_basket):
         """Fewer than three widths cannot support a refinement trend."""

@@ -9,14 +9,16 @@ Validates:
   one Reynolds stress per (width, snapshot) and one grad(eta) per width;
   minimize folds multipliers and weak pairings into the same ledger,
   persists the finest-width minimizer as snapshots, and streams one Reynolds
-  stress per (width, snapshot) with no stored flux
+  stress per (width, snapshot) with no stored flux, with or without --oracle
 - report condenses everything into summary.json, summary.txt and .dat files
 - analyze and minimize read the run only while holding its lock
 - rerunning any stage reproduces byte-identical artifacts, an interrupted
   simulate rerun leaves no stage marked, and a JSON record or config echo
   whose write fails midway leaves the previous file in place
 - blow-up runs keep their partial artifacts and propagate the failure
-- CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input
+- CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input,
+  including snapshot times that are not finite and strictly increasing and
+  non-finite time-ledger cells
 """
 
 import json
@@ -32,7 +34,7 @@ import pytest
 
 from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots
 from nslab.config import OUTPUT_ROOT_ENV, dump_config
-from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger
+from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger, write_ledger
 from nslab.pipeline import PipelineError, RunPaths
 from nslab.snapshots import list_snapshots, read_snapshot, write_snapshot
 from nslab.solver import BlowUpError
@@ -393,20 +395,21 @@ class TestMinimizeStage:
     def test_one_flux_and_stress_per_width(self, completed, tmp_path, monkeypatch):
         """minimize streams one Reynolds stress per (width, snapshot) pair,
         3 widths x 11 snapshots, and one product Pi per snapshot, with no
-        stored flux and no solve_mp; only the oracle assembles a flux, the
-        finest one, for itself."""
+        stored flux and no solve_mp, with or without --oracle: the oracle
+        takes the finest P div J that the audit pass formed."""
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
         product_calls = count_calls(monkeypatch, filtering.velocity_product_hat)
         flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
         solve_calls = count_calls(monkeypatch, minimizer.solve_mp)
-        pipeline.cmd_minimize(str(copy_dir))
-        assert (len(stress_calls), len(product_calls)) == (3 * 11, 11)
-        assert (len(flux_calls), len(solve_calls)) == (0, 0)
-        pipeline.cmd_minimize(str(copy_dir), oracle=True)
-        assert (len(stress_calls), len(product_calls)) == (3 * 11 + 4 * 11, 11 + (11 + 11))
-        assert (len(flux_calls), len(solve_calls)) == (1, 0)
+        for oracle in (False, True):
+            pipeline.cmd_minimize(str(copy_dir), oracle=oracle)
+            assert (len(stress_calls), len(product_calls)) == (3 * 11, 11)
+            assert (len(flux_calls), len(solve_calls)) == (0, 0)
+            for log in (stress_calls, product_calls):
+                log.clear()
+        assert completed["grab"](RunPaths(str(copy_dir)).minimize) == completed["minimize"]
 
 
 class TestAtomicWrites:
@@ -600,6 +603,42 @@ class TestCommandLine:
         write_config(config_path, data)
         assert cli.main(["analyze", str(copy_dir)]) == 2
         assert "grid mismatch" in capsys.readouterr().err
+
+    def test_nonfinite_ledger_cell_is_input_error(self, completed, tmp_path, capsys):
+        """A NaN energy in the time ledger stops the run at load time, exit 2,
+        instead of reaching report as 'initial energy nan'."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        ledger = RunPaths(str(copy_dir)).time_ledger
+        columns, data = read_ledger(ledger)
+        data[0, 1] = float("nan")
+        write_ledger(ledger, columns, data)
+        assert cli.main(["analyze", str(copy_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "energy_time.csv" in err and "non-finite energy" in err
+
+    @pytest.mark.parametrize("damage", ["nan", "swap"])
+    def test_bad_snapshot_times_are_input_error(self, completed, tmp_path, capsys, damage):
+        """Snapshot times that are not finite and strictly increasing are
+        rejected at load time, exit 2, naming the snapshots directory, even
+        when the time ledger agrees with them."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        paths = RunPaths(str(copy_dir))
+        columns, data = read_ledger(paths.time_ledger)
+        files = list_snapshots(paths.snapshots)
+        times = data[:, 0].copy()
+        if damage == "nan":
+            times[3] = float("nan")
+        else:
+            times[[3, 4]] = times[[4, 3]]
+        for path, t in zip(files, times):
+            write_snapshot(path, t, read_snapshot(path)[1])
+        data[:, 0] = times
+        write_ledger(paths.time_ledger, columns, data)
+        assert cli.main(["analyze", str(copy_dir)]) == 2
+        err = capsys.readouterr().err
+        assert paths.snapshots in err and "bad times" in err
 
     def test_damaged_stage_record_is_input_error(self, completed, tmp_path, capsys):
         """A damaged analysis.json exits 2 with an error naming the file."""
