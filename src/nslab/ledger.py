@@ -3,9 +3,9 @@
 Every ledger file starts with the schema line `# nslab csv schema 1`, then a
 mandatory header row, then data rows with floats printed at 17 significant
 digits (lossless for f64).  Readers reject unknown schema versions.  Columns
-are fixed tuples so reruns are byte-identical.  Ledgers, the stages' JSON
-records, the config echo and the report's text files are written through
-atomic_open, so a write that fails midway leaves the previous file in place.
+are fixed tuples so reruns are byte-identical.  Every artifact, the .nsel
+snapshot directories included, is written through atomic_path, so a write
+that fails midway leaves the previous file or directory in place.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import csv
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -57,19 +58,34 @@ def format_float(x):
 
 
 @contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """Open a temporary sibling of `path` for writing text; it replaces
-    `path` only once the block completes.  On any error the temporary file
-    is removed and `path` is left as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def atomic_path(path):
+    """Yield a temporary sibling path at which to write a file or directory
+    that replaces `path` once the block completes; an old directory is moved
+    aside, the new one renamed in and the old one removed.  On any error the
+    temporary is removed and `path` is left as it was."""
+    tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        yield tmp
+        if os.path.isdir(tmp) and os.path.exists(path):
+            os.rename(path, old)
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        if os.path.isdir(old) and not os.path.exists(path):
+            os.rename(old, path)
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp)
+        elif os.path.lexists(tmp):
             os.unlink(tmp)
         raise
+    if os.path.isdir(old):
+        shutil.rmtree(old)
+
+
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Open a temporary sibling of `path` for writing text (atomic_path)."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
 
 
 def write_ledger(path, columns, rows):

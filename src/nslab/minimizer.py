@@ -288,10 +288,10 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
         if start == 0:
             v = np.zeros((n_snap, 3) + grid.spectral_shape, dtype=complex)
         else:
-            noise = rng.standard_normal((n_snap, 3) + grid.shape)
             v = np.empty((n_snap, 3) + grid.spectral_shape, dtype=complex)
             for i in range(n_snap):
-                v[i] = leray_project(grid, dealias(grid, grid.forward(noise[i])))
+                noise = rng.standard_normal((3,) + grid.shape)
+                v[i] = leray_project(grid, dealias(grid, grid.forward(noise)))
             c0 = constraint(v)
             if c0 > 0.0:
                 v *= np.sqrt(0.5 * radius_sq / c0)

@@ -152,7 +152,10 @@ def _read_json(path):
 def _load_state(paths):
     if not os.path.exists(paths.state):
         return {"status": "new", "stages": {}}
-    return _read_json(paths.state)
+    state = _read_json(paths.state)
+    if not isinstance(state, dict) or not isinstance(state.get("stages"), dict):
+        raise LedgerError(f"{paths.state}: not a run record (an object with a 'stages' object)")
+    return state
 
 
 def _forget_stages(paths, state, stage):
@@ -226,10 +229,7 @@ def cmd_simulate(config_path, output_root=None):
             failure = exc
 
         _forget_stages(paths, _load_state(paths), "simulate")
-        if os.path.isdir(paths.snapshots):
-            for old in snap_mod.list_snapshots(paths.snapshots):
-                os.unlink(old)
-        snap_mod.write_trajectory_snapshots(paths.snapshots, traj)
+        snap_mod.write_series(paths.snapshots, grid, traj.times, traj.u_hats)
         write_time_ledger(
             paths.time_ledger,
             traj.times,
@@ -256,27 +256,14 @@ def cmd_simulate(config_path, output_root=None):
 def load_run(run_dir):
     """Rebuild (config, grid, trajectory) from a run directory.
 
-    The snapshot times must be finite and strictly increasing, every cell
-    of the time ledger finite, and the ledger's times those of the snapshots.
+    The snapshots are checked by snapshots.read_series; every cell of the
+    time ledger must be finite, and the ledger's times those of the snapshots.
     """
     paths = RunPaths(run_dir)
     _require_run_dir(paths)
     cfg = load_config(paths.config)
     grid = cfg.make_grid()
-    times, fields = snap_mod.read_trajectory_fields(paths.snapshots)
-    expected = (3,) + grid.shape
-    if fields.shape[1:] != expected:
-        raise snap_mod.SnapshotFormatError(
-            paths.snapshots, "grid mismatch", f"snapshots {fields.shape[1:]}, config {expected}"
-        )
-    ordered = np.isfinite(times) & np.append(True, times[1:] > times[:-1])
-    if not ordered.all():
-        i = int(np.argmin(ordered))
-        raise snap_mod.SnapshotFormatError(
-            paths.snapshots,
-            "bad times",
-            f"snapshot {i} at t = {float(times[i])}; times must be finite and strictly increasing",
-        )
+    times, u_hats = snap_mod.read_series(paths.snapshots, grid)
     columns, data = read_ledger(paths.time_ledger)
     finite = np.isfinite(data)
     if not finite.all():
@@ -285,8 +272,8 @@ def load_run(run_dir):
             f"{paths.time_ledger}: non-finite {columns[col]} {float(data[row, col])} in row {row}"
         )
     if data.shape[0] != len(times) or not np.all(np.abs(data[:, 0] - times) <= 1e-12):
-        raise PipelineError(f"{run_dir}: snapshot times disagree with {columns[0]} ledger")
-    u_hats = np.stack([grid.forward(f) for f in fields])
+        detail = f"{columns[0]} column: {data.shape[0]} rows, {len(times)} snapshots"
+        raise LedgerError(f"{paths.time_ledger}: disagrees with the snapshots ({detail})")
     traj = Trajectory(
         grid=grid,
         times=times,
@@ -396,17 +383,10 @@ def cmd_minimize(run_dir, oracle=False):
                 "start_spread": osol.start_spread,
             }
 
-        # Persist the finest-width minimizer in the snapshot format (one file
-        # per snapshot) plus the sidecar record.
-        os.makedirs(paths.minimizer_dir, exist_ok=True)
-        for old in snap_mod.list_snapshots(paths.minimizer_dir):
-            os.unlink(old)
-        for i in range(len(traj)):
-            snap_mod.write_snapshot(
-                snap_mod.snapshot_path(paths.minimizer_dir, i),
-                traj.times[i],
-                grid.inverse(audit.v_star(i)),
-            )
+        # The finest-width minimizer as a snapshot series, plus its record.
+        snap_mod.write_series(
+            paths.minimizer_dir, grid, traj.times, (audit.v_star(i) for i in range(len(traj)))
+        )
         sidecar = {
             "delta": schedule[-1],
             "lambda": audit.solution.lam,

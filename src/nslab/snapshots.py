@@ -12,7 +12,9 @@ Layout, all little-endian, no padding:
 
 Round-tripping a float64 array through write/read is bit exact.  Readers
 validate the header and the payload size and raise SnapshotFormatError with a
-named reason on any mismatch.
+named reason on any mismatch.  A series is a directory of snap_NNNNNN.nsel
+files indexed from 0: write_series replaces a whole one through
+ledger.atomic_path, and read_series reads one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import re
 import struct
 
 import numpy as np
+
+from .ledger import atomic_path
 
 MAGIC = b"NSEL"
 VERSION = 1
@@ -82,17 +86,6 @@ def snapshot_path(directory, index):
     return os.path.join(directory, SNAPSHOT_PATTERN % index)
 
 
-def write_trajectory_snapshots(directory, trajectory):
-    """Dump every recorded snapshot of a trajectory as real-space .nsel files."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i in range(len(trajectory)):
-        p = snapshot_path(directory, i)
-        write_snapshot(p, trajectory.times[i], trajectory.u_real(i))
-        paths.append(p)
-    return paths
-
-
 def list_snapshots(directory):
     """Sorted snapshot paths in a directory; indices must be contiguous from 0."""
     found = []
@@ -107,16 +100,31 @@ def list_snapshots(directory):
     return [path for _, path in found]
 
 
-def read_trajectory_fields(directory):
-    """Read all snapshots in a directory; returns (times, fields) arrays."""
-    times = []
-    fields = []
-    for path in list_snapshots(directory):
-        t, f = read_snapshot(path)
-        if fields and f.shape != fields[0].shape:
-            raise SnapshotFormatError(path, "shape mismatch", f"{f.shape} != {fields[0].shape}")
-        times.append(t)
-        fields.append(f)
-    if not fields:
+def write_series(directory, grid, times, field_hats):
+    """Write spectral fields as the real-space snapshots of `directory`, replacing it whole."""
+    with atomic_path(directory) as tmp:
+        os.mkdir(tmp)
+        for i, (time, f_hat) in enumerate(zip(times, field_hats, strict=True)):
+            write_snapshot(snapshot_path(tmp, i), time, grid.inverse(f_hat))
+
+
+def read_series(directory, grid):
+    """Read the series in `directory` as (times, u_hats), forward-transforming
+    each file as it is read.  Every file must hold (3,) + grid.shape fields
+    and the times must be finite and strictly increasing."""
+    paths = list_snapshots(directory)
+    if not paths:
         raise SnapshotFormatError(directory, "no snapshots")
-    return np.asarray(times), np.asarray(fields)
+    expected = (3,) + grid.shape
+    times = np.empty(len(paths))
+    u_hats = np.empty((len(paths), 3) + grid.spectral_shape, dtype=np.complex128)
+    for i, path in enumerate(paths):
+        times[i], fields = read_snapshot(path)
+        if fields.shape != expected:
+            detail = f"snapshots {fields.shape}, config {expected}"
+            raise SnapshotFormatError(directory, "grid mismatch", detail)
+        if not (np.isfinite(times[i]) and (i == 0 or times[i] > times[i - 1])):
+            detail = f"snapshot {i} at t = {float(times[i])}; times must be finite and "
+            raise SnapshotFormatError(directory, "bad times", detail + "strictly increasing")
+        u_hats[i] = grid.forward(fields)
+    return times, u_hats

@@ -100,16 +100,14 @@ def _random_band(grid, ic):
     noise = rng.standard_normal((3,) + grid.shape)
     u_hat = spectral.leray_project(grid, grid.forward(noise))
     k_mag = np.sqrt(grid.k_sq)
-    shells = np.arange(ic.k_min, ic.k_max + 1)
-    targets = shells.astype(np.float64) ** ic.slope
+    shells, energies = energy_spectrum(grid, u_hat)
+    band = slice(ic.k_min - 1, ic.k_max)
+    targets = shells[band].astype(np.float64) ** ic.slope
     e_total = 0.5 * ic.amplitude**2 * spectral.VOLUME
     targets *= e_total / targets.sum()
     scaled = np.zeros_like(u_hat)
-    for s, target in zip(shells, targets):
+    for s, target, current in zip(shells[band], targets, energies[band]):
         mask = (k_mag > s - 0.5) & (k_mag <= s + 0.5)
-        current = 0.5 * spectral.VOLUME * float(
-            np.sum(grid.parseval_w * mask * np.abs(u_hat) ** 2)
-        )
         if current <= 0.0:
             raise GridError(f"empty spectral shell {s} in random_band")
         scaled += np.sqrt(target / current) * (u_hat * mask)
@@ -187,9 +185,6 @@ class Trajectory:
 
     def __len__(self):
         return self.times.size
-
-    def u_real(self, i):
-        return self.grid.inverse(self.u_hats[i])
 
     def global_energy_residuals(self):
         """|E(t) + nu*int_0^t ||grad u||^2 - E(0)| at every snapshot."""

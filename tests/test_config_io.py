@@ -10,7 +10,8 @@ Validates:
 - config file round trips and deterministic dumps
 - .nsel snapshot round trips are bit exact, the on-disk layout is the
   documented x1-fastest order, and every malformed-file class is rejected
-  with a named reason
+  with a named reason; a snapshot series is written and replaced as a whole
+  directory, and a failed write keeps the previous series
 - ledger schema line, 17-significant-digit float round trips, fixed column
   tuples, NaN padding for missing keys, byte-identical rewrites, and
   atomic replacement (a failed write keeps the previous file)
@@ -51,11 +52,11 @@ from nslab.snapshots import (
     SnapshotFormatError,
     VERSION,
     list_snapshots,
+    read_series,
     read_snapshot,
-    read_trajectory_fields,
     snapshot_path,
+    write_series,
     write_snapshot,
-    write_trajectory_snapshots,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
 from nslab.spectral import Grid
@@ -381,6 +382,9 @@ def sample_fields():
     return rng.standard_normal((3, 16, 16, 16))
 
 
+GRID16 = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.05, snapshot_stride=5)
+
+
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tmp_path, sample_fields):
         """Arbitrary float64 fields survive a write/read cycle unchanged."""
@@ -473,6 +477,8 @@ class TestSnapshots:
         write_snapshot(snapshot_path(tmp_path, 2), 0.2, sample_fields)
         with pytest.raises(SnapshotFormatError, match="index gap"):
             list_snapshots(tmp_path)
+        with pytest.raises(SnapshotFormatError, match="index gap"):
+            read_series(tmp_path, GRID16)
 
     def test_foreign_files_ignored(self, tmp_path, sample_fields):
         """Only snap_NNNNNN.nsel names participate in the listing."""
@@ -483,27 +489,65 @@ class TestSnapshots:
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(SnapshotFormatError, match="no snapshots"):
-            read_trajectory_fields(tmp_path)
+            read_series(tmp_path, GRID16)
 
     def test_unequal_snapshot_shapes(self, tmp_path, sample_fields):
-        """Snapshots of different sizes in one directory are a format error."""
+        """A snapshot of another size than the grid's is a format error."""
         write_snapshot(snapshot_path(tmp_path, 0), 0.0, sample_fields)
         write_snapshot(snapshot_path(tmp_path, 1), 0.1, sample_fields[:, :4, :4, :4])
-        with pytest.raises(SnapshotFormatError, match="shape mismatch"):
-            read_trajectory_fields(tmp_path)
+        with pytest.raises(SnapshotFormatError, match="grid mismatch"):
+            read_series(tmp_path, GRID16)
 
     def test_trajectory_round_trip(self, tmp_path):
-        """A simulated trajectory dumps and reloads its real-space samples."""
-        grid = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.05, snapshot_stride=5)
+        """A simulated trajectory dumps its real-space samples bit for bit and
+        reloads them as the same spectral fields."""
+        grid = GRID16
         ic = InitialCondition(kind="taylor_green", amplitude=0.8)
         traj = simulate(grid, make_initial(grid, ic))
         out = tmp_path / "snapshots"
-        paths = write_trajectory_snapshots(out, traj)
-        assert len(paths) == len(traj)
-        times, fields = read_trajectory_fields(out)
+        write_series(out, grid, traj.times, traj.u_hats)
+        assert os.listdir(tmp_path) == ["snapshots"]
+        files = list_snapshots(out)
+        assert len(files) == len(traj)
+        for i, path in enumerate(files):
+            time, fields = read_snapshot(path)
+            assert time == traj.times[i]
+            assert np.array_equal(fields, grid.inverse(traj.u_hats[i]))
+        times, u_hats = read_series(out, grid)
         assert np.array_equal(times, traj.times)
         for i in range(len(traj)):
-            assert np.array_equal(fields[i], traj.u_real(i))
+            assert np.array_equal(u_hats[i], grid.forward(grid.inverse(traj.u_hats[i])))
+
+    def test_series_rewrite_replaces_directory(self, tmp_path, sample_fields):
+        """A rewrite replaces the whole directory: a shorter series leaves no
+        file of the longer one behind."""
+        out = tmp_path / "snapshots"
+        u_hats = [GRID16.forward(sample_fields * (i + 1)) for i in range(3)]
+        write_series(out, GRID16, [0.0, 0.1, 0.2], u_hats)
+        (out / "notes.txt").write_text("stale")
+        write_series(out, GRID16, [0.0, 0.1], u_hats[:2])
+        assert sorted(os.listdir(out)) == ["snap_000000.nsel", "snap_000001.nsel"]
+        assert os.listdir(tmp_path) == ["snapshots"]
+
+    @pytest.mark.parametrize("damage", ["interrupted", "short"])
+    def test_failed_series_write_keeps_previous_series(self, tmp_path, sample_fields, damage):
+        """A series write that fails midway -- an error while the fields are
+        produced, or fewer fields than times -- keeps the previous series
+        byte for byte and leaves no temporary entry."""
+        out = tmp_path / "snapshots"
+        u_hat = GRID16.forward(sample_fields)
+        write_series(out, GRID16, [0.0, 0.1, 0.2], [u_hat, 2 * u_hat, 3 * u_hat])
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+        def fields():
+            yield u_hat
+            if damage == "interrupted":
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt if damage == "interrupted" else ValueError):
+            write_series(out, GRID16, [0.0, 0.1, 0.2], fields())
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert os.listdir(tmp_path) == ["snapshots"]
 
 
 class TestFloatFormatting:

@@ -13,12 +13,15 @@ Validates:
 - report condenses everything into summary.json, summary.txt and .dat files
 - analyze and minimize read the run only while holding its lock
 - rerunning any stage reproduces byte-identical artifacts, an interrupted
-  simulate rerun leaves no stage marked, and a JSON record or config echo
-  whose write fails midway leaves the previous file in place
+  simulate rerun leaves no stage marked, an interrupted simulate or minimize
+  rerun leaves the previous snapshots/ or minimizer/ with no temporary entry,
+  and a JSON record or config echo whose write fails midway leaves the
+  previous file in place
 - blow-up runs keep their partial artifacts and propagate the failure
 - CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input,
-  including snapshot times that are not finite and strictly increasing and
-  non-finite time-ledger cells
+  including snapshot times that are not finite and strictly increasing,
+  non-finite time-ledger cells, a time ledger that disagrees with the
+  snapshots and a run.json that is not a run record
 """
 
 import json
@@ -264,26 +267,60 @@ class TestStageOrdering:
     def test_interrupted_simulate_rerun_unmarks_every_stage(
         self, completed, tmp_path, monkeypatch
     ):
-        """A simulate rerun that stops after replacing one snapshot leaves no
+        """A simulate rerun that stops after writing one snapshot leaves no
         stage marked, so report refuses the stale analysis and minimize
-        records instead of condensing them."""
+        records instead of condensing them; the previous snapshots stay as
+        they were and no temporary entry is left behind."""
         run_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], run_dir)
         config_path = write_config(tmp_path / "cfg.json", make_config(run_dir))
-        written = []
-
-        def write_one(path, time, field):
-            if written:
-                raise Interrupted(path)
-            written.append(path)
-            write_snapshot(path, time, field)
-
-        monkeypatch.setattr(snapshots, "write_snapshot", write_one)
+        paths = RunPaths(str(run_dir))
+        before = dir_bytes(paths.snapshots)
+        interrupt_second_snapshot(monkeypatch)
         with pytest.raises(Interrupted):
             pipeline.cmd_simulate(config_path)
-        assert json.load(open(RunPaths(str(run_dir)).state))["stages"] == {}
+        assert json.load(open(paths.state))["stages"] == {}
         with pytest.raises(PipelineError, match="missing stage"):
             pipeline.cmd_report(str(run_dir))
+        assert dir_bytes(paths.snapshots) == before
+        assert no_temporaries(run_dir)
+
+    def test_interrupted_minimize_rerun_keeps_minimizer(self, completed, tmp_path, monkeypatch):
+        """A minimize rerun that stops after writing one v* snapshot leaves
+        minimizer/ as it was, solution.json included, with no temporary
+        entry, and minimize and report unmarked."""
+        run_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], run_dir)
+        paths = RunPaths(str(run_dir))
+        before = dir_bytes(paths.minimizer_dir)
+        interrupt_second_snapshot(monkeypatch)
+        with pytest.raises(Interrupted):
+            pipeline.cmd_minimize(str(run_dir))
+        assert set(json.load(open(paths.state))["stages"]) == {"simulate", "analyze"}
+        assert dir_bytes(paths.minimizer_dir) == before
+        assert no_temporaries(run_dir)
+
+
+def interrupt_second_snapshot(monkeypatch):
+    """Make the second .nsel write of the next stage raise Interrupted."""
+    written = []
+
+    def write_one(path, time, field):
+        if written:
+            raise Interrupted(path)
+        written.append(path)
+        write_snapshot(path, time, field)
+
+    monkeypatch.setattr(snapshots, "write_snapshot", write_one)
+
+
+def dir_bytes(directory):
+    names = os.listdir(directory)
+    return {name: open(os.path.join(directory, name), "rb").read() for name in names}
+
+
+def no_temporaries(run_dir):
+    return not [name for name in os.listdir(run_dir) if name.endswith((".tmp", ".old"))]
 
 
 class TestAnalyzeStage:
@@ -639,6 +676,35 @@ class TestCommandLine:
         assert cli.main(["analyze", str(copy_dir)]) == 2
         err = capsys.readouterr().err
         assert paths.snapshots in err and "bad times" in err
+
+    @pytest.mark.parametrize("damage", ["shifted", "short"])
+    def test_ledger_snapshot_disagreement_is_input_error(
+        self, completed, tmp_path, capsys, damage
+    ):
+        """A time ledger whose times or row count disagree with the snapshots
+        is a malformed ledger, exit 2, naming energy_time.csv."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        ledger = RunPaths(str(copy_dir)).time_ledger
+        columns, data = read_ledger(ledger)
+        if damage == "shifted":
+            data[2, 0] += 1e-6
+        else:
+            data = data[:-1]
+        write_ledger(ledger, columns, data)
+        assert cli.main(["analyze", str(copy_dir)]) == 2
+        assert "energy_time.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", ['[]', '"ok"', '{"status": "ok"}', '{"stages": []}'])
+    def test_malformed_run_record_is_input_error(self, completed, tmp_path, capsys, record):
+        """A run.json that is not an object with a 'stages' object exits 2,
+        naming the file, instead of crashing the next stage."""
+        copy_dir = tmp_path / "copy"
+        shutil.copytree(completed["run_dir"], copy_dir)
+        with open(RunPaths(str(copy_dir)).state, "w", encoding="utf-8") as fh:
+            fh.write(record)
+        assert cli.main(["analyze", str(copy_dir)]) == 2
+        assert "run.json" in capsys.readouterr().err
 
     def test_damaged_stage_record_is_input_error(self, completed, tmp_path, capsys):
         """A damaged analysis.json exits 2 with an error naming the file."""
