@@ -14,6 +14,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import shutil
 
 import numpy as np
@@ -57,12 +58,31 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+def pid_alive(pid):
+    """Whether a process with this pid runs (one of another user counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # running, owned by another user
+        pass
+    return True
+
+
 @contextlib.contextmanager
 def atomic_path(path):
     """Yield a temporary sibling path at which to write a file or directory
     that replaces `path` once the block completes; an old directory is moved
     aside, the new one renamed in and the old one removed.  On any error the
-    temporary is removed and `path` is left as it was."""
+    temporary is removed and `path` is left as it was.
+
+    Callers hold the run lock.  On entry the siblings a killed writer left
+    (`<path>.<pid>.tmp` and `.old` of a pid that no longer runs, or of this
+    pid, which cannot have made them yet) are cleared: a `.old` is renamed
+    back to `path` if `path` is missing, since a writer killed between its
+    two renames leaves the only complete copy there, and the rest removed.
+    """
+    _clear_stale_siblings(path)
     tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
     try:
         yield tmp
@@ -72,13 +92,32 @@ def atomic_path(path):
     except BaseException:
         if os.path.isdir(old) and not os.path.exists(path):
             os.rename(old, path)
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-        elif os.path.lexists(tmp):
-            os.unlink(tmp)
+        _remove(tmp)
         raise
     if os.path.isdir(old):
         shutil.rmtree(old)
+
+
+def _clear_stale_siblings(path):
+    parent, base = os.path.split(os.path.abspath(path))
+    pattern = re.compile(re.escape(base) + r"\.(\d+)\.(tmp|old)")
+    stale = []
+    for name in sorted(os.listdir(parent)):
+        m = pattern.fullmatch(name)
+        if m and (int(m.group(1)) == os.getpid() or not pid_alive(int(m.group(1)))):
+            stale.append((m.group(2), os.path.join(parent, name)))
+    for kind, sibling in stale:
+        if kind == "old" and not os.path.lexists(path):
+            os.rename(sibling, path)
+        else:
+            _remove(sibling)
+
+
+def _remove(path):
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.unlink(path)
 
 
 @contextlib.contextmanager

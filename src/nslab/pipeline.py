@@ -29,6 +29,7 @@ from .dissipation import analyze_widths
 from .ledger import (
     LedgerError,
     atomic_open,
+    pid_alive,
     read_ledger,
     read_width_ledger,
     write_time_ledger,
@@ -71,7 +72,7 @@ def run_lock(paths):
     """
     if not _create_lock(paths.lock):
         holder = _lock_pid(paths.lock)
-        if holder is None or _pid_alive(holder) or not _take_stale_lock(paths, holder):
+        if holder is None or pid_alive(holder) or not _take_stale_lock(paths, holder):
             raise PipelineError(
                 f"{paths.run_dir}: locked by another writer (remove stale {LOCK_NAME} if none)"
             )
@@ -100,16 +101,6 @@ def _lock_pid(path):
     except (FileNotFoundError, ValueError):
         return None
     return pid if pid > 0 else None
-
-
-def _pid_alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # running, owned by another user
-        pass
-    return True
 
 
 def _take_stale_lock(paths, dead_pid):

@@ -130,35 +130,93 @@ def energy_spectrum(grid, u_hat):
     return shells, out
 
 
-def nonlinear_term(grid, u_hat):
+def nonlinear_term(grid, u_hat, out=None):
     """Dealiased, projected advection term P[u x omega] in spectral space.
 
     Equal to -P[(u.grad)u], since u x omega = grad(|u|^2/2) - (u.grad)u and
     P removes gradients.  One inverse transform of the stacked (u, omega) and
     one forward transform of their product; zero for Beltrami data (omega =
-    u).
+    u).  Works in grid.workspace and writes the term to `out`, or to a fresh
+    array when `out` is None.  Bitwise equal to
+
+        uw = inverse(concatenate((u_hat, curl(u_hat)))); u, w = uw[:3], uw[3:]
+        f = forward(stack((u[1]*w[2] - u[2]*w[1], u[2]*w[0] - u[0]*w[2],
+                           u[0]*w[1] - u[1]*w[0])))
+        keep * f - e * (e[0]*f[0] + e[1]*f[1] + e[2]*f[2])
+
+    since it applies the same operations to the same operand types.
     """
-    uw = grid.inverse(np.concatenate((u_hat, spectral.curl(grid, u_hat))))
+    ws = grid.workspace
+    uw_hat, (s, tmp) = ws.uw_hat, ws.scalar
+    np.copyto(uw_hat[:3], u_hat)
+    # omega_i = 1j * (k_a u_b - k_b u_a) for (i, a, b) cyclic, as spectral.curl
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        omega = uw_hat[3 + i]
+        np.multiply(grid.k_vec[a], u_hat[b], out=omega)
+        np.multiply(grid.k_vec[b], u_hat[a], out=tmp)
+        np.subtract(omega, tmp, out=omega)
+        np.multiply(1j, omega, out=omega)
+    uw = grid.inverse(uw_hat, out=ws.uw, overwrite_input=True)
     u, w = uw[:3], uw[3:]
-    f = grid.forward(
-        np.stack((u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]))
-    )
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        np.multiply(u[a], w[b], out=ws.cross[i])
+        np.multiply(u[b], w[a], out=ws.product)
+        np.subtract(ws.cross[i], ws.product, out=ws.cross[i])
+    f = grid.forward(ws.cross, out=uw_hat[:3])
     keep, e = grid.dealiased_leray
-    return keep * f - e * (e[0] * f[0] + e[1] * f[1] + e[2] * f[2])
+    np.multiply(e[0], f[0], out=s)
+    np.multiply(e[1], f[1], out=tmp)
+    np.add(s, tmp, out=s)
+    np.multiply(e[2], f[2], out=tmp)
+    np.add(s, tmp, out=s)
+    projected = np.multiply(e, s, out=uw_hat[3:])
+    np.multiply(keep, f, out=f)
+    return np.subtract(f, projected, out=out)
 
 
 def step(grid, u_hat):
-    """One integrating-factor RK4 step of length grid.dt."""
+    """One integrating-factor RK4 step of length grid.dt.
+
+    Returns a fresh array, which no later step overwrites, and leaves u_hat
+    unchanged; the stages live in grid.workspace, so one grid must not be
+    stepped from two threads at once.  Each line below is one operation of
+    the expressions in the comments, with the same operands, so the result
+    is bitwise that of evaluating them with temporaries.
+    """
     dt, e_half = grid.dt, grid.half_step_decay
+    ws = grid.workspace
+    u_half, (k1, k2, k3, k4), arg = ws.u_half, ws.k, ws.arg
     # Stages k_i = N(.); the full-step factor is applied as e_half twice:
     # e u + (e dt k1 + 2 e_half dt (k2 + k3) + dt k4) / 6
     #   = e_half (e_half u + dt (e_half k1 + 2 (k2 + k3)) / 6) + dt k4 / 6
-    u_half = e_half * u_hat
-    k1 = nonlinear_term(grid, u_hat)
-    k2 = nonlinear_term(grid, u_half + e_half * (0.5 * dt * k1))
-    k3 = nonlinear_term(grid, u_half + 0.5 * dt * k2)
-    k4 = nonlinear_term(grid, e_half * (u_half + dt * k3))
-    return e_half * (u_half + (dt / 6.0) * (e_half * k1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
+    np.multiply(e_half, u_hat, out=u_half)
+    nonlinear_term(grid, u_hat, out=k1)
+    # k2 = N(u_half + e_half * (0.5 * dt * k1))
+    np.multiply(0.5 * dt, k1, out=arg)
+    np.multiply(e_half, arg, out=arg)
+    np.add(u_half, arg, out=arg)
+    nonlinear_term(grid, arg, out=k2)
+    # k3 = N(u_half + 0.5 * dt * k2)
+    np.multiply(0.5 * dt, k2, out=arg)
+    np.add(u_half, arg, out=arg)
+    nonlinear_term(grid, arg, out=k3)
+    # k4 = N(e_half * (u_half + dt * k3))
+    np.multiply(dt, k3, out=arg)
+    np.add(u_half, arg, out=arg)
+    np.multiply(e_half, arg, out=arg)
+    nonlinear_term(grid, arg, out=k4)
+    # e_half * (u_half + (dt / 6) * (e_half * k1 + 2 * (k2 + k3))) + (dt / 6) * k4
+    np.multiply(e_half, k1, out=arg)
+    np.add(k2, k3, out=k2)
+    np.multiply(2.0, k2, out=k2)
+    np.add(arg, k2, out=arg)
+    np.multiply(dt / 6.0, arg, out=arg)
+    np.add(u_half, arg, out=arg)
+    np.multiply(e_half, arg, out=arg)
+    np.multiply(dt / 6.0, k4, out=k4)
+    return np.add(arg, k4)
 
 
 @dataclass
@@ -206,7 +264,7 @@ def simulate(grid, u0_hat):
         return 0.5 * spectral.norm_sq(grid, v)
 
     times = [0.0]
-    snaps = [u.copy()]
+    snaps = [u]  # step returns fresh arrays, so no snapshot is overwritten
     energies = [energy(u)]
     dissipation = [0.0]
     step_energies = [energies[0]]
@@ -232,7 +290,7 @@ def simulate(grid, u0_hat):
             step_energies.append(energy(u))
             if s % grid.snapshot_stride == 0 or s == grid.steps:
                 times.append(s * grid.dt)
-                snaps.append(u.copy())
+                snaps.append(u)
                 energies.append(step_energies[-1])
                 dissipation.append(diss)
     return Trajectory(

@@ -120,13 +120,29 @@ class Grid:
         x1 = np.arange(self.n) * self.h
         self.x = np.meshgrid(x1, x1, x1, indexing="ij")
 
-    def forward(self, field):
-        """Real field(s) (..., n, n, n) -> spectral coefficients (..., n, n, nh)."""
-        return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward")
+    def forward(self, field, out=None):
+        """Real field(s) (..., n, n, n) -> spectral coefficients (..., n, n, nh).
 
-    def inverse(self, field_hat):
-        """Spectral coefficients (..., n, n, nh) -> real field(s) (..., n, n, n)."""
-        return np.fft.irfftn(field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward")
+        Given `out`, rfftn runs its three passes in it: rfft of the last axis
+        into `out`, then fft of axes -2 and -3 in place.
+        """
+        return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward", out=out)
+
+    def inverse(self, field_hat, out=None, overwrite_input=False):
+        """Spectral coefficients (..., n, n, nh) -> real field(s) (..., n, n, n).
+
+        Given `out`, the last pass writes there.  With overwrite_input the two
+        complex passes of irfftn (ifft of axis -3, then of axis -2) run in
+        place in `field_hat`, which is left holding their result; the output
+        is bitwise that of irfftn either way.
+        """
+        if not overwrite_input:
+            return np.fft.irfftn(
+                field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward", out=out
+            )
+        for axis in (-3, -2):
+            np.fft.ifft(field_hat, self.n, axis=axis, norm="forward", out=field_hat)
+        return np.fft.irfft(field_hat, self.n, axis=-1, norm="forward", out=out)
 
     @cached_property
     def dealiased_leray(self):
@@ -144,11 +160,42 @@ class Grid:
         """exp(-nu |k|^2 dt / 2): the viscous integrating factor over half a step."""
         return np.exp(-self.nu * self.k_sq * (0.5 * self.dt))
 
+    @cached_property
+    def workspace(self):
+        """Scratch arrays of solver.step and solver.nonlinear_term, built on the
+        first step and reused by every later one; see StepWorkspace."""
+        return StepWorkspace(self)
+
     def __repr__(self):
         return (
             f"Grid(n={self.n}, nu={self.nu}, dt={self.dt}, "
             f"t_end={self.t_end}, snapshot_stride={self.snapshot_stride})"
         )
+
+
+class StepWorkspace:
+    """The buffers one RK4 step works in, so that a step allocates only its result.
+
+    Spectral (complex) buffers hold 3-vectors unless noted: u_half = e_half u,
+    k = the four stages, arg = the next stage's argument, uw_hat = the stacked
+    (u, omega) (6 components; after the inverse transform its first three hold
+    the forward transform of u x omega and its last three the projection's
+    e (e . f)), scalar = two scalar fields (e . f and a product).  Real
+    buffers: uw = (u, omega) on the grid (6 components), cross = u x omega,
+    product = one scalar field.  Shared by every step on this grid, so one
+    grid must not be stepped from two threads at once.
+    """
+
+    def __init__(self, grid):
+        spec, real = grid.spectral_shape, grid.shape
+        self.u_half = np.empty((3,) + spec, dtype=np.complex128)
+        self.k = np.empty((4, 3) + spec, dtype=np.complex128)
+        self.arg = np.empty((3,) + spec, dtype=np.complex128)
+        self.uw_hat = np.empty((6,) + spec, dtype=np.complex128)
+        self.scalar = np.empty((2,) + spec, dtype=np.complex128)
+        self.uw = np.empty((6,) + real)
+        self.cross = np.empty((3,) + real)
+        self.product = np.empty(real)
 
 
 def gradient(grid, f_hat):

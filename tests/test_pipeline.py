@@ -35,9 +35,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots
+from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots, spectral
 from nslab.config import OUTPUT_ROOT_ENV, dump_config
-from nslab.ledger import TIME_COLUMNS, read_ledger, read_width_ledger, write_ledger
+from nslab.ledger import TIME_COLUMNS, atomic_path, read_ledger, read_width_ledger, write_ledger
 from nslab.pipeline import PipelineError, RunPaths
 from nslab.snapshots import list_snapshots, read_snapshot, write_snapshot
 from nslab.solver import BlowUpError
@@ -380,6 +380,15 @@ class TestAnalyzeStage:
 
 
 class TestMinimizeStage:
+    def test_no_step_workspace_after_simulate(self, completed, tmp_path, monkeypatch):
+        """analyze and minimize --oracle never build the solver's workspace."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        built = count_calls(monkeypatch, spectral.StepWorkspace)
+        pipeline.cmd_analyze(run_dir)
+        pipeline.cmd_minimize(run_dir, oracle=True)
+        assert built == []
+
     def test_minimize_summary(self, completed):
         minimize = json.loads(completed["minimize"])
         assert len(minimize["records"]) == 3
@@ -470,6 +479,41 @@ class TestAtomicWrites:
             dump_config(broken, str(path))
         assert path.read_bytes() == b"{}\n"
         assert os.listdir(tmp_path) == ["config.json"]
+
+
+    def test_killed_writer_siblings_are_cleared(self, tmp_path):
+        """A writer killed between the two renames leaves the complete
+        directory as its .old sibling: the next write of that path renames it
+        back before it starts, so a failed write leaves it in place, and
+        removes the dead pid's .tmp.  A live pid's sibling stays."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        path = tmp_path / "snapshots"
+        old = tmp_path / f"snapshots.{child.pid}.old"
+        old.mkdir()
+        (old / "snap_000000.nsel").write_bytes(b"complete")
+        (tmp_path / f"snapshots.{child.pid}.tmp").mkdir()
+        (tmp_path / f"snapshots.{os.getpid()}.tmp").write_bytes(b"")  # this pid's, from before
+        live = tmp_path / f"snapshots.{os.getppid()}.tmp"
+        live.mkdir()
+        with pytest.raises(Interrupted):
+            with atomic_path(str(path)) as tmp:
+                os.mkdir(tmp)
+                raise Interrupted(tmp)
+        assert sorted(os.listdir(tmp_path)) == sorted(["snapshots", live.name])
+        assert (path / "snap_000000.nsel").read_bytes() == b"complete"
+
+    def test_stale_old_sibling_removed_when_path_exists(self, tmp_path):
+        """With `path` in place a dead pid's .old is out of date and goes."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        path = tmp_path / "analysis.json"
+        path.write_bytes(b"previous")
+        (tmp_path / f"analysis.json.{child.pid}.old").write_bytes(b"older")
+        with atomic_path(str(path)) as tmp, open(tmp, "wb") as fh:
+            fh.write(b"new")
+        assert os.listdir(tmp_path) == ["analysis.json"]
+        assert path.read_bytes() == b"new"
 
 
 def count_calls(monkeypatch, func):

@@ -7,8 +7,12 @@ Validates:
 - structural properties of the advection term (divergence-free, orthogonality)
 - the rotational advection term against the convective form, and its
   transform count
+- the workspace step against the allocating expression form, bit for bit,
+  and its allocation peak
 - blow-up detection with partial-trajectory salvage
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from nslab.spectral import (
     VOLUME,
     Grid,
     GridError,
+    curl,
     dealias,
     divergence_max,
     gradient,
@@ -236,15 +241,117 @@ class TestRotationalForm:
         for name in ("forward", "inverse"):
             original = getattr(Grid, name)
 
-            def counted(self, field, name=name, original=original):
+            def counted(self, field, *args, name=name, original=original, **kwargs):
                 calls.append((name, field.shape[0]))
-                return original(self, field)
+                return original(self, field, *args, **kwargs)
 
             monkeypatch.setattr(Grid, name, counted)
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
         calls.clear()
         nonlinear_term(grid, u)
         assert sorted(calls) == [("forward", 3), ("inverse", 6)]
+
+
+def nonlinear_reference(grid, u_hat):
+    """P[u x omega] evaluated with a temporary per operation: the bitwise
+    reference for nonlinear_term."""
+    uw = grid.inverse(np.concatenate((u_hat, curl(grid, u_hat))))
+    u, w = uw[:3], uw[3:]
+    f = grid.forward(
+        np.stack((u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]))
+    )
+    keep, e = grid.dealiased_leray
+    return keep * f - e * (e[0] * f[0] + e[1] * f[1] + e[2] * f[2])
+
+
+def step_reference(grid, u_hat):
+    """The RK4 step evaluated with temporaries: the bitwise reference for step."""
+    dt, e_half = grid.dt, grid.half_step_decay
+    u_half = e_half * u_hat
+    k1 = nonlinear_reference(grid, u_hat)
+    k2 = nonlinear_reference(grid, u_half + e_half * (0.5 * dt * k1))
+    k3 = nonlinear_reference(grid, u_half + 0.5 * dt * k2)
+    k4 = nonlinear_reference(grid, e_half * (u_half + dt * k3))
+    return e_half * (u_half + (dt / 6.0) * (e_half * k1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
+
+
+def full_band(n, seed=None):
+    grid = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-2)
+    ic = InitialCondition(
+        kind="random_band", amplitude=1.0, seed=n if seed is None else seed, slope=-1.0,
+        k_min=1, k_max=grid.dealias_cutoff,
+    )
+    return grid, make_initial(grid, ic)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWorkspaceStep:
+    """step and nonlinear_term work in grid.workspace and equal the
+    expression form with temporaries bit for bit."""
+
+    STEPS = 30
+
+    def march(self, grid, u, steps=STEPS):
+        ref = u
+        for _ in range(steps):
+            u, ref = step(grid, u), step_reference(grid, ref)
+            assert same_bits(u, ref)
+        return u
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_random_band_bitwise(self, n):
+        grid, u = full_band(n)
+        assert same_bits(nonlinear_term(grid, u), nonlinear_reference(grid, u))
+        self.march(grid, u)
+
+    def test_taylor_green_bitwise(self, grid):
+        self.march(grid, make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.5)))
+
+    def test_two_grids_interleaved(self):
+        """Steps alternating between grids of different n share no buffer."""
+        (ga, ua), (gb, ub) = full_band(16, seed=3), full_band(24, seed=4)
+        ra, rb = ua, ub
+        for _ in range(self.STEPS):
+            ua, ub = step(ga, ua), step(gb, ub)
+            ra, rb = step_reference(ga, ra), step_reference(gb, rb)
+            assert same_bits(ua, ra) and same_bits(ub, rb)
+        assert ga.workspace is not gb.workspace
+
+    def test_input_unchanged_and_results_independent(self, grid):
+        """step leaves its input alone; a returned array is the caller's, so
+        neither a later step nor editing it changes the other."""
+        u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        u_before = u.copy()
+        first = step(grid, u)
+        assert same_bits(u, u_before)
+        kept = first.copy()
+        step(grid, first)
+        assert same_bits(first, kept)
+        first[...] = np.nan
+        assert same_bits(step(grid, u), kept)
+
+    def test_nonlinear_term_out(self, grid):
+        u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        out = np.empty_like(u)
+        assert nonlinear_term(grid, u, out=out) is out
+        assert same_bits(out, nonlinear_reference(grid, u))
+
+    def test_step_allocates_only_its_result(self):
+        """After a warm-up step the workspace exists and one step's traced
+        allocation peak is its result (step_reference peaks at 11 times
+        u_hat.nbytes)."""
+        grid, u = full_band(24)
+        step(grid, u)
+        tracemalloc.start()
+        try:
+            step(grid, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * u.nbytes
 
 
 class TestBlowUp:
@@ -267,3 +374,21 @@ class TestBlowUp:
         assert err.time == pytest.approx(err.step * grid.dt)
         assert len(err.partial) >= 1
         assert err.partial.times[0] == 0.0
+
+    def test_blow_up_partial_matches_reference(self):
+        """The salvaged snapshots are finite and bitwise equal to the
+        states of the expression-form step up to the failure."""
+        grid = Grid(n=16, nu=1e-8, dt=0.05, t_end=1.0, snapshot_stride=1)
+        u0 = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150))
+        with pytest.raises(BlowUpError) as excinfo:
+            simulate(grid, u0)
+        partial = excinfo.value.partial
+        ref = [dealias(grid, u0).astype(np.complex128)]
+        ref[0][..., 0, 0, 0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            while np.all(np.isfinite(nxt := step_reference(grid, ref[-1]))):
+                ref.append(nxt)
+        assert excinfo.value.step == len(ref) == len(partial)
+        assert np.all(np.isfinite(partial.u_hats))
+        for got, want in zip(partial.u_hats, ref):
+            assert same_bits(got, want)
