@@ -156,9 +156,9 @@ def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
 
 
 def enstrophy_integral(grid, times, v_hats):
-    """int_0^T ||grad v||^2 dt by trapezoid quadrature on the snapshot grid."""
+    """int_0^T ||grad v||^2 dt by trapezoid quadrature over an iterable of snapshots."""
     tw = trapezoid_weights(times)
-    return float(sum(tw[i] * gradient_norm_sq(grid, v_hats[i]) for i in range(len(times))))
+    return float(sum(w * gradient_norm_sq(grid, v) for w, v in zip(tw, v_hats, strict=True)))
 
 
 def k_functional(flux, v_hats):
@@ -216,10 +216,6 @@ def _flat_inner(grid, a, b):
     return VOLUME * float(np.sum(grid.parseval_w * (a.real * b.real + a.imag * b.imag)))
 
 
-def _weighted_quadratic(grid, tw5, weight, v):
-    return VOLUME * float(np.sum(tw5 * grid.parseval_w * weight * (v.real**2 + v.imag**2)))
-
-
 def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
     """Projected gradient descent on the spectral coefficients.
 
@@ -260,20 +256,17 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
             np.sum(tw5 * grid.parseval_w * k_sq * (x.real * y.real + x.imag * y.imag))
         )
 
-    def constraint(v):
-        return _weighted_quadratic(grid, tw5, k_sq, v)
-
     def objective(v):
-        return 0.5 * constraint(v) + _flat_inner(grid, tw5 * rhs, v)
+        return 0.5 * a_inner(v, v) + _flat_inner(grid, tw5 * rhs, v)
 
     def project(v):
-        c = constraint(v)
+        c = a_inner(v, v)
         if c > radius_sq:
             return v * np.sqrt(radius_sq / c), radius_sq
         return v, c
 
-    def projected_gradient(v, c):
-        g = v + bk
+    def projected_gradient(g, v, c):
+        """The gradient g = v + bk projected on the ball's tangent space at v."""
         if abs(c - radius_sq) <= 1e-9 * radius_sq and c > 0.0:
             # Constraint gradient in the same metric is 2v with norm^2 = 4c.
             mu = max(0.0, -a_inner(g, 2.0 * v) / (4.0 * c))
@@ -282,8 +275,9 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
 
     ref_grad = np.sqrt(a_inner(bk, bk))
     rng = np.random.default_rng(seed)
-    results = []
+    results = []  # (objective, v, constraint) per start
     total_iters = 0
+    converged_all = True
     for start in range(max(1, int(starts))):
         if start == 0:
             v = np.zeros((n_snap, 3) + grid.spectral_shape, dtype=complex)
@@ -292,22 +286,21 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
             for i in range(n_snap):
                 noise = rng.standard_normal((3,) + grid.shape)
                 v[i] = leray_project(grid, dealias(grid, grid.forward(noise)))
-            c0 = constraint(v)
+            c0 = a_inner(v, v)
             if c0 > 0.0:
                 v *= np.sqrt(0.5 * radius_sq / c0)
         v, c = project(v)
         alpha = 1.0
         converged = False
-        pg_norm = np.inf
         it = 0
         while it < iters:
             it += 1
-            pg, _ = projected_gradient(v, c)
+            g = v + bk
+            pg, _ = projected_gradient(g, v, c)
             pg_norm = np.sqrt(a_inner(pg, pg))
             if pg_norm <= tol * ref_grad or (ref_grad == 0.0 and pg_norm <= tol):
                 converged = True
                 break
-            g = v + bk
             accepted = False
             while alpha > 1e-18:
                 v_new, c_new = project(v - alpha * g)
@@ -322,16 +315,17 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
             if not accepted:
                 break  # step size exhausted; report the point reached
         total_iters += it
-        results.append((objective(v), v, c, pg_norm, converged))
+        converged_all = converged_all and converged
+        results.append((objective(v), v, c))
 
     results.sort(key=lambda r: r[0])
-    f_best, v_best, c_best, pg_best, conv_best = results[0]
+    f_best, v_best, c_best = results[0]
     spread = 0.0
-    for _, v_other, _, _, _ in results[1:]:
+    for _, v_other, _ in results[1:]:
         d = enstrophy_integral(grid, times, v_best - v_other)
         spread = max(spread, d)
     spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
-    pg, mu = projected_gradient(v_best, c_best)
+    pg, mu = projected_gradient(v_best + bk, v_best, c_best)
     active = abs(c_best - radius_sq) <= ACTIVITY_RTOL * radius_sq
     lam = -mu if active else 0.0
     return MinimizerSolution(
@@ -347,16 +341,16 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
         iterations=total_iters,
         grad_norm=np.sqrt(a_inner(pg, pg)),
         grad_norm_ref=ref_grad,
-        converged=all(r[4] for r in results),
+        converged=converged_all,
         start_spread=spread / spread_ref,
     )
 
 
 def solution_gap(grid, times, sol_a, sol_b):
     """Relative disagreement int ||grad(v_a - v_b)||^2 dt / max enstrophy."""
-    d = enstrophy_integral(grid, times, sol_a.v_hats - sol_b.v_hats)
-    ref = max(sol_a.enstrophy_used, sol_b.enstrophy_used, 1e-300)
-    return d / ref
+    diff = (a - b for a, b in zip(sol_a.v_hats, sol_b.v_hats, strict=True))
+    d = enstrophy_integral(grid, times, diff)
+    return d / max(sol_a.enstrophy_used, sol_b.enstrophy_used, 1e-300)
 
 
 def kkt_report(solution):

@@ -252,52 +252,57 @@ class Trajectory:
 def simulate(grid, u0_hat):
     """March the flow to grid.t_end, recording every snapshot_stride-th state.
 
-    The initial state and the final state are always recorded.  Raises
-    BlowUpError (with the failure time) on NaN or overflow.
+    The initial state and the final state are always recorded.  The snapshot
+    stack and the step ledger are allocated once, and the result and
+    BlowUpError.partial are views of them.  Raises BlowUpError (with the
+    failure time) on NaN or overflow.  grid.workspace is dropped on return.
     """
     if spectral.divergence_max(grid, u0_hat) > 1e-8:
         raise GridError("initial velocity is not divergence-free")
     u = spectral.dealias(grid, u0_hat).astype(np.complex128)
     u[..., 0, 0, 0] = 0.0
 
-    def energy(v):
-        return 0.5 * spectral.norm_sq(grid, v)
+    recorded = np.array([*range(0, grid.steps, grid.snapshot_stride), grid.steps])
+    u_hats = np.empty((recorded.size,) + u.shape, dtype=np.complex128)
+    # 0.5 ||u||^2 and the cumulative nu int_0^t ||grad u||^2 after each step
+    step_energies, dissipation = np.empty((2, grid.steps + 1))
+    w, wk = grid.parseval_w, grid.parseval_w * grid.k_sq
+    axes = (-3, -2, -1)
 
-    times = [0.0]
-    snaps = [u]  # step returns fresh arrays, so no snapshot is overwritten
-    energies = [energy(u)]
-    dissipation = [0.0]
-    step_energies = [energies[0]]
-    diss = 0.0
-    gsq_prev = spectral.gradient_norm_sq(grid, u)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for s in range(1, grid.steps + 1):
-            u = step(grid, u)
-            if not np.all(np.isfinite(u)):
-                err = BlowUpError(s * grid.dt, s)
-                err.partial = Trajectory(
-                    grid=grid,
-                    times=np.asarray(times),
-                    u_hats=np.asarray(snaps),
-                    energies=np.asarray(energies),
-                    dissipation=np.asarray(dissipation),
-                    step_energies=np.asarray(step_energies),
-                )
-                raise err
-            gsq = spectral.gradient_norm_sq(grid, u)
-            diss += 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
-            gsq_prev = gsq
-            step_energies.append(energy(u))
-            if s % grid.snapshot_stride == 0 or s == grid.steps:
-                times.append(s * grid.dt)
-                snaps.append(u)
-                energies.append(step_energies[-1])
-                dissipation.append(diss)
-    return Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        u_hats=np.asarray(snaps),
-        energies=np.asarray(energies),
-        dissipation=np.asarray(dissipation),
-        step_energies=np.asarray(step_energies),
-    )
+    def ledger(s, v):  # 0.5 norm_sq(v) into step_energies[s]; gradient_norm_sq(v)
+        sq = v.real**2 + v.imag**2  # the |v|^2 both sums take, as spectral's do
+        step_energies[s] = 0.5 * (spectral.VOLUME * float(np.sum(np.sum(w * sq, axis=axes))))
+        return spectral.VOLUME * float(np.sum(np.sum(wk * sq, axis=axes)))
+
+    def trajectory(snaps, last):  # the first `snaps` snapshots, the ledger of steps 0..last
+        at = recorded[:snaps]
+        return Trajectory(
+            grid=grid,
+            times=at * grid.dt,
+            u_hats=u_hats[:snaps],
+            energies=step_energies[at],
+            dissipation=dissipation[at],
+            step_energies=step_energies[: last + 1],
+        )
+
+    u_hats[0] = u
+    snaps = 1
+    dissipation[0] = 0.0
+    gsq_prev = ledger(0, u)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for s in range(1, grid.steps + 1):
+                u = step(grid, u)
+                if not np.all(np.isfinite(u)):
+                    err = BlowUpError(s * grid.dt, s)
+                    err.partial = trajectory(snaps, s - 1)
+                    raise err
+                gsq = ledger(s, u)
+                dissipation[s] = dissipation[s - 1] + 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
+                gsq_prev = gsq
+                if s == recorded[snaps]:
+                    u_hats[snaps] = u
+                    snaps += 1
+    finally:
+        grid.__dict__.pop("workspace", None)
+    return trajectory(snaps, grid.steps)

@@ -131,18 +131,17 @@ class Grid:
     def inverse(self, field_hat, out=None, overwrite_input=False):
         """Spectral coefficients (..., n, n, nh) -> real field(s) (..., n, n, n).
 
-        Given `out`, the last pass writes there.  With overwrite_input the two
-        complex passes of irfftn (ifft of axis -3, then of axis -2) run in
-        place in `field_hat`, which is left holding their result; the output
-        is bitwise that of irfftn either way.
+        Runs irfftn's passes itself: ifft of axis -3, then of axis -2 in
+        place in the first pass's result, then irfft into `out` (a fresh
+        array when None).  With overwrite_input the first pass also runs in
+        place, in `field_hat`, which is left holding the two complex passes'
+        result.  The output is bitwise that of irfftn either way.
         """
-        if not overwrite_input:
-            return np.fft.irfftn(
-                field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward", out=out
-            )
-        for axis in (-3, -2):
-            np.fft.ifft(field_hat, self.n, axis=axis, norm="forward", out=field_hat)
-        return np.fft.irfft(field_hat, self.n, axis=-1, norm="forward", out=out)
+        work = np.fft.ifft(
+            field_hat, self.n, axis=-3, norm="forward", out=field_hat if overwrite_input else None
+        )
+        np.fft.ifft(work, self.n, axis=-2, norm="forward", out=work)
+        return np.fft.irfft(work, self.n, axis=-1, norm="forward", out=out)
 
     @cached_property
     def dealiased_leray(self):
@@ -163,7 +162,8 @@ class Grid:
     @cached_property
     def workspace(self):
         """Scratch arrays of solver.step and solver.nonlinear_term, built on the
-        first step and reused by every later one; see StepWorkspace."""
+        first step and reused by every later one until solver.simulate drops
+        them on return; see StepWorkspace."""
         return StepWorkspace(self)
 
     def __repr__(self):

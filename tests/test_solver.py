@@ -10,6 +10,8 @@ Validates:
 - the workspace step against the allocating expression form, bit for bit,
   and its allocation peak
 - blow-up detection with partial-trajectory salvage
+- simulate's one preallocated record against the list-and-stack loop, bit
+  for bit, its allocation peak and the workspace's lifetime
 """
 
 import tracemalloc
@@ -35,6 +37,7 @@ from nslab.spectral import (
     dealias,
     divergence_max,
     gradient,
+    gradient_norm_sq,
     hermitian_defect,
     inner_product,
     leray_project,
@@ -392,3 +395,104 @@ class TestBlowUp:
         assert np.all(np.isfinite(partial.u_hats))
         for got, want in zip(partial.u_hats, ref):
             assert same_bits(got, want)
+
+
+def simulate_reference(grid, u0_hat):
+    """simulate as five growing lists stacked at the end, with norm_sq and
+    gradient_norm_sq taken apart: the bitwise reference for simulate's record."""
+    u = dealias(grid, u0_hat).astype(np.complex128)
+    u[..., 0, 0, 0] = 0.0
+
+    def energy(v):
+        return 0.5 * norm_sq(grid, v)
+
+    times, snaps, energies, dissipation = [0.0], [u], [energy(u)], [0.0]
+    step_energies = [energies[0]]
+    diss = 0.0
+    gsq_prev = gradient_norm_sq(grid, u)
+
+    def record():
+        return Trajectory(
+            grid=grid,
+            times=np.asarray(times),
+            u_hats=np.asarray(snaps),
+            energies=np.asarray(energies),
+            dissipation=np.asarray(dissipation),
+            step_energies=np.asarray(step_energies),
+        )
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for s in range(1, grid.steps + 1):
+            u = step(grid, u)
+            if not np.all(np.isfinite(u)):
+                err = BlowUpError(s * grid.dt, s)
+                err.partial = record()
+                raise err
+            gsq = gradient_norm_sq(grid, u)
+            diss += 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
+            gsq_prev = gsq
+            step_energies.append(energy(u))
+            if s % grid.snapshot_stride == 0 or s == grid.steps:
+                times.append(s * grid.dt)
+                snaps.append(u)
+                energies.append(step_energies[-1])
+                dissipation.append(diss)
+    return record()
+
+
+RECORD_FIELDS = ("times", "u_hats", "energies", "dissipation", "step_energies")
+
+
+def same_record(got, want):
+    return all(same_bits(getattr(got, f), getattr(want, f)) for f in RECORD_FIELDS)
+
+
+class TestRecordOnce:
+    """simulate allocates its snapshot stack and step ledger once and
+    returns, or salvages, views of them."""
+
+    @pytest.mark.parametrize("stride, snaps", [(4, 6), (3, 8)])  # 4 divides 20 steps, 3 does not
+    def test_matches_list_and_stack_bitwise(self, stride, snaps):
+        grid = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.1, snapshot_stride=stride)
+        u0 = make_initial(
+            grid,
+            InitialCondition(kind="random_band", amplitude=1.0, seed=5, slope=-1.0, k_min=1, k_max=5),
+        )
+        traj = simulate(grid, u0)
+        assert len(traj) == snaps
+        assert same_record(traj, simulate_reference(grid, u0))
+
+    def test_blow_up_step_and_partial_unchanged(self):
+        grid = Grid(n=16, nu=1e-8, dt=0.05, t_end=1.0, snapshot_stride=1)
+        u0 = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150))
+        with pytest.raises(BlowUpError) as got:
+            simulate(grid, u0)
+        with pytest.raises(BlowUpError) as want:
+            simulate_reference(grid, u0)
+        assert got.value.step == want.value.step
+        assert got.value.time == want.value.time
+        assert same_record(got.value.partial, want.value.partial)
+
+    def test_peak_holds_one_trajectory(self):
+        """Stride 1 over 23 steps: 24 snapshots.  The list-and-stack loop
+        peaks near (2 S + 13) u_hat.nbytes, since the list and its stack
+        coexist; the preallocated stack holds one copy."""
+        grid = Grid(n=16, nu=0.05, dt=2e-3, t_end=0.046, snapshot_stride=1)
+        u0 = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        tracemalloc.start()
+        try:
+            traj = simulate(grid, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 24
+        assert peak < (len(traj) + 20) * u0.nbytes
+
+    def test_workspace_dropped_on_return_and_raise(self):
+        grid = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.02, snapshot_stride=2)
+        simulate(grid, make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3)))
+        assert "workspace" not in grid.__dict__
+        grid = Grid(n=16, nu=1e-8, dt=0.05, t_end=1.0, snapshot_stride=1)
+        with pytest.raises(BlowUpError):
+            simulate(grid, make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150)))
+        assert "workspace" not in grid.__dict__

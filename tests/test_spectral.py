@@ -127,6 +127,21 @@ class TestTransforms:
         assert v_hat.shape == (3,) + grid.spectral_shape
         assert np.abs(grid.inverse(v_hat) - v).max() < 1e-13
 
+    @pytest.mark.parametrize("lead", [(1,), (3,), (6,), (3, 3)])
+    def test_inverse_is_irfftn_bitwise(self, grid, lead):
+        """Grid.inverse runs irfftn's passes itself: the same bits with and
+        without out=, and it leaves its input unchanged."""
+        rng = np.random.default_rng(sum(lead))
+        f_hat = grid.forward(rng.standard_normal(lead + grid.shape))
+        before = f_hat.copy()
+        want = np.fft.irfftn(f_hat, s=grid.shape, axes=(-3, -2, -1), norm="forward")
+        out = np.empty_like(want)
+        assert grid.inverse(f_hat, out=out) is out
+        for got in (grid.inverse(f_hat), out):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert f_hat.tobytes() == before.tobytes()
+
 
 class TestDifferentialOperators:
     """Operators against hand derivatives and exact vector identities."""
