@@ -3,9 +3,11 @@
 Every ledger file starts with the schema line `# nslab csv schema 1`, then a
 mandatory header row, then data rows with floats printed at 17 significant
 digits (lossless for f64).  Readers reject unknown schema versions.  Columns
-are fixed tuples so reruns are byte-identical.  Every artifact, the .nsel
-snapshot directories included, is written through atomic_path, so a write
-that fails midway leaves the previous file or directory in place.
+are fixed tuples so reruns are byte-identical; the time and width readers
+reject any other header, so stages read every column by name.  Every
+artifact, the .nsel snapshot directories included, is written through
+atomic_path, so a write that fails midway leaves the previous file or
+directory in place.
 """
 
 from __future__ import annotations
@@ -144,7 +146,11 @@ def read_ledger(path):
 
     Undecodable bytes become U+FFFD, which the schema and number checks reject.
     """
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
+    except FileNotFoundError:
+        raise LedgerError(f"{path}: missing") from None
+    with fh:
         schema = fh.readline().rstrip("\n")
         if schema != SCHEMA_LINE:
             raise LedgerError(f"{path}: unknown ledger schema {schema!r}")
@@ -171,6 +177,18 @@ def write_time_ledger(path, times, energies, dissipation, residuals):
     write_ledger(path, TIME_COLUMNS, rows)
 
 
+def read_time_ledger(path):
+    """The time ledger as {column: 1-D array} in TIME_COLUMNS order; every
+    cell must be finite."""
+    data = _read_columns(path, "time", TIME_COLUMNS)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        value = float(data[row, col])
+        raise LedgerError(f"{path}: non-finite {TIME_COLUMNS[col]} {value} in row {row}")
+    return {name: data[:, j] for j, name in enumerate(TIME_COLUMNS)}
+
+
 def write_width_ledger(path, row_dicts):
     """row_dicts: one mapping per width; missing keys become NaN."""
     rows = [[d.get(c, float("nan")) for c in WIDTH_COLUMNS] for d in row_dicts]
@@ -178,7 +196,12 @@ def write_width_ledger(path, row_dicts):
 
 
 def read_width_ledger(path):
+    """The width ledger as one {column: value} row per width."""
+    return [dict(zip(WIDTH_COLUMNS, row)) for row in _read_columns(path, "width", WIDTH_COLUMNS)]
+
+
+def _read_columns(path, kind, expected):
     columns, data = read_ledger(path)
-    if columns != WIDTH_COLUMNS:
-        raise LedgerError(f"{path}: unexpected width-ledger columns {columns}")
-    return [dict(zip(columns, row)) for row in data]
+    if columns != expected:
+        raise LedgerError(f"{path}: unexpected {kind}-ledger columns {columns}")
+    return data

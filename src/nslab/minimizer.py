@@ -6,7 +6,7 @@ the quadratic functional
     K(v) = int_0^T ( 1/2 ||grad v||^2 - <J, grad v> ) dt
 
 minimized over divergence-free zero-mean v(t) subject to the enstrophy-ball
-constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
+constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two solvers:
 
 * solve_mp: the closed form.  Snapshot-wise Poisson solves lap(w) = P div J
   give the unconstrained minimizer w; if its enstrophy integral W exceeds
@@ -16,9 +16,10 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two independent solvers:
 
 * oracle_mp: projected gradient descent in the constraint metric with ball
   projection by rescaling, Armijo backtracking, and multiple seeded starts.
-  It reaches the minimizer iteratively from arbitrary starting points rather
-  than by formula, so agreement with solve_mp is a genuine cross-check and
-  the two paths are never merged.
+  In that metric the first unit step from any start lands on the closed
+  form, so the oracle certifies rather than rediscovers it: a vanishing
+  projected gradient of the strictly convex reduced objective there, and a
+  k_value from b alone that matches the one solve_mp takes from J.
 
 audit_widths is the entry point for a trajectory.  It reduces the pairs of
 filtering.filtered_pairs (the pair loop is described there), adding grad u
@@ -322,8 +323,8 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
     f_best, v_best, c_best = results[0]
     spread = 0.0
     for _, v_other, _ in results[1:]:
-        d = enstrophy_integral(grid, times, v_best - v_other)
-        spread = max(spread, d)
+        diff = (v_best[i] - v_other[i] for i in range(n_snap))
+        spread = max(spread, enstrophy_integral(grid, times, diff))
     spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
     pg, mu = projected_gradient(v_best + bk, v_best, c_best)
     active = abs(c_best - radius_sq) <= ACTIVITY_RTOL * radius_sq

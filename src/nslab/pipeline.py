@@ -29,7 +29,7 @@ from .ledger import (
     LedgerError,
     atomic_open,
     pid_alive,
-    read_ledger,
+    read_time_ledger,
     read_width_ledger,
     write_time_ledger,
     write_width_ledger,
@@ -40,6 +40,21 @@ from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 LOCK_NAME = ".lock"
 STAGES = ("simulate", "analyze", "minimize", "report")
+
+# minimizer/solution.json: this subset of the finest width's minimize record.
+SOLUTION_KEYS = ("delta", "lambda", "one_minus_two_lambda", "enstrophy_used", "radius_sq",
+                 "k_value", "constraint_active")
+# minimize.json's weak_convergence: these ConvergenceReport fields.
+WEAK_KEYS = ("deltas", "a", "b", "order_a", "order_b", "monotone_a", "monotone_b", "a_at_floor",
+             "b_at_floor", "enstrophy", "final_a_normalized", "grad_u_norm", "basket_norms")
+# Width-ledger columns that minimize copies from each width's record, and
+# the limit_<key> columns it copies from each stress-limit row.
+RECORD_COLUMNS = ("lambda", "one_minus_two_lambda", "enstrophy_used", "k_value",
+                  "energy_drop_residual")
+LIMIT_KEYS = ("stress_vstar", "stress_gradu", "gradu_gradv", "dual_proxy")
+# report/widths.dat: these width-ledger columns.
+WIDTHS_DAT_COLUMNS = ("delta", "resolved_residual", "stress_norm", "defect_structure",
+                      "defect_stress", "basket_max_a", "basket_max_b")
 
 
 class PipelineError(RuntimeError):
@@ -131,12 +146,28 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise LedgerError(f"{path}: invalid JSON ({exc})") from None
+def _read_json(path, *keys):
+    """A JSON record; with `keys`, an object that must hold each of them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        raise LedgerError(f"{path}: missing") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise LedgerError(f"{path}: invalid JSON ({exc})") from None
+    for key in keys:
+        if not isinstance(record, dict) or key not in record:
+            raise LedgerError(f"{path}: missing key {key!r}")
+    return record
+
+
+def _read_width_rows(path, schedule):
+    """The width ledger's rows, whose delta column must be `schedule` in order."""
+    rows = read_width_ledger(path)
+    deltas = [float(row["delta"]) for row in rows]
+    if deltas != list(schedule):
+        raise LedgerError(f"{path}: delta column {deltas} is not the schedule {list(schedule)}")
+    return rows
 
 
 def _load_state(paths):
@@ -246,30 +277,25 @@ def cmd_simulate(config_path, output_root=None):
 def load_run(run_dir):
     """Rebuild (config, grid, trajectory) from a run directory.
 
-    The snapshots are checked by snapshots.read_series; every cell of the
-    time ledger must be finite, and the ledger's times those of the snapshots.
+    The snapshots are checked by snapshots.read_series and the time ledger
+    by ledger.read_time_ledger; the ledger's times must be the snapshots'.
     """
     paths = RunPaths(run_dir)
     _require_run_dir(paths)
     cfg = load_config(paths.config)
     grid = cfg.make_grid()
     times, u_hats = snap_mod.read_series(paths.snapshots, grid)
-    columns, data = read_ledger(paths.time_ledger)
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise LedgerError(
-            f"{paths.time_ledger}: non-finite {columns[col]} {float(data[row, col])} in row {row}"
-        )
-    if data.shape[0] != len(times) or not np.all(np.abs(data[:, 0] - times) <= 1e-12):
-        detail = f"{columns[0]} column: {data.shape[0]} rows, {len(times)} snapshots"
+    ledger = read_time_ledger(paths.time_ledger)
+    t = ledger["t"]
+    if len(t) != len(times) or not np.all(np.abs(t - times) <= 1e-12):
+        detail = f"t column: {len(t)} rows, {len(times)} snapshots"
         raise LedgerError(f"{paths.time_ledger}: disagrees with the snapshots ({detail})")
     traj = Trajectory(
         grid=grid,
         times=times,
         u_hats=u_hats,
-        energies=data[:, 1],
-        dissipation=data[:, 2],
+        energies=ledger["energy"],
+        dissipation=ledger["cumulative_dissipation"],
     )
     return cfg, grid, traj
 
@@ -280,41 +306,42 @@ def cmd_analyze(run_dir):
         cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
         balances, defect = analyze_widths(traj, schedule)
-        rows = []
-        balance_rows = []
-        for rep, structure, stress in zip(balances, defect.structure, defect.stress):
-            balance_rows.append(
-                {
-                    "delta": rep.delta,
-                    "resolved_lhs": rep.energy_drop,
-                    "resolved_viscous": rep.viscous,
-                    "resolved_flux": rep.stress_flux,
-                    "resolved_residual": rep.residual,
-                    "stress_norm": rep.stress_norm,
-                }
-            )
-            rows.append(dict(balance_rows[-1], defect_structure=structure, defect_stress=stress))
-        defect_summary = {
-            "deltas": list(defect.deltas),
-            "structure": list(defect.structure),
-            "stress": list(defect.stress),
-            "structure_order": defect.structure_fit.order,
-            "structure_limit": defect.structure_fit.limit,
-            "stress_order": defect.stress_fit.order,
-            "stress_limit": defect.stress_fit.limit,
-            "gap_rel": defect.gap_rel,
-            "gap_dissipation": defect.gap_dissipation,
-            "dissipation_scale": defect.dissipation_scale,
-        }
-
-        write_width_ledger(paths.width_ledger, rows)
+        balance_rows = [
+            {
+                "delta": rep.delta,
+                "resolved_lhs": rep.energy_drop,
+                "resolved_viscous": rep.viscous,
+                "resolved_flux": rep.stress_flux,
+                "resolved_residual": rep.residual,
+                "stress_norm": rep.stress_norm,
+            }
+            for rep in balances
+        ]
+        write_width_ledger(
+            paths.width_ledger,
+            [
+                dict(row, defect_structure=structure, defect_stress=stress)
+                for row, structure, stress in zip(balance_rows, defect.structure, defect.stress)
+            ],
+        )
         analysis = {
             "schedule": list(schedule),
             "initial_energy": traj.initial_energy,
             "total_dissipation": float(traj.dissipation[-1]),
             "global_residual_max": float(np.max(traj.global_energy_residuals())),
             "balance": balance_rows,
-            "defect": defect_summary,
+            "defect": {
+                "deltas": list(defect.deltas),
+                "structure": list(defect.structure),
+                "stress": list(defect.stress),
+                "structure_order": defect.structure_fit.order,
+                "structure_limit": defect.structure_fit.limit,
+                "stress_order": defect.stress_fit.order,
+                "stress_limit": defect.stress_fit.limit,
+                "gap_rel": defect.gap_rel,
+                "gap_dissipation": defect.gap_dissipation,
+                "dissipation_scale": defect.dissipation_scale,
+            },
         }
         _write_json(paths.analysis, analysis)
     return run_dir
@@ -325,6 +352,7 @@ def cmd_minimize(run_dir, oracle=False):
     with _stage(run_dir, "minimize") as paths:
         cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
+        ledger_rows = _read_width_rows(paths.width_ledger, schedule)
         basket = cfg.make_basket(grid)
         radius_sq = cfg.minimizer["radius_override"]
         if radius_sq is None:
@@ -377,90 +405,55 @@ def cmd_minimize(run_dir, oracle=False):
         snap_mod.write_series(
             paths.minimizer_dir, grid, traj.times, (audit.v_star(i) for i in range(len(traj)))
         )
-        sidecar = {
-            "delta": schedule[-1],
-            "lambda": audit.solution.lam,
-            "one_minus_two_lambda": audit.solution.one_minus_two_lambda,
-            "enstrophy_used": audit.solution.enstrophy_used,
-            "radius_sq": audit.solution.radius_sq,
-            "k_value": audit.solution.k_value,
-            "constraint_active": audit.solution.constraint_active,
-        }
+        sidecar = {key: records[-1][key] for key in SOLUTION_KEYS}
         _write_json(os.path.join(paths.minimizer_dir, "solution.json"), sidecar)
 
         minimize = {
             "radius_sq": radius_sq,
             "records": records,
-            "weak_convergence": {
-                "deltas": list(weak.deltas),
-                "a": weak.a.tolist(),
-                "b": weak.b.tolist(),
-                "order_a": weak.order_a.tolist(),
-                "order_b": weak.order_b.tolist(),
-                "monotone_a": weak.monotone_a,
-                "monotone_b": weak.monotone_b,
-                "a_at_floor": weak.a_at_floor,
-                "b_at_floor": weak.b_at_floor,
-                "enstrophy": list(weak.enstrophy),
-                "final_a_normalized": weak.final_a_normalized,
-                "grad_u_norm": weak.grad_u_norm,
-                "basket_norms": weak.basket_norms.tolist(),
-            },
+            "weak_convergence": {key: np.asarray(getattr(weak, key)).tolist() for key in WEAK_KEYS},
             "stress_limit": audit.stress_limit,
             "oracle": oracle_record,
         }
         _write_json(paths.minimize, minimize)
 
         # Fold the minimizer quantities into the width ledger.
-        rows = read_width_ledger(paths.width_ledger)
-        by_delta = {row["delta"]: row for row in rows}
         max_a = np.max(np.abs(weak.a), axis=1)
         max_b = np.max(np.abs(weak.b), axis=1)
-        for w, rec in enumerate(records):
-            row = by_delta[rec["delta"]]
-            row["lambda"] = rec["lambda"]
-            row["one_minus_two_lambda"] = rec["one_minus_two_lambda"]
-            row["enstrophy_used"] = rec["enstrophy_used"]
-            row["k_value"] = rec["k_value"]
-            row["basket_max_a"] = float(max_a[w])
-            row["basket_max_b"] = float(max_b[w])
+        for row, rec, a, b, limit in zip(
+            ledger_rows, records, max_a, max_b, audit.stress_limit["rows"], strict=True
+        ):
+            row.update({column: rec[column] for column in RECORD_COLUMNS})
+            row.update({f"limit_{key}": limit[key] for key in LIMIT_KEYS})
+            row["basket_max_a"], row["basket_max_b"] = a, b
             row["boussinesq_el_residual"] = rec["boussinesq_el_max"]
-            row["energy_drop_residual"] = rec["energy_drop_residual"]
-        for limit_row in audit.stress_limit["rows"]:
-            row = by_delta[limit_row["delta"]]
-            row["limit_stress_vstar"] = limit_row["stress_vstar"]
-            row["limit_stress_gradu"] = limit_row["stress_gradu"]
-            row["limit_gradu_gradv"] = limit_row["gradu_gradv"]
-            row["limit_dual_proxy"] = limit_row["dual_proxy"]
-        write_width_ledger(paths.width_ledger, rows)
+        write_width_ledger(paths.width_ledger, ledger_rows)
     return run_dir
 
 
 def cmd_report(run_dir):
     """Condense a completed run into summary + plot-ready files."""
     with _stage(run_dir, "report") as paths:
-        analysis = _read_json(paths.analysis)
-        minimize = _read_json(paths.minimize)
-        _, time_data = read_ledger(paths.time_ledger)
-        width_rows = read_width_ledger(paths.width_ledger)
+        analysis = _read_json(paths.analysis, "schedule", "initial_energy", "total_dissipation",
+                              "global_residual_max", "balance", "defect")
+        minimize = _read_json(paths.minimize, "records", "weak_convergence", "stress_limit",
+                              "oracle", "radius_sq")
+        time_ledger = read_time_ledger(paths.time_ledger)
+        deltas = analysis["schedule"]
+        width_rows = _read_width_rows(paths.width_ledger, deltas)
 
         e0 = analysis["initial_energy"]
-        deltas = analysis["schedule"]
         stress_norms = [row["stress_norm"] for row in analysis["balance"]]
         weak = minimize["weak_convergence"]
         defect = analysis["defect"]
+        resolved_max = max(row["resolved_residual"] for row in analysis["balance"])
 
         summary = {
             "initial_energy": e0,
             "total_dissipation": analysis["total_dissipation"],
             "global_residual_max_rel": analysis["global_residual_max"] / e0 if e0 else 0.0,
             "schedule": deltas,
-            "resolved_residual_max_rel": max(
-                row["resolved_residual"] for row in analysis["balance"]
-            )
-            / e0
-            if e0
-            else 0.0,
+            "resolved_residual_max_rel": resolved_max / e0 if e0 else 0.0,
             "orders": {
                 "stress_norm": _fit_order(deltas, stress_norms),
                 "defect_structure": defect["structure_order"],
@@ -478,71 +471,40 @@ def cmd_report(run_dir):
         os.makedirs(paths.report_dir, exist_ok=True)
         _write_json(os.path.join(paths.report_dir, "summary.json"), summary)
 
-        lines = []
-        lines.append(f"run: {os.path.basename(os.path.abspath(run_dir))}")
-        lines.append(f"initial energy            {e0:.6e}")
-        lines.append(f"total viscous dissipation {analysis['total_dissipation']:.6e}")
-        lines.append(
-            f"global equality residual  {summary['global_residual_max_rel']:.3e} (rel)"
-        )
-        lines.append("")
-        lines.append(
-            "delta      resolved_resid  lambda        1-2lambda  max|a|      max|b|"
-        )
+        lines = [
+            f"run: {os.path.basename(os.path.abspath(run_dir))}",
+            f"initial energy            {e0:.6e}",
+            f"total viscous dissipation {analysis['total_dissipation']:.6e}",
+            f"global equality residual  {summary['global_residual_max_rel']:.3e} (rel)",
+            "",
+            "delta      resolved_resid  lambda        1-2lambda  max|a|      max|b|",
+        ]
         for row in width_rows:
             lines.append(
                 f"{row['delta']:<10.6g} {row['resolved_residual']:<15.3e} "
                 f"{row['lambda']:<13.4e} {row['one_minus_two_lambda']:<10.6g} "
                 f"{row['basket_max_a']:<11.3e} {row['basket_max_b']:<11.3e}"
             )
-        lines.append("")
-        lines.append(
+        lines += [
+            "",
             f"orders: stress {summary['orders']['stress_norm']:.3f}  "
             f"defect_struct {defect['structure_order']:.3f}  "
-            f"defect_stress {defect['stress_order']:.3f}"
-        )
-        lines.append(
+            f"defect_stress {defect['stress_order']:.3f}",
             f"weak convergence: monotone_a={weak['monotone_a']} "
-            f"monotone_b={weak['monotone_b']} final_a_normalized={weak['final_a_normalized']:.3e}"
-        )
+            f"monotone_b={weak['monotone_b']} final_a_normalized={weak['final_a_normalized']:.3e}",
+        ]
         with atomic_open(os.path.join(paths.report_dir, "summary.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
 
-        def write_dat(name, header_cols, rows):
+        def write_dat(name, columns):
+            """A plot file: a comment header naming the columns, then the rows."""
             with atomic_open(os.path.join(paths.report_dir, name)) as fh:
-                fh.write("# " + "  ".join(header_cols) + "\n")
-                for r in rows:
-                    fh.write("  ".join(f"{v:.17g}" for v in r) + "\n")
+                fh.write("# " + "  ".join(columns) + "\n")
+                for row in zip(*columns.values()):
+                    fh.write("  ".join(f"{v:.17g}" for v in row) + "\n")
 
-        write_dat(
-            "energy.dat",
-            ("t", "energy", "cumulative_dissipation", "global_residual"),
-            time_data,
-        )
-        write_dat(
-            "widths.dat",
-            (
-                "delta",
-                "resolved_residual",
-                "stress_norm",
-                "defect_structure",
-                "defect_stress",
-                "basket_max_a",
-                "basket_max_b",
-            ),
-            [
-                (
-                    row["delta"],
-                    row["resolved_residual"],
-                    row["stress_norm"],
-                    row["defect_structure"],
-                    row["defect_stress"],
-                    row["basket_max_a"],
-                    row["basket_max_b"],
-                )
-                for row in width_rows
-            ],
-        )
+        write_dat("energy.dat", time_ledger)
+        write_dat("widths.dat", {c: [row[c] for row in width_rows] for c in WIDTHS_DAT_COLUMNS})
     return run_dir
 
 

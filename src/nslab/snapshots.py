@@ -110,8 +110,8 @@ def write_series(directory, grid, times, field_hats):
 
 def read_series(directory, grid):
     """Read the series in `directory` as (times, u_hats), forward-transforming
-    each file as it is read.  Every file must hold (3,) + grid.shape fields
-    and the times must be finite and strictly increasing."""
+    each file as it is read.  Every file must hold (3,) + grid.shape finite
+    fields and the times must be finite and strictly increasing."""
     paths = list_snapshots(directory)
     if not paths:
         raise SnapshotFormatError(directory, "no snapshots")
@@ -126,5 +126,7 @@ def read_series(directory, grid):
         if not (np.isfinite(times[i]) and (i == 0 or times[i] > times[i - 1])):
             detail = f"snapshot {i} at t = {float(times[i])}; times must be finite and "
             raise SnapshotFormatError(directory, "bad times", detail + "strictly increasing")
+        if not np.isfinite(fields).all():
+            raise SnapshotFormatError(path, "bad values", f"snapshot {i} has non-finite samples")
         u_hats[i] = grid.forward(fields)
     return times, u_hats

@@ -11,9 +11,11 @@ Validates:
 - .nsel snapshot round trips are bit exact, the on-disk layout is the
   documented x1-fastest order, and every malformed-file class is rejected
   with a named reason; a snapshot series is written and replaced as a whole
-  directory, and a failed write keeps the previous series
+  directory, a failed write keeps the previous series, and a series with a
+  non-finite sample is rejected naming the file
 - ledger schema line, 17-significant-digit float round trips, fixed column
-  tuples, NaN padding for missing keys, byte-identical rewrites, and
+  tuples checked on read (the time ledger is read by column name and must
+  be finite), NaN padding for missing keys, byte-identical rewrites, and
   atomic replacement (a failed write keeps the previous file)
 """
 
@@ -41,6 +43,7 @@ from nslab.ledger import (
     WIDTH_COLUMNS,
     format_float,
     read_ledger,
+    read_time_ledger,
     read_width_ledger,
     write_ledger,
     write_time_ledger,
@@ -498,6 +501,18 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="grid mismatch"):
             read_series(tmp_path, GRID16)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_rejected(self, tmp_path, sample_fields, bad):
+        """A non-finite sample is a format error naming the snapshot file and
+        its index, before any of it reaches a budget."""
+        damaged = sample_fields.copy()
+        damaged[1, 2, 3, 4] = bad
+        write_snapshot(snapshot_path(tmp_path, 0), 0.0, sample_fields)
+        write_snapshot(snapshot_path(tmp_path, 1), 0.1, damaged)
+        with pytest.raises(SnapshotFormatError, match="snap_000001.nsel: bad values") as err:
+            read_series(tmp_path, GRID16)
+        assert "snapshot 1" in str(err.value)
+
     def test_trajectory_round_trip(self, tmp_path):
         """A simulated trajectory dumps its real-space samples bit for bit and
         reloads them as the same spectral fields."""
@@ -603,6 +618,10 @@ class TestLedgers:
         with pytest.raises(LedgerError, match="missing header"):
             read_ledger(path)
 
+    def test_missing_ledger_file(self, tmp_path):
+        with pytest.raises(LedgerError, match="ledger.csv: missing"):
+            read_ledger(tmp_path / "ledger.csv")
+
     def test_row_width_checked_on_write(self, tmp_path):
         with pytest.raises(LedgerError, match="row width"):
             write_ledger(tmp_path / "ledger.csv", ("a", "b"), [(1.0,)])
@@ -647,6 +666,32 @@ class TestLedgers:
         columns, data = read_ledger(path)
         assert columns == TIME_COLUMNS
         assert data.shape == (2, 4)
+
+    def test_time_ledger_read_by_name(self, tmp_path):
+        """read_time_ledger gives each column under its name, in file order."""
+        path = tmp_path / "time.csv"
+        write_time_ledger(path, [0.0, 0.1], [1.0, 0.9], [0.0, 0.1], [0.0, 1e-9])
+        ledger = read_time_ledger(path)
+        assert tuple(ledger) == TIME_COLUMNS
+        assert ledger["energy"].tolist() == [1.0, 0.9]
+        assert ledger["global_residual"].tolist() == [0.0, 1e-9]
+
+    def test_time_ledger_rejects_other_columns(self, tmp_path):
+        """A dropped or renamed column is a ledger error naming the file, not
+        a shifted read by position."""
+        path = tmp_path / "time.csv"
+        write_ledger(path, TIME_COLUMNS[:-1], [(0.0, 1.0, 0.0)])
+        with pytest.raises(LedgerError, match="time.csv: unexpected time-ledger columns"):
+            read_time_ledger(path)
+        write_ledger(path, ("t", "energy", "dissipation", "global_residual"), [(0.0,) * 4])
+        with pytest.raises(LedgerError, match="time-ledger columns"):
+            read_time_ledger(path)
+
+    def test_time_ledger_rejects_non_finite_cell(self, tmp_path):
+        path = tmp_path / "time.csv"
+        write_time_ledger(path, [0.0, 0.1], [1.0, float("inf")], [0.0, 0.1], [0.0, 0.0])
+        with pytest.raises(LedgerError, match="time.csv: non-finite energy inf in row 1"):
+            read_time_ledger(path)
 
     def test_width_ledger_nan_padding(self, tmp_path):
         """Keys absent from a row dict surface as NaN in their column."""

@@ -9,7 +9,8 @@ Validates:
 - KKT bookkeeping: multiplier sign, complementarity, feasibility, and the
   scalar relation 1 - 2 lambda = sqrt(W / r^2) on the boundary
 - agreement between the closed-form solver and the projected-gradient oracle
-  started from zero and from random feasible points
+  started from zero and from random feasible points; the start spread,
+  summed one snapshot at a time, is bit for bit the whole-array form's
 - weak diagnostics against the test-function basket: Lagrange ratios and
   Euler-Lagrange residuals from one shared pairing, and, from one
   audit_widths call on a solver trajectory, the resolved-energy pairing
@@ -21,11 +22,13 @@ Validates:
   oracle's input, with the oracle's k_value equal to K to round-off
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nslab import minimizer
 from nslab.basket import build_basket, spacetime_gradient_norm, window_l2_sq
 from nslab.filtering import kernel_for, reynolds_stress_hat, velocity_product_hat
 from nslab.minimizer import (
@@ -291,6 +294,31 @@ class TestOracleAgreement:
         """Random feasible starts land on the same point as the zero start."""
         oracle = flux_oracle(flux, radius_sq=0.25 * big_w, starts=3, seed=4)
         assert oracle.start_spread < 1e-12
+
+    @pytest.mark.parametrize("iters", [0, 2000])
+    def test_start_spread_is_whole_array_form(self, monkeypatch, grid, times, flux, big_w, iters):
+        """The start spread summed one snapshot at a time equals, bit for bit,
+        the spread of the whole-trajectory differences v_best - v_other, for
+        starts left where they began (iters 0) and for converged ones."""
+        seen = []
+
+        def noting_starts(grid, times, v_hats):
+            seen.append(sys._getframe(1).f_locals.get("results"))
+            return enstrophy_integral(grid, times, v_hats)
+
+        monkeypatch.setattr(minimizer, "enstrophy_integral", noting_starts)
+        oracle = flux_oracle(flux, radius_sq=0.25 * big_w, starts=3, seed=4, iters=iters)
+        results = seen[0]
+        assert len(results) == 3
+        v_best = results[0][1]
+        spread = 0.0
+        for _, v_other, _ in results[1:]:
+            d = enstrophy_integral(grid, times, v_best - v_other)
+            spread = max(spread, d)
+        spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
+        assert oracle.start_spread == spread / spread_ref
+        if iters == 0:
+            assert oracle.start_spread > 0.1
 
     def test_gradient_certificate(self, flux, big_w):
         """The projected gradient at the reported point meets the tolerance."""

@@ -22,6 +22,11 @@ Validates:
   including snapshot times that are not finite and strictly increasing,
   non-finite time-ledger cells, a time ledger that disagrees with the
   snapshots and a run.json that is not a run record
+- a corruption matrix: a dropped time-ledger column, a changed or dropped
+  width-ledger row, a missing width ledger, a missing analysis.json key, a
+  missing minimize.json and a non-finite snapshot sample each make the
+  stage that reads them exit 2 naming the file, with every other artifact
+  left byte for byte
 """
 
 import json
@@ -167,10 +172,10 @@ class TestSimulateStage:
         held = []
         read_json = pipeline._read_json
 
-        def read_json_noting_lock(path):
+        def read_json_noting_lock(path, *keys):
             with open(paths.lock, encoding="ascii") as fh:
                 held.append(fh.read())
-            return read_json(path)
+            return read_json(path, *keys)
 
         monkeypatch.setattr(pipeline, "_read_json", read_json_noting_lock)
         pipeline.cmd_report(completed["run_dir"])
@@ -619,6 +624,78 @@ class TestBlowUp:
             pipeline.cmd_analyze(run_dir)
 
 
+def drop_time_column(paths):
+    columns, data = read_ledger(paths.time_ledger)
+    write_ledger(paths.time_ledger, columns[:-1], data[:, :-1])
+    return paths.time_ledger
+
+
+def change_width_delta(paths):
+    columns, data = read_ledger(paths.width_ledger)
+    data[1, columns.index("delta")] *= 1.0 + 2.0**-40
+    write_ledger(paths.width_ledger, columns, data)
+    return paths.width_ledger
+
+
+def drop_width_row(paths):
+    columns, data = read_ledger(paths.width_ledger)
+    write_ledger(paths.width_ledger, columns, data[:-1])
+    return paths.width_ledger
+
+
+def remove_width_ledger(paths):
+    os.unlink(paths.width_ledger)
+    return paths.width_ledger
+
+
+def drop_analysis_key(paths):
+    with open(paths.analysis, encoding="utf-8") as fh:
+        record = json.load(fh)
+    del record["balance"]
+    with open(paths.analysis, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    return paths.analysis
+
+
+def remove_minimize_record(paths):
+    os.unlink(paths.minimize)
+    return paths.minimize
+
+
+def nan_snapshot_sample(paths):
+    victim = list_snapshots(paths.snapshots)[2]
+    time, fields = read_snapshot(victim)
+    fields[1, 2, 3, 4] = float("nan")
+    write_snapshot(victim, time, fields)
+    return victim
+
+
+CORRUPTIONS = {
+    f.__name__: f
+    for f in (
+        drop_time_column,
+        change_width_delta,
+        drop_width_row,
+        remove_width_ledger,
+        drop_analysis_key,
+        remove_minimize_record,
+        nan_snapshot_sample,
+    )
+}
+
+
+def tree_bytes(root):
+    """Every file under root but run.json, by relative path, with its bytes."""
+    found = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            if path != os.path.join(root, "run.json"):
+                with open(path, "rb") as fh:
+                    found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
 class TestCommandLine:
     def test_full_chain_exit_codes(self, cli_run, capsys):
         """simulate, analyze, minimize --oracle and report all exit 0."""
@@ -759,6 +836,34 @@ class TestCommandLine:
                 fh.write(damage)
             assert cli.main(["report", str(copy_dir)]) == 2
             assert "analysis.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, damage",
+        [
+            ("analyze", "drop_time_column"),
+            ("minimize", "drop_time_column"),
+            ("report", "drop_time_column"),
+            ("minimize", "change_width_delta"),
+            ("minimize", "drop_width_row"),
+            ("report", "drop_width_row"),
+            ("minimize", "remove_width_ledger"),
+            ("report", "drop_analysis_key"),
+            ("report", "remove_minimize_record"),
+            ("analyze", "nan_snapshot_sample"),
+        ],
+    )
+    def test_corrupt_stage_input_is_input_error(self, completed, tmp_path, capsys, stage, damage):
+        """A stage input that is malformed, inconsistent with the run, or
+        missing exits 2 naming the file before the stage writes anything:
+        every artifact but run.json is left byte for byte as it was."""
+        copy_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], copy_dir)
+        victim = CORRUPTIONS[damage](RunPaths(copy_dir))
+        before = tree_bytes(copy_dir)
+        argv = [stage, copy_dir] + (["--oracle"] if stage == "minimize" else [])
+        assert cli.main(argv) == 2
+        assert os.path.basename(victim) in capsys.readouterr().err
+        assert tree_bytes(copy_dir) == before
 
     def test_internal_value_error_propagates(self, completed, monkeypatch):
         """A ValueError that is not a bad-input error is a fault, not exit 2."""
