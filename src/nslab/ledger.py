@@ -16,7 +16,6 @@ import contextlib
 import csv
 import math
 import os
-import re
 import shutil
 
 import numpy as np
@@ -60,17 +59,6 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def pid_alive(pid):
-    """Whether a process with this pid runs (one of another user counts)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # running, owned by another user
-        pass
-    return True
-
-
 @contextlib.contextmanager
 def atomic_path(path):
     """Yield a temporary sibling path at which to write a file or directory
@@ -78,14 +66,16 @@ def atomic_path(path):
     aside, the new one renamed in and the old one removed.  On any error the
     temporary is removed and `path` is left as it was.
 
-    Callers hold the run lock.  On entry the siblings a killed writer left
-    (`<path>.<pid>.tmp` and `.old` of a pid that no longer runs, or of this
-    pid, which cannot have made them yet) are cleared: a `.old` is renamed
-    back to `path` if `path` is missing, since a writer killed between its
-    two renames leaves the only complete copy there, and the rest removed.
+    Callers hold the run lock, so a `<path>.tmp` or `<path>.old` found on
+    entry was left by a killed writer: a `.old` is renamed back to `path` if
+    `path` is missing, since a writer killed between its two renames leaves
+    the only complete copy there, and the rest removed.
     """
-    _clear_stale_siblings(path)
-    tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
+    tmp, old = f"{path}.tmp", f"{path}.old"
+    if os.path.lexists(old) and not os.path.lexists(path):
+        os.rename(old, path)
+    _remove(old)
+    _remove(tmp)
     try:
         yield tmp
         if os.path.isdir(tmp) and os.path.exists(path):
@@ -98,21 +88,6 @@ def atomic_path(path):
         raise
     if os.path.isdir(old):
         shutil.rmtree(old)
-
-
-def _clear_stale_siblings(path):
-    parent, base = os.path.split(os.path.abspath(path))
-    pattern = re.compile(re.escape(base) + r"\.(\d+)\.(tmp|old)")
-    stale = []
-    for name in sorted(os.listdir(parent)):
-        m = pattern.fullmatch(name)
-        if m and (int(m.group(1)) == os.getpid() or not pid_alive(int(m.group(1)))):
-            stale.append((m.group(2), os.path.join(parent, name)))
-    for kind, sibling in stale:
-        if kind == "old" and not os.path.lexists(path):
-            os.rename(sibling, path)
-        else:
-            _remove(sibling)
 
 
 def _remove(path):

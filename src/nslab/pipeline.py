@@ -8,16 +8,16 @@
 
 Each stage reads only what earlier stages wrote, so any stage can be re-run;
 re-running writes byte-identical artifacts (nothing time- or host-dependent
-is ever persisted).  A lock file naming the writer's pid guards against
-concurrent writers.
+is ever persisted).  An exclusive flock on the run directory guards
+against concurrent writers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import os
-import sys
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .dissipation import analyze_widths
 from .ledger import (
     LedgerError,
     atomic_open,
-    pid_alive,
     read_time_ledger,
     read_width_ledger,
     write_time_ledger,
@@ -38,7 +37,6 @@ from .minimizer import _fit_order, audit_widths, default_radius_sq
 from .minimizer import enstrophy_integral, oracle_mp
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
-LOCK_NAME = ".lock"
 STAGES = ("simulate", "analyze", "minimize", "report")
 
 # minimizer/solution.json: this subset of the finest width's minimize record.
@@ -73,71 +71,24 @@ class RunPaths:
         self.minimize = os.path.join(run_dir, "minimize.json")
         self.minimizer_dir = os.path.join(run_dir, "minimizer")
         self.report_dir = os.path.join(run_dir, "report")
-        self.lock = os.path.join(run_dir, LOCK_NAME)
 
 
 @contextlib.contextmanager
 def run_lock(paths):
-    """Hold the run directory's lock file, which names this process's pid.
+    """Hold an exclusive flock on the run directory itself for the block.
 
-    A lock naming a pid that no longer runs was left by a crashed stage: it
-    is reported on stderr and taken over.  A live pid, or a lock without a
-    pid, refuses the stage.
+    The kernel drops the lock when its holder exits, however it exits, so a
+    crashed stage never leaves the run locked.  A held lock refuses the stage.
     """
-    if not _create_lock(paths.lock):
-        holder = _lock_pid(paths.lock)
-        if holder is None or pid_alive(holder) or not _take_stale_lock(paths, holder):
-            raise PipelineError(
-                f"{paths.run_dir}: locked by another writer (remove stale {LOCK_NAME} if none)"
-            )
+    fd = os.open(paths.run_dir, os.O_RDONLY)
     try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"{paths.run_dir}: locked by another writer") from None
         yield
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(paths.lock)
-
-
-def _create_lock(path):
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return True
-
-
-def _lock_pid(path):
-    """The positive pid a lock file names, else None (missing, empty, garbled)."""
-    try:
-        with open(path, "rb") as fh:
-            pid = int(fh.read(32).strip() or b"0")
-    except (FileNotFoundError, ValueError):
-        return None
-    return pid if pid > 0 else None
-
-
-def _take_stale_lock(paths, dead_pid):
-    # Move the stale lock aside atomically, so that of two stages taking it
-    # over only one succeeds; a lock that turns out to be a fresh one written
-    # since it was read is linked back in place.
-    aside = f"{paths.lock}.{os.getpid()}"
-    try:
-        os.rename(paths.lock, aside)
-    except FileNotFoundError:
-        return _create_lock(paths.lock)
-    try:
-        if _lock_pid(aside) != dead_pid:
-            with contextlib.suppress(FileExistsError):
-                os.link(aside, paths.lock)
-            return False
-    finally:
-        os.unlink(aside)
-    print(
-        f"{paths.run_dir}: taking over stale {LOCK_NAME} of pid {dead_pid}, which is not running",
-        file=sys.stderr,
-    )
-    return _create_lock(paths.lock)
+        os.close(fd)
 
 
 def _write_json(path, obj):
@@ -147,7 +98,12 @@ def _write_json(path, obj):
 
 
 def _read_json(path, *keys):
-    """A JSON record; with `keys`, an object that must hold each of them."""
+    """A JSON record; with `keys`, an object that must hold each of them.
+
+    A key is a dotted path into nested objects, and a path through a list
+    holds for each of its rows: "balance.stress_norm" requires the
+    stress_norm of every balance row.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -156,9 +112,21 @@ def _read_json(path, *keys):
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise LedgerError(f"{path}: invalid JSON ({exc})") from None
     for key in keys:
-        if not isinstance(record, dict) or key not in record:
-            raise LedgerError(f"{path}: missing key {key!r}")
+        _require_key(path, record, key.split("."), "")
     return record
+
+
+def _require_key(path, node, names, where):
+    """Check the dotted path `names` in `node`, reached at `where`."""
+    name, rest = names[0], names[1:]
+    where = f"{where}.{name}" if where else name
+    if not isinstance(node, dict) or name not in node:
+        raise LedgerError(f"{path}: missing key {where!r}")
+    if rest and isinstance(node[name], list):
+        for i, row in enumerate(node[name]):
+            _require_key(path, row, rest, f"{where}[{i}]")
+    elif rest:
+        _require_key(path, node[name], rest, where)
 
 
 def _read_width_rows(path, schedule):
@@ -238,6 +206,7 @@ def cmd_simulate(config_path, output_root=None):
     paths = RunPaths(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     with run_lock(paths):
+        state = _load_state(paths)
         grid = cfg.make_grid()
         u0 = make_initial(grid, cfg.make_initial_condition())
         status = "ok"
@@ -249,7 +218,7 @@ def cmd_simulate(config_path, output_root=None):
             status = "blow_up"
             failure = exc
 
-        _forget_stages(paths, _load_state(paths), "simulate")
+        _forget_stages(paths, state, "simulate")
         snap_mod.write_series(paths.snapshots, grid, traj.times, traj.u_hats)
         write_time_ledger(
             paths.time_ledger,
@@ -435,9 +404,13 @@ def cmd_report(run_dir):
     """Condense a completed run into summary + plot-ready files."""
     with _stage(run_dir, "report") as paths:
         analysis = _read_json(paths.analysis, "schedule", "initial_energy", "total_dissipation",
-                              "global_residual_max", "balance", "defect")
-        minimize = _read_json(paths.minimize, "records", "weak_convergence", "stress_limit",
-                              "oracle", "radius_sq")
+                              "global_residual_max", "balance.stress_norm",
+                              "balance.resolved_residual", "defect.structure_order",
+                              "defect.stress_order")
+        minimize = _read_json(paths.minimize, "records", "stress_limit", "oracle", "radius_sq",
+                              "weak_convergence.order_a", "weak_convergence.order_b",
+                              "weak_convergence.monotone_a", "weak_convergence.monotone_b",
+                              "weak_convergence.final_a_normalized")
         time_ledger = read_time_ledger(paths.time_ledger)
         deltas = analysis["schedule"]
         width_rows = _read_width_rows(paths.width_ledger, deltas)

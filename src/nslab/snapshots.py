@@ -111,8 +111,12 @@ def write_series(directory, grid, times, field_hats):
 def read_series(directory, grid):
     """Read the series in `directory` as (times, u_hats), forward-transforming
     each file as it is read.  Every file must hold (3,) + grid.shape finite
-    fields and the times must be finite and strictly increasing."""
-    paths = list_snapshots(directory)
+    fields and the times must be finite and strictly increasing; a missing
+    directory is a format error too."""
+    try:
+        paths = list_snapshots(directory)
+    except FileNotFoundError:
+        raise SnapshotFormatError(directory, "missing") from None
     if not paths:
         raise SnapshotFormatError(directory, "no snapshots")
     expected = (3,) + grid.shape

@@ -2,7 +2,10 @@
 
 Validates:
 - simulate writes config echo, run state, snapshots and the time ledger,
-  honoring the output-root override and the directory lock
+  honoring the output-root override
+- the run lock is a flock on the run directory: while another process
+  holds it every stage exits 1 and writes nothing, a holder killed outright
+  frees it at once, and a stray .lock file does not lock the run
 - stage ordering: each stage demands its predecessors and refuses to analyze
   a blown-up run
 - analyze fills the per-width ledger and the defect-estimator summary with
@@ -23,15 +26,19 @@ Validates:
   non-finite time-ledger cells, a time ledger that disagrees with the
   snapshots and a run.json that is not a run record
 - a corruption matrix: a dropped time-ledger column, a changed or dropped
-  width-ledger row, a missing width ledger, a missing analysis.json key, a
-  missing minimize.json and a non-finite snapshot sample each make the
-  stage that reads them exit 2 naming the file, with every other artifact
-  left byte for byte
+  width-ledger row, a missing width ledger, a missing top-level or nested
+  key that report reads from analysis.json or minimize.json, a missing
+  minimize.json, a missing snapshots/ directory and a non-finite snapshot
+  sample each make the stage that reads them exit 2 naming the file (and
+  the key), with every other artifact left byte for byte
+- a simulate rerun rejects a malformed run.json before it integrates
 """
 
+import fcntl
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -139,73 +146,70 @@ class TestSimulateStage:
         assert echoed["minimizer"]["oracle"] == {"iters": 2000, "starts": 3, "seed": 7}
         assert echoed["grid"]["snapshot_stride"] == 1
 
-    def test_lock_blocks_concurrent_writer(self, completed):
-        """A lock file without a pid makes every stage refuse to write."""
-        paths = completed["paths"]
-        with open(paths.lock, "w", encoding="utf-8"):
-            pass
+    def test_lock_blocks_concurrent_writer(self, completed, tmp_path, capsys):
+        """While another process holds the run directory's flock every stage
+        exits 1 naming the lock and leaves every artifact byte for byte."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        config_path = write_config(tmp_path / "cfg.json", make_config(run_dir))
+        before = tree_bytes(run_dir, skip=())
+        holder = hold_flock(run_dir)
         try:
-            with pytest.raises(PipelineError, match="locked"):
-                pipeline.cmd_analyze(completed["run_dir"])
+            for argv in (["simulate", "--config", config_path], ["analyze", run_dir],
+                         ["minimize", run_dir, "--oracle"], ["report", run_dir]):
+                assert cli.main(argv) == 1
+                assert "locked by another writer" in capsys.readouterr().err
         finally:
-            os.unlink(paths.lock)
+            holder.kill()
+            holder.wait(timeout=10)
+        assert tree_bytes(run_dir, skip=()) == before
 
-    def test_lock_of_live_pid_refuses(self, completed):
-        """A lock naming a running process (this one) refuses the stage."""
-        paths = completed["paths"]
-        with open(paths.lock, "w", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        try:
-            with pytest.raises(PipelineError, match="locked"):
-                pipeline.cmd_report(completed["run_dir"])
-        finally:
-            os.unlink(paths.lock)
+    def test_killed_holder_releases_lock(self, completed, tmp_path, capsys):
+        """The kernel drops the flock of a holder killed outright, so the
+        next stage runs at once with nothing on stderr."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        holder = hold_flock(run_dir)
+        holder.kill()  # SIGKILL
+        holder.wait(timeout=10)
+        assert cli.main(["report", run_dir]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_lock_of_dead_pid_is_taken_over(self, completed, capsys, monkeypatch):
-        """A lock naming an exited process is reported stale on stderr and
-        taken over; while the stage runs the lock names this process."""
-        paths = completed["paths"]
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        with open(paths.lock, "w", encoding="ascii") as fh:
-            fh.write(f"{child.pid}\n")
-        held = []
-        read_json = pipeline._read_json
-
-        def read_json_noting_lock(path, *keys):
-            with open(paths.lock, encoding="ascii") as fh:
-                held.append(fh.read())
-            return read_json(path, *keys)
-
-        monkeypatch.setattr(pipeline, "_read_json", read_json_noting_lock)
-        pipeline.cmd_report(completed["run_dir"])
-        assert held[-1] == f"{os.getpid()}\n"  # read inside the stage
-        assert f"stale .lock of pid {child.pid}" in capsys.readouterr().err
-        assert not [f for f in os.listdir(completed["run_dir"]) if f.startswith(".lock")]
-        summary = os.path.join(paths.report_dir, "summary.json")
-        assert completed["grab"](summary) == completed["summary"]
+    def test_stray_lock_file_is_ignored(self, completed, tmp_path, capsys):
+        """A `.lock` file naming a live pid, as older versions wrote, does not
+        lock the run: the stage runs and leaves the file as it was."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        stray = os.path.join(run_dir, ".lock")
+        with open(stray, "w", encoding="ascii") as fh:
+            fh.write(f"{os.getppid()}\n")
+        assert cli.main(["report", run_dir]) == 0
+        assert capsys.readouterr().err == ""
+        with open(stray, encoding="ascii") as fh:
+            assert fh.read() == f"{os.getppid()}\n"
 
     def test_run_is_read_under_the_lock(self, completed, tmp_path, monkeypatch):
         """analyze and minimize read the run while they hold its lock, so a
         simulate rerun cannot land between their read and their write."""
         run_dir = str(tmp_path / "copy")
         shutil.copytree(completed["run_dir"], run_dir)
-        lock = RunPaths(run_dir).lock
         held = []
         load_run = pipeline.load_run
 
         def load_run_noting_lock(path):
-            held.append(pipeline._lock_pid(lock))
+            held.append(not can_flock(path))
             return load_run(path)
 
         monkeypatch.setattr(pipeline, "load_run", load_run_noting_lock)
         pipeline.cmd_analyze(run_dir)
         pipeline.cmd_minimize(run_dir)
-        assert held == [os.getpid(), os.getpid()]
+        assert held == [True, True]
 
     def test_lock_released(self, completed):
-        """No lock file survives a successful stage."""
-        assert not os.path.exists(completed["paths"].lock)
+        """A completed stage leaves the run directory unlocked and no lock
+        file in it."""
+        assert can_flock(completed["run_dir"])
+        assert not os.path.exists(os.path.join(completed["run_dir"], ".lock"))
 
     def test_output_root_override(self, tmp_path, monkeypatch):
         """NSLAB_OUT prefixes relative output directories end to end."""
@@ -326,6 +330,34 @@ def dir_bytes(directory):
 
 def no_temporaries(run_dir):
     return not [name for name in os.listdir(run_dir) if name.endswith((".tmp", ".old"))]
+
+
+def hold_flock(run_dir):
+    """A child process that holds an exclusive flock on run_dir until killed."""
+    script = (
+        "import fcntl, os, sys, time\n"
+        "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+        "print('held', flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", script, run_dir], stdout=subprocess.PIPE,
+                             text=True)
+    with child.stdout:
+        assert child.stdout.readline() == "held\n"
+    return child
+
+
+def can_flock(run_dir):
+    """Whether a fresh descriptor of run_dir can take its exclusive flock."""
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+    return True
 
 
 class TestAnalyzeStage:
@@ -490,31 +522,26 @@ class TestAtomicWrites:
         """A writer killed between the two renames leaves the complete
         directory as its .old sibling: the next write of that path renames it
         back before it starts, so a failed write leaves it in place, and
-        removes the dead pid's .tmp.  A live pid's sibling stays."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
+        removes the killed writer's .tmp."""
         path = tmp_path / "snapshots"
-        old = tmp_path / f"snapshots.{child.pid}.old"
+        old = tmp_path / "snapshots.old"
         old.mkdir()
         (old / "snap_000000.nsel").write_bytes(b"complete")
-        (tmp_path / f"snapshots.{child.pid}.tmp").mkdir()
-        (tmp_path / f"snapshots.{os.getpid()}.tmp").write_bytes(b"")  # this pid's, from before
-        live = tmp_path / f"snapshots.{os.getppid()}.tmp"
-        live.mkdir()
+        (tmp_path / "snapshots.tmp").mkdir()
         with pytest.raises(Interrupted):
             with atomic_path(str(path)) as tmp:
                 os.mkdir(tmp)
                 raise Interrupted(tmp)
-        assert sorted(os.listdir(tmp_path)) == sorted(["snapshots", live.name])
+        assert os.listdir(tmp_path) == ["snapshots"]
         assert (path / "snap_000000.nsel").read_bytes() == b"complete"
 
     def test_stale_old_sibling_removed_when_path_exists(self, tmp_path):
-        """With `path` in place a dead pid's .old is out of date and goes."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
+        """With `path` in place a killed writer's .old is out of date and
+        goes, as does its .tmp."""
         path = tmp_path / "analysis.json"
         path.write_bytes(b"previous")
-        (tmp_path / f"analysis.json.{child.pid}.old").write_bytes(b"older")
+        (tmp_path / "analysis.json.old").write_bytes(b"older")
+        (tmp_path / "analysis.json.tmp").write_bytes(b"partial")
         with atomic_path(str(path)) as tmp, open(tmp, "wb") as fh:
             fh.write(b"new")
         assert os.listdir(tmp_path) == ["analysis.json"]
@@ -616,7 +643,8 @@ class TestBlowUp:
         assert state["status"] == "blow_up"
         assert state["blow_up_step"] == err.step
         assert state["blow_up_time"] == err.time
-        assert not os.path.exists(paths.lock)
+        assert sorted(os.listdir(run_dir)) == ["config.json", "energy_time.csv", "run.json",
+                                               "snapshots"]
 
     def test_blown_run_not_analyzable(self, blown):
         run_dir, _ = blown
@@ -648,18 +676,43 @@ def remove_width_ledger(paths):
     return paths.width_ledger
 
 
-def drop_analysis_key(paths):
-    with open(paths.analysis, encoding="utf-8") as fh:
+# damage -> (stage record, the key it drops as the error names it)
+DROPPED_KEYS = {
+    "drop_analysis_key": ("analysis", "balance"),
+    "drop_structure_order": ("analysis", "defect.structure_order"),
+    "drop_stress_order": ("analysis", "defect.stress_order"),
+    "drop_row_stress_norm": ("analysis", "balance[1].stress_norm"),
+    "drop_row_resolved_residual": ("analysis", "balance[0].resolved_residual"),
+    "drop_order_a": ("minimize", "weak_convergence.order_a"),
+    "drop_order_b": ("minimize", "weak_convergence.order_b"),
+    "drop_monotone_a": ("minimize", "weak_convergence.monotone_a"),
+    "drop_monotone_b": ("minimize", "weak_convergence.monotone_b"),
+    "drop_final_a_normalized": ("minimize", "weak_convergence.final_a_normalized"),
+}
+
+
+def drop_json_key(path, key):
+    """Delete a dotted key, with [i] for a list row, from a JSON record."""
+    with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
-    del record["balance"]
-    with open(paths.analysis, "w", encoding="utf-8") as fh:
+    *parents, last = [int(n) if n.isdigit() else n for n in re.findall(r"[^.\[\]]+", key)]
+    node = record
+    for name in parents:
+        node = node[name]
+    del node[last]
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh)
-    return paths.analysis
+    return path
 
 
 def remove_minimize_record(paths):
     os.unlink(paths.minimize)
     return paths.minimize
+
+
+def remove_snapshots(paths):
+    shutil.rmtree(paths.snapshots)
+    return paths.snapshots
 
 
 def nan_snapshot_sample(paths):
@@ -677,20 +730,27 @@ CORRUPTIONS = {
         change_width_delta,
         drop_width_row,
         remove_width_ledger,
-        drop_analysis_key,
         remove_minimize_record,
+        remove_snapshots,
         nan_snapshot_sample,
     )
 }
+CORRUPTIONS.update(
+    {
+        damage: lambda paths, record=record, key=key: drop_json_key(getattr(paths, record), key)
+        for damage, (record, key) in DROPPED_KEYS.items()
+    }
+)
 
 
-def tree_bytes(root):
-    """Every file under root but run.json, by relative path, with its bytes."""
+def tree_bytes(root, skip=("run.json",)):
+    """Every file under root but the top-level ones named in skip, by
+    relative path, with its bytes."""
     found = {}
     for parent, _, names in os.walk(root):
         for name in names:
             path = os.path.join(parent, name)
-            if path != os.path.join(root, "run.json"):
+            if os.path.relpath(path, root) not in skip:
                 with open(path, "rb") as fh:
                     found[os.path.relpath(path, root)] = fh.read()
     return found
@@ -827,6 +887,27 @@ class TestCommandLine:
         assert cli.main(["analyze", str(copy_dir)]) == 2
         assert "run.json" in capsys.readouterr().err
 
+    def test_malformed_run_record_stops_simulate_first(
+        self, completed, tmp_path, capsys, monkeypatch
+    ):
+        """A simulate rerun reads run.json under the lock before it
+        integrates, so a malformed one exits 2 naming the file at once and
+        leaves every artifact byte for byte."""
+        copy_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], copy_dir)
+        with open(RunPaths(copy_dir).state, "w", encoding="utf-8") as fh:
+            fh.write("[]")
+        config_path = write_config(tmp_path / "cfg.json", make_config(copy_dir))
+        before = tree_bytes(copy_dir, skip=())
+
+        def no_simulate(grid, u0):
+            raise AssertionError("integrated before reading run.json")
+
+        monkeypatch.setattr(pipeline, "simulate", no_simulate)
+        assert cli.main(["simulate", "--config", config_path]) == 2
+        assert "run.json" in capsys.readouterr().err
+        assert tree_bytes(copy_dir, skip=()) == before
+
     def test_damaged_stage_record_is_input_error(self, completed, tmp_path, capsys):
         """A damaged analysis.json exits 2 with an error naming the file."""
         copy_dir = tmp_path / "copy"
@@ -847,22 +928,28 @@ class TestCommandLine:
             ("minimize", "drop_width_row"),
             ("report", "drop_width_row"),
             ("minimize", "remove_width_ledger"),
-            ("report", "drop_analysis_key"),
             ("report", "remove_minimize_record"),
+            ("analyze", "remove_snapshots"),
+            ("minimize", "remove_snapshots"),
             ("analyze", "nan_snapshot_sample"),
+            *[("report", damage) for damage in DROPPED_KEYS],
         ],
     )
     def test_corrupt_stage_input_is_input_error(self, completed, tmp_path, capsys, stage, damage):
         """A stage input that is malformed, inconsistent with the run, or
-        missing exits 2 naming the file before the stage writes anything:
-        every artifact but run.json is left byte for byte as it was."""
+        missing exits 2 naming the file, and a dropped key, before the stage
+        writes anything: every artifact but run.json is left byte for byte
+        as it was."""
         copy_dir = str(tmp_path / "copy")
         shutil.copytree(completed["run_dir"], copy_dir)
         victim = CORRUPTIONS[damage](RunPaths(copy_dir))
         before = tree_bytes(copy_dir)
         argv = [stage, copy_dir] + (["--oracle"] if stage == "minimize" else [])
         assert cli.main(argv) == 2
-        assert os.path.basename(victim) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert os.path.basename(victim) in err
+        if damage in DROPPED_KEYS:
+            assert f"missing key {DROPPED_KEYS[damage][1]!r}" in err
         assert tree_bytes(copy_dir) == before
 
     def test_internal_value_error_propagates(self, completed, monkeypatch):
