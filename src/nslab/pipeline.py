@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import json
+import math
 import os
 
 import numpy as np
@@ -112,21 +113,42 @@ def _read_json(path, *keys):
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise LedgerError(f"{path}: invalid JSON ({exc})") from None
     for key in keys:
-        _require_key(path, record, key.split("."), "")
+        list(_leaves(path, record, key))
     return record
 
 
-def _require_key(path, node, names, where):
-    """Check the dotted path `names` in `node`, reached at `where`."""
-    name, rest = names[0], names[1:]
+def _leaves(path, node, key, where=""):
+    """(location, value) of every node the dotted `key` reaches from `node`;
+    a path through a list reaches into each of its rows."""
+    name, _, rest = key.partition(".")
     where = f"{where}.{name}" if where else name
     if not isinstance(node, dict) or name not in node:
         raise LedgerError(f"{path}: missing key {where!r}")
-    if rest and isinstance(node[name], list):
-        for i, row in enumerate(node[name]):
-            _require_key(path, row, rest, f"{where}[{i}]")
+    node = node[name]
+    if rest and isinstance(node, list):
+        for i, row in enumerate(node):
+            yield from _leaves(path, row, rest, f"{where}[{i}]")
     elif rest:
-        _require_key(path, node[name], rest, where)
+        yield from _leaves(path, node, rest, where)
+    else:
+        yield where, node
+
+
+def _require_numbers(path, record, *keys, finite=True):
+    """Every value the dotted keys reach (each entry, for a list) is a real
+    number, and finite unless `finite` is False."""
+    for key in keys:
+        for where, value in _leaves(path, record, key):
+            entries = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for i, entry in entries:
+                if (
+                    isinstance(entry, bool)
+                    or not isinstance(entry, (int, float))
+                    or (finite and not math.isfinite(entry))
+                ):
+                    at = where if i is None else f"{where}[{i}]"
+                    kind = "a finite number" if finite else "a number"
+                    raise LedgerError(f"{path}: {at!r} is {entry!r}, not {kind}")
 
 
 def _read_width_rows(path, schedule):
@@ -411,15 +433,31 @@ def cmd_report(run_dir):
                               "weak_convergence.order_a", "weak_convergence.order_b",
                               "weak_convergence.monotone_a", "weak_convergence.monotone_b",
                               "weak_convergence.final_a_normalized")
+        deltas, balance = analysis["schedule"], analysis["balance"]
+        if not isinstance(deltas, list) or not deltas:
+            raise LedgerError(f"{paths.analysis}: 'schedule' is {deltas!r}, not a list of widths")
+        if not isinstance(balance, list) or len(balance) != len(deltas):
+            rows = len(balance) if isinstance(balance, list) else repr(balance)
+            raise LedgerError(
+                f"{paths.analysis}: 'balance' has {rows} rows for the "
+                f"{len(deltas)} widths of the schedule"
+            )
+        _require_numbers(paths.analysis, analysis, "schedule", "initial_energy",
+                         "total_dissipation", "global_residual_max", "balance.stress_norm",
+                         "balance.resolved_residual")
+        # fitted orders and final_a_normalized may be NaN (see README)
+        _require_numbers(paths.analysis, analysis, "defect.structure_order",
+                         "defect.stress_order", finite=False)
+        _require_numbers(paths.minimize, minimize, "weak_convergence.final_a_normalized",
+                         finite=False)
         time_ledger = read_time_ledger(paths.time_ledger)
-        deltas = analysis["schedule"]
         width_rows = _read_width_rows(paths.width_ledger, deltas)
 
         e0 = analysis["initial_energy"]
-        stress_norms = [row["stress_norm"] for row in analysis["balance"]]
+        stress_norms = [row["stress_norm"] for row in balance]
         weak = minimize["weak_convergence"]
         defect = analysis["defect"]
-        resolved_max = max(row["resolved_residual"] for row in analysis["balance"])
+        resolved_max = max(row["resolved_residual"] for row in balance)
 
         summary = {
             "initial_energy": e0,

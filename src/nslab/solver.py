@@ -11,7 +11,10 @@ alias-free on the retained modes.  u.(u x omega) = 0 pointwise, so the term
 moves energy between modes only.  The step is classical RK4 in
 integrating-factor variables, so the viscous semigroup exp(-nu |k|^2 t) is
 applied exactly and never restricts the step.  Pressure is never formed
-during stepping; the projection removes it mode by mode.
+during stepping; the projection removes it mode by mode.  The step holds
+its state on the two-thirds band (spectral.Band), the only modes the
+dealiasing keeps, so its arithmetic and transforms skip the modes that are
+zero.
 
 Beltrami (ABC) initial data gives an exact analytic solution of the discrete
 system: omega = u for an eigenfield of curl, so u x omega vanishes pointwise
@@ -136,16 +139,23 @@ def nonlinear_term(grid, u_hat, out=None):
     Equal to -P[(u.grad)u], since u x omega = grad(|u|^2/2) - (u.grad)u and
     P removes gradients.  One inverse transform of the stacked (u, omega) and
     one forward transform of their product; zero for Beltrami data (omega =
-    u).  Works in grid.workspace and writes the term to `out`, or to a fresh
-    array when `out` is None.  Bitwise equal to
+    u).  Works on the two-thirds band (grid.band) in grid.workspace and
+    writes the term to `out`, or to a fresh array when `out` is None.  A
+    field in the full half-complex layout is gathered to the band and its
+    term scattered back, +0.0 outside the band.  On the band, bitwise equal
+    to
 
         uw = inverse(concatenate((u_hat, curl(u_hat)))); u, w = uw[:3], uw[3:]
         f = forward(stack((u[1]*w[2] - u[2]*w[1], u[2]*w[0] - u[0]*w[2],
                            u[0]*w[1] - u[1]*w[0])))
         keep * f - e * (e[0]*f[0] + e[1]*f[1] + e[2]*f[2])
 
-    since it applies the same operations to the same operand types.
+    in the full layout, since it applies the same operations to the same
+    operand types and the band transforms skip only zero lines.
     """
+    band = grid.band
+    if u_hat.shape[-3:] != band.shape:
+        return band.scatter(nonlinear_term(grid, band.gather(u_hat)), out)
     ws = grid.workspace
     uw_hat, (s, tmp) = ws.uw_hat, ws.scalar
     np.copyto(uw_hat[:3], u_hat)
@@ -153,11 +163,11 @@ def nonlinear_term(grid, u_hat, out=None):
     for i in range(3):
         a, b = (i + 1) % 3, (i + 2) % 3
         omega = uw_hat[3 + i]
-        np.multiply(grid.k_vec[a], u_hat[b], out=omega)
-        np.multiply(grid.k_vec[b], u_hat[a], out=tmp)
+        np.multiply(band.k_vec[a], u_hat[b], out=omega)
+        np.multiply(band.k_vec[b], u_hat[a], out=tmp)
         np.subtract(omega, tmp, out=omega)
         np.multiply(1j, omega, out=omega)
-    uw = grid.inverse(uw_hat, out=ws.uw, overwrite_input=True)
+    uw = grid.inverse(uw_hat, out=ws.uw)
     u, w = uw[:3], uw[3:]
     for i in range(3):
         a, b = (i + 1) % 3, (i + 2) % 3
@@ -165,27 +175,33 @@ def nonlinear_term(grid, u_hat, out=None):
         np.multiply(u[b], w[a], out=ws.product)
         np.subtract(ws.cross[i], ws.product, out=ws.cross[i])
     f = grid.forward(ws.cross, out=uw_hat[:3])
-    keep, e = grid.dealiased_leray
+    e = band.e
     np.multiply(e[0], f[0], out=s)
     np.multiply(e[1], f[1], out=tmp)
     np.add(s, tmp, out=s)
     np.multiply(e[2], f[2], out=tmp)
     np.add(s, tmp, out=s)
     projected = np.multiply(e, s, out=uw_hat[3:])
-    np.multiply(keep, f, out=f)
+    np.multiply(band.keep, f, out=f)
     return np.subtract(f, projected, out=out)
 
 
 def step(grid, u_hat):
     """One integrating-factor RK4 step of length grid.dt.
 
-    Returns a fresh array, which no later step overwrites, and leaves u_hat
-    unchanged; the stages live in grid.workspace, so one grid must not be
-    stepped from two threads at once.  Each line below is one operation of
-    the expressions in the comments, with the same operands, so the result
-    is bitwise that of evaluating them with temporaries.
+    Works on the two-thirds band (grid.band); a field in the full
+    half-complex layout is gathered to the band and the result scattered
+    back, +0.0 outside the band.  Returns a fresh array, which no later step
+    overwrites, and leaves u_hat unchanged; the stages live in
+    grid.workspace, so one grid must not be stepped from two threads at
+    once.  Each line below is one operation of the expressions in the
+    comments, with the same operands, so the result is bitwise that of
+    evaluating them with temporaries.
     """
-    dt, e_half = grid.dt, grid.half_step_decay
+    band = grid.band
+    if u_hat.shape[-3:] != band.shape:
+        return band.scatter(step(grid, band.gather(u_hat)))
+    dt, e_half = grid.dt, band.half_step_decay
     ws = grid.workspace
     u_half, (k1, k2, k3, k4), arg = ws.u_half, ws.k, ws.arg
     # Stages k_i = N(.); the full-step factor is applied as e_half twice:
@@ -252,18 +268,23 @@ class Trajectory:
 def simulate(grid, u0_hat):
     """March the flow to grid.t_end, recording every snapshot_stride-th state.
 
-    The initial state and the final state are always recorded.  The snapshot
-    stack and the step ledger are allocated once, and the result and
+    The initial state and the final state are always recorded.  The state is
+    stepped on the two-thirds band (grid.band); after each step it is
+    scattered into one full-layout buffer, +0.0 outside the band, which the
+    energy ledger sums and the recorded snapshots copy.  The snapshot stack
+    and the step ledger are allocated once, and the result and
     BlowUpError.partial are views of them.  Raises BlowUpError (with the
     failure time) on NaN or overflow.  grid.workspace is dropped on return.
     """
     if spectral.divergence_max(grid, u0_hat) > 1e-8:
         raise GridError("initial velocity is not divergence-free")
-    u = spectral.dealias(grid, u0_hat).astype(np.complex128)
+    band = grid.band
+    u = band.gather(spectral.dealias(grid, u0_hat).astype(np.complex128))
     u[..., 0, 0, 0] = 0.0
+    full = band.scatter(u)
 
     recorded = np.array([*range(0, grid.steps, grid.snapshot_stride), grid.steps])
-    u_hats = np.empty((recorded.size,) + u.shape, dtype=np.complex128)
+    u_hats = np.empty((recorded.size,) + full.shape, dtype=np.complex128)
     # 0.5 ||u||^2 and the cumulative nu int_0^t ||grad u||^2 after each step
     step_energies, dissipation = np.empty((2, grid.steps + 1))
     w, wk = grid.parseval_w, grid.parseval_w * grid.k_sq
@@ -285,10 +306,10 @@ def simulate(grid, u0_hat):
             step_energies=step_energies[: last + 1],
         )
 
-    u_hats[0] = u
+    u_hats[0] = full
     snaps = 1
     dissipation[0] = 0.0
-    gsq_prev = ledger(0, u)
+    gsq_prev = ledger(0, full)
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for s in range(1, grid.steps + 1):
@@ -297,11 +318,12 @@ def simulate(grid, u0_hat):
                     err = BlowUpError(s * grid.dt, s)
                     err.partial = trajectory(snaps, s - 1)
                     raise err
-                gsq = ledger(s, u)
+                band.scatter(u, out=full)
+                gsq = ledger(s, full)
                 dissipation[s] = dissipation[s - 1] + 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
                 gsq_prev = gsq
                 if s == recorded[snaps]:
-                    u_hats[snaps] = u
+                    u_hats[snaps] = full
                     snaps += 1
     finally:
         grid.__dict__.pop("workspace", None)

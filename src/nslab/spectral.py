@@ -19,6 +19,10 @@ accounts for the missing conjugate modes with a weight of 2 on interior
 planes of the last axis.  Every norm and inner product in the package routes
 through :func:`inner_product` (or its gradient-weighted variant) so Parseval
 is a single-point invariant.
+
+The solver steps in a smaller layout, :class:`Band`: only the modes the
+two-thirds rule keeps, stored contiguously.  Grid.forward and Grid.inverse
+accept it and skip the transform lines that are zero in it.
 """
 
 from __future__ import annotations
@@ -124,24 +128,53 @@ class Grid:
         """Real field(s) (..., n, n, n) -> spectral coefficients (..., n, n, nh).
 
         Given `out`, rfftn runs its three passes in it: rfft of the last axis
-        into `out`, then fft of axes -2 and -3 in place.
+        into `out`, then fft of axes -2 and -3 in place.  An `out` in band
+        layout (see Band) receives the band of that result, bitwise: rfft of
+        every line, then fft of axis -2 on planes k3 <= c only and of axis -3
+        on the kept (k2, k3) lines only, all in one workspace buffer.
         """
-        return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward", out=out)
+        if out is None or out.shape[-3:] == self.spectral_shape:
+            return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward", out=out)
+        band = self.band
+        work = self.workspace.buffer("forward", field.shape[:-3] + self.spectral_shape)
+        np.fft.rfft(field, axis=-1, norm="forward", out=work)
+        planes = work[..., band.planes]
+        np.fft.fft(planes, axis=-2, norm="forward", out=planes)
+        for _, rows in band.rows:
+            lines = planes[..., rows, :]
+            np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+        return band.gather(work, out=out)
 
-    def inverse(self, field_hat, out=None, overwrite_input=False):
-        """Spectral coefficients (..., n, n, nh) -> real field(s) (..., n, n, n).
+    def inverse(self, field_hat, out=None):
+        """Spectral coefficients (..., n, n, nh) or their band -> real field(s) (..., n, n, n).
 
         Runs irfftn's passes itself: ifft of axis -3, then of axis -2 in
         place in the first pass's result, then irfft into `out` (a fresh
-        array when None).  With overwrite_input the first pass also runs in
-        place, in `field_hat`, which is left holding the two complex passes'
-        result.  The output is bitwise that of irfftn either way.
+        array when None).  The output is bitwise that of irfftn.
+
+        A field in band layout (see Band) is transformed as irfftn of its
+        scatter, bitwise, skipping the lines that are zero there: ifft of
+        axis -3 on the kept (k2, k3) lines only, in two slab calls, ifft of
+        axis -2 on planes k3 <= c only, and irfft of every line.  Its
+        workspace buffers hold zeros where no pass writes: the rows between
+        the kept blocks and the planes above c.
         """
-        work = np.fft.ifft(
-            field_hat, self.n, axis=-3, norm="forward", out=field_hat if overwrite_input else None
-        )
-        np.fft.ifft(work, self.n, axis=-2, norm="forward", out=work)
-        return np.fft.irfft(work, self.n, axis=-1, norm="forward", out=out)
+        n = self.n
+        if field_hat.shape[-3:] == self.spectral_shape:
+            work = np.fft.ifft(field_hat, n, axis=-3, norm="forward")
+            np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
+            return np.fft.irfft(work, n, axis=-1, norm="forward", out=out)
+        band, ws, lead = self.band, self.workspace, field_hat.shape[:-3]
+        width, depth = band.shape[1:]  # 2c + 1 kept rows of axis -2, c + 1 planes
+        spread = ws.buffer("inverse_rows", lead + (n, width, depth))
+        lines = ws.buffer("inverse_lines", lead + (n, n, depth))
+        planes = ws.buffer("inverse_planes", lead + self.spectral_shape)
+        for kept, rows in band.rows:
+            spread[..., rows, :, :] = field_hat[..., kept, :, :]
+        for kept, rows in band.rows:
+            np.fft.ifft(spread[..., kept, :], n, axis=-3, norm="forward", out=lines[..., rows, :])
+        np.fft.ifft(lines, n, axis=-2, norm="forward", out=planes[..., band.planes])
+        return np.fft.irfft(planes, n, axis=-1, norm="forward", out=out)
 
     @cached_property
     def dealiased_leray(self):
@@ -160,10 +193,15 @@ class Grid:
         return np.exp(-self.nu * self.k_sq * (0.5 * self.dt))
 
     @cached_property
+    def band(self):
+        """The two-thirds band layout the solver steps in; see Band."""
+        return Band(self)
+
+    @cached_property
     def workspace(self):
-        """Scratch arrays of solver.step and solver.nonlinear_term, built on the
-        first step and reused by every later one until solver.simulate drops
-        them on return; see StepWorkspace."""
+        """Scratch arrays of solver.step, solver.nonlinear_term and the band
+        transforms, built on the first step and reused by every later one
+        until solver.simulate drops them on return; see StepWorkspace."""
         return StepWorkspace(self)
 
     def __repr__(self):
@@ -173,21 +211,68 @@ class Grid:
         )
 
 
-class StepWorkspace:
-    """The buffers one RK4 step works in, so that a step allocates only its result.
+class Band:
+    """The modes the two-thirds rule keeps, stored contiguously.
 
-    Spectral (complex) buffers hold 3-vectors unless noted: u_half = e_half u,
-    k = the four stages, arg = the next stage's argument, uw_hat = the stacked
-    (u, omega) (6 components; after the inverse transform its first three hold
-    the forward transform of u x omega and its last three the projection's
-    e (e . f)), scalar = two scalar fields (e . f and a product).  Real
-    buffers: uw = (u, omega) on the grid (6 components), cross = u x omega,
-    product = one scalar field.  Shared by every step on this grid, so one
-    grid must not be stepped from two threads at once.
+    With c = grid.dealias_cutoff these are rows 0..c and n-c..n-1 of axes -3
+    and -2 and planes 0..c of axis -1 of the half-complex layout.  The band
+    layout holds them as arrays of shape (..., 2c+1, 2c+1, c+1): band row
+    j <= c is wavenumber j, row j > c is j - (2c+1).  Every other mode of a
+    dealiased field is zero.  The shape never equals (n, n, n/2+1), so
+    Grid.forward and Grid.inverse tell the layout from an array's trailing
+    shape.  k_vec, keep, e and half_step_decay are the grid's arrays of those
+    names (keep and e from dealiased_leray) on the band.
     """
 
     def __init__(self, grid):
-        spec, real = grid.spectral_shape, grid.shape
+        n, c = grid.n, grid.dealias_cutoff
+        self.spectral_shape = grid.spectral_shape
+        self.shape = (2 * c + 1, 2 * c + 1, c + 1)
+        #: (band rows, full rows) of the two kept blocks of axes -3 and -2
+        self.rows = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, None), slice(n - c, n)))
+        self.planes = slice(0, c + 1)
+        self.k_vec = self.gather(grid.k_vec)
+        self.keep, self.e = (self.gather(a) for a in grid.dealiased_leray)
+        self.half_step_decay = self.gather(grid.half_step_decay)
+
+    def gather(self, full, out=None):
+        """The band of a half-complex field (..., n, n, nh), as four block copies."""
+        if out is None:
+            out = np.empty(full.shape[:-3] + self.shape, dtype=full.dtype)
+        for kept1, rows1 in self.rows:
+            for kept2, rows2 in self.rows:
+                out[..., kept1, kept2, :] = full[..., rows1, rows2, self.planes]
+        return out
+
+    def scatter(self, band, out=None):
+        """A band field in the half-complex layout, +0.0 outside the band:
+        four block copies into zeros."""
+        if out is None:
+            out = np.zeros(band.shape[:-3] + self.spectral_shape, dtype=band.dtype)
+        else:
+            out.fill(0.0)
+        for kept1, rows1 in self.rows:
+            for kept2, rows2 in self.rows:
+                out[..., rows1, rows2, self.planes] = band[..., kept1, kept2, :]
+        return out
+
+
+class StepWorkspace:
+    """The buffers one RK4 step works in, so that a step allocates only its result.
+
+    Spectral (complex) buffers are in band layout (Band) and hold 3-vectors
+    unless noted: u_half = e_half u, k = the four stages, arg = the next
+    stage's argument, uw_hat = the stacked (u, omega) (6 components; its
+    first three then receive the forward transform of u x omega and its last
+    three the projection's e (e . f)), scalar = two scalar fields (e . f and
+    a product).  Real buffers: uw = (u, omega) on the grid (6 components),
+    cross = u x omega, product = one scalar field.  The band transforms keep
+    their zero-padded buffers here too (buffer).  Shared by every step on
+    this grid, so one grid must not be stepped from two threads at once.
+    """
+
+    def __init__(self, grid):
+        spec, real = grid.band.shape, grid.shape
         self.u_half = np.empty((3,) + spec, dtype=np.complex128)
         self.k = np.empty((4, 3) + spec, dtype=np.complex128)
         self.arg = np.empty((3,) + spec, dtype=np.complex128)
@@ -196,6 +281,16 @@ class StepWorkspace:
         self.uw = np.empty((6,) + real)
         self.cross = np.empty((3,) + real)
         self.product = np.empty(real)
+        self._buffers = {}
+
+    def buffer(self, name, shape):
+        """The complex buffer of this name and shape, zero-filled when first
+        made and kept for later calls: a band transform never writes where
+        it relies on zeros."""
+        buf = self._buffers.get((name, shape))
+        if buf is None:
+            buf = self._buffers[name, shape] = np.zeros(shape, dtype=np.complex128)
+        return buf
 
 
 def gradient(grid, f_hat):

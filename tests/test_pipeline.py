@@ -27,10 +27,12 @@ Validates:
   snapshots and a run.json that is not a run record
 - a corruption matrix: a dropped time-ledger column, a changed or dropped
   width-ledger row, a missing width ledger, a missing top-level or nested
-  key that report reads from analysis.json or minimize.json, a missing
-  minimize.json, a missing snapshots/ directory and a non-finite snapshot
-  sample each make the stage that reads them exit 2 naming the file (and
-  the key), with every other artifact left byte for byte
+  key that report reads from analysis.json or minimize.json, an
+  analysis.json balance with no rows or fewer rows than the schedule, a
+  fitted order that is not a number, a missing minimize.json, a missing
+  snapshots/ directory and a non-finite snapshot sample each make the stage
+  that reads them exit 2 naming the file (and the key), with every other
+  artifact left byte for byte
 - a simulate rerun rejects a malformed run.json before it integrates
 """
 
@@ -705,6 +707,28 @@ def drop_json_key(path, key):
     return path
 
 
+# damage -> (stage record, the key it edits as the error names it, the edit)
+MALFORMED_VALUES = {
+    "empty_balance": ("analysis", "balance", lambda rows: []),
+    "short_balance": ("analysis", "balance", lambda rows: rows[:2]),
+    "text_stress_order": ("analysis", "defect.stress_order", lambda order: "x"),
+}
+
+
+def edit_json_key(path, key, edit):
+    """Replace the value at a dotted key of a JSON record by edit(value)."""
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    *parents, last = key.split(".")
+    node = record
+    for name in parents:
+        node = node[name]
+    node[last] = edit(node[last])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    return path
+
+
 def remove_minimize_record(paths):
     os.unlink(paths.minimize)
     return paths.minimize
@@ -739,6 +763,14 @@ CORRUPTIONS.update(
     {
         damage: lambda paths, record=record, key=key: drop_json_key(getattr(paths, record), key)
         for damage, (record, key) in DROPPED_KEYS.items()
+    }
+)
+CORRUPTIONS.update(
+    {
+        damage: lambda paths, record=record, key=key, edit=edit: edit_json_key(
+            getattr(paths, record), key, edit
+        )
+        for damage, (record, key, edit) in MALFORMED_VALUES.items()
     }
 )
 
@@ -933,6 +965,7 @@ class TestCommandLine:
             ("minimize", "remove_snapshots"),
             ("analyze", "nan_snapshot_sample"),
             *[("report", damage) for damage in DROPPED_KEYS],
+            *[("report", damage) for damage in MALFORMED_VALUES],
         ],
     )
     def test_corrupt_stage_input_is_input_error(self, completed, tmp_path, capsys, stage, damage):
@@ -950,6 +983,8 @@ class TestCommandLine:
         assert os.path.basename(victim) in err
         if damage in DROPPED_KEYS:
             assert f"missing key {DROPPED_KEYS[damage][1]!r}" in err
+        if damage in MALFORMED_VALUES:
+            assert repr(MALFORMED_VALUES[damage][1]) in err
         assert tree_bytes(copy_dir) == before
 
     def test_internal_value_error_propagates(self, completed, monkeypatch):

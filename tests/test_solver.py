@@ -7,11 +7,12 @@ Validates:
 - structural properties of the advection term (divergence-free, orthogonality)
 - the rotational advection term against the convective form, and its
   transform count
-- the workspace step against the allocating expression form, bit for bit,
-  and its allocation peak
+- the band workspace step against the allocating expression form, bit for
+  bit on the retained modes, and its allocation peak
 - blow-up detection with partial-trajectory salvage
 - simulate's one preallocated record against the list-and-stack loop, bit
-  for bit, its allocation peak and the workspace's lifetime
+  for bit on the retained modes, +0.0 outside the two-thirds band, its
+  allocation peak and the workspace's lifetime
 """
 
 import tracemalloc
@@ -291,9 +292,25 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_retained_bits(grid, got, want):
+    """got equals the expression-form reference `want` bit for bit on the
+    modes the two-thirds rule keeps, and is +0.0 on the discarded ones,
+    where the reference holds +0.0 or -0.0."""
+    keep = np.broadcast_to(grid.dealias_mask, grid.spectral_shape)
+    dropped = got[..., ~keep]
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and got[..., keep].tobytes() == want[..., keep].tobytes()
+        and dropped.tobytes() == np.zeros_like(dropped).tobytes()
+        and not np.any(want[..., ~keep])
+    )
+
+
 class TestWorkspaceStep:
-    """step and nonlinear_term work in grid.workspace and equal the
-    expression form with temporaries bit for bit."""
+    """step and nonlinear_term work on the band in grid.workspace and equal
+    the expression form with temporaries bit for bit on the retained modes,
+    with +0.0 on the discarded ones."""
 
     STEPS = 30
 
@@ -301,13 +318,13 @@ class TestWorkspaceStep:
         ref = u
         for _ in range(steps):
             u, ref = step(grid, u), step_reference(grid, ref)
-            assert same_bits(u, ref)
+            assert same_retained_bits(grid, u, ref)
         return u
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_random_band_bitwise(self, n):
         grid, u = full_band(n)
-        assert same_bits(nonlinear_term(grid, u), nonlinear_reference(grid, u))
+        assert same_retained_bits(grid, nonlinear_term(grid, u), nonlinear_reference(grid, u))
         self.march(grid, u)
 
     def test_taylor_green_bitwise(self, grid):
@@ -320,7 +337,7 @@ class TestWorkspaceStep:
         for _ in range(self.STEPS):
             ua, ub = step(ga, ua), step(gb, ub)
             ra, rb = step_reference(ga, ra), step_reference(gb, rb)
-            assert same_bits(ua, ra) and same_bits(ub, rb)
+            assert same_retained_bits(ga, ua, ra) and same_retained_bits(gb, ub, rb)
         assert ga.workspace is not gb.workspace
 
     def test_input_unchanged_and_results_independent(self, grid):
@@ -340,7 +357,7 @@ class TestWorkspaceStep:
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
         out = np.empty_like(u)
         assert nonlinear_term(grid, u, out=out) is out
-        assert same_bits(out, nonlinear_reference(grid, u))
+        assert same_retained_bits(grid, out, nonlinear_reference(grid, u))
 
     def test_step_allocates_only_its_result(self):
         """After a warm-up step the workspace exists and one step's traced
@@ -380,7 +397,8 @@ class TestBlowUp:
 
     def test_blow_up_partial_matches_reference(self):
         """The salvaged snapshots are finite and bitwise equal to the
-        states of the expression-form step up to the failure."""
+        states of the expression-form step up to the failure on the retained
+        modes, +0.0 on the discarded ones."""
         grid = Grid(n=16, nu=1e-8, dt=0.05, t_end=1.0, snapshot_stride=1)
         u0 = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150))
         with pytest.raises(BlowUpError) as excinfo:
@@ -394,7 +412,7 @@ class TestBlowUp:
         assert excinfo.value.step == len(ref) == len(partial)
         assert np.all(np.isfinite(partial.u_hats))
         for got, want in zip(partial.u_hats, ref):
-            assert same_bits(got, want)
+            assert same_retained_bits(grid, got, want)
 
 
 def simulate_reference(grid, u0_hat):
@@ -444,7 +462,10 @@ RECORD_FIELDS = ("times", "u_hats", "energies", "dissipation", "step_energies")
 
 
 def same_record(got, want):
-    return all(same_bits(getattr(got, f), getattr(want, f)) for f in RECORD_FIELDS)
+    """Every field bit for bit, the snapshots on the retained modes (same_retained_bits)."""
+    return same_retained_bits(got.grid, got.u_hats, want.u_hats) and all(
+        same_bits(getattr(got, f), getattr(want, f)) for f in RECORD_FIELDS if f != "u_hats"
+    )
 
 
 class TestRecordOnce:
@@ -487,6 +508,28 @@ class TestRecordOnce:
             tracemalloc.stop()
         assert len(traj) == 24
         assert peak < (len(traj) + 20) * u0.nbytes
+
+    def test_discarded_modes_are_positive_zero(self):
+        """Every state simulate records, BlowUpError.partial included, is
+        +0.0 outside the two-thirds band (the expression form leaves -0.0
+        in some of those modes)."""
+
+        def positive_zero_outside(grid, traj):
+            dropped = traj.u_hats[..., ~np.broadcast_to(grid.dealias_mask, grid.spectral_shape)]
+            return dropped.size > 0 and dropped.tobytes() == bytes(dropped.nbytes)
+
+        for n, ic in (
+            (16, InitialCondition(kind="taylor_green", amplitude=0.5)),
+            (18, InitialCondition(
+                kind="random_band", amplitude=1.0, seed=2, slope=-1.0, k_min=1, k_max=5
+            )),
+        ):
+            grid = Grid(n=n, nu=0.05, dt=5e-3, t_end=0.05, snapshot_stride=3)
+            assert positive_zero_outside(grid, simulate(grid, make_initial(grid, ic)))
+        grid = Grid(n=16, nu=1e-8, dt=0.05, t_end=1.0, snapshot_stride=1)
+        with pytest.raises(BlowUpError) as excinfo:
+            simulate(grid, make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150)))
+        assert positive_zero_outside(grid, excinfo.value.partial)
 
     def test_workspace_dropped_on_return_and_raise(self):
         grid = Grid(n=16, nu=0.05, dt=5e-3, t_end=0.02, snapshot_stride=2)

@@ -3,6 +3,8 @@
 Validates:
 - grid construction and parameter validation
 - transform conventions (coefficient normalization, round trips)
+- the two-thirds band layout: gather/scatter, its multipliers, and the band
+  transforms bit for bit against irfftn/rfftn of the full layout
 - differential operators against hand-computed trig derivatives
 - vector-calculus identities (curl grad = 0, div curl = 0, Leray algebra)
 - Parseval pairing of spectral and collocation inner products
@@ -141,6 +143,96 @@ class TestTransforms:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert f_hat.tobytes() == before.tobytes()
+
+
+def band_index(grid):
+    """Full-layout indices (rows, rows, planes) of the band layout, from its
+    documented order: band row j <= c is wavenumber j, row j > c is
+    j - (2c + 1), and planes 0..c."""
+    n, c = grid.n, grid.dealias_cutoff
+    rows = np.array([j if j <= c else n - (2 * c + 1) + j for j in range(2 * c + 1)])
+    return rows[:, None, None], rows[None, :, None], np.arange(c + 1)[None, None, :]
+
+
+BAND_SIZES = [16, 18, 24, 30, 32]
+BAND_LEADS = [(1,), (3,), (6,)]
+
+
+class TestBandLayout:
+    """The two-thirds band layout and the transforms that skip its zero
+    lines, against rfftn/irfftn of the full layout, bit for bit."""
+
+    @staticmethod
+    def make_grid(n):
+        return Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-2)
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_shape_holds_every_kept_mode(self, n):
+        grid = self.make_grid(n)
+        c = grid.dealias_cutoff
+        assert grid.band.shape == (2 * c + 1, 2 * c + 1, c + 1)
+        assert grid.band.shape != grid.spectral_shape
+        kept = np.zeros(grid.spectral_shape, dtype=bool)
+        kept[band_index(grid)] = True
+        assert np.array_equal(kept, np.broadcast_to(grid.dealias_mask, grid.spectral_shape))
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_gather_scatter_and_multipliers(self, n):
+        grid = self.make_grid(n)
+        band, at = grid.band, band_index(grid)
+        rng = np.random.default_rng(n)
+        full = rng.standard_normal((2,) + grid.spectral_shape) + 1j * rng.standard_normal(
+            (2,) + grid.spectral_shape
+        )
+        gathered = band.gather(full)
+        assert gathered.tobytes() == full[..., at[0], at[1], at[2]].tobytes()
+        scattered = band.scatter(gathered)
+        want = np.zeros_like(full)
+        want[..., at[0], at[1], at[2]] = gathered
+        assert scattered.tobytes() == want.tobytes()  # +0.0 outside the band
+        keep, e = grid.dealiased_leray
+        for got, full_form in (
+            (band.k_vec, grid.k_vec),
+            (band.keep, keep),
+            (band.e, e),
+            (band.half_step_decay, grid.half_step_decay),
+        ):
+            assert got.tobytes() == full_form[..., at[0], at[1], at[2]].tobytes()
+
+    @pytest.mark.parametrize("lead", BAND_LEADS)
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_inverse_is_irfftn_of_scatter(self, n, lead):
+        """Repeated calls reuse the zero-padded buffers and stay exact."""
+        grid = self.make_grid(n)
+        at = band_index(grid)
+        rng = np.random.default_rng(n + sum(lead))
+        for _ in range(2):
+            band = rng.standard_normal(lead + grid.band.shape) + 1j * rng.standard_normal(
+                lead + grid.band.shape
+            )
+            before = band.copy()
+            full = np.zeros(lead + grid.spectral_shape, dtype=np.complex128)
+            full[..., at[0], at[1], at[2]] = band
+            want = np.fft.irfftn(full, s=grid.shape, axes=(-3, -2, -1), norm="forward")
+            out = np.empty_like(want)
+            assert grid.inverse(band, out=out) is out
+            for got in (grid.inverse(band), out):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert band.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("lead", BAND_LEADS)
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_forward_is_gather_of_rfftn(self, n, lead):
+        grid = self.make_grid(n)
+        at = band_index(grid)
+        rng = np.random.default_rng(2 * n + sum(lead))
+        for _ in range(2):
+            field = rng.standard_normal(lead + grid.shape)
+            want = np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward")[..., at[0], at[1], at[2]]
+            out = np.empty(lead + grid.band.shape, dtype=np.complex128)
+            assert grid.forward(field, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 class TestDifferentialOperators:
