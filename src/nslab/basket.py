@@ -51,20 +51,31 @@ class TestBasket:
     def __iter__(self):
         return iter(self.elements)
 
-    def _reduce(self, profiles, f_hat, weights):
+    def _reduce(self, profiles, values, weights):
         """Re sum of weights * f * conj(profile_k) per element, rounded once
-        (math.fsum) so that cancelling pairings keep only their products' error."""
-        terms = (weights * f_hat[(...,) + self.support] * np.conj(profiles)).real
+        (math.fsum) so that cancelling pairings keep only their products' error.
+        values are f on the support modes (on_support)."""
+        terms = (weights * values * np.conj(profiles)).real
         return np.array([math.fsum(row) for row in terms.reshape(len(self), -1)])
+
+    def on_support(self, field_hat):
+        """A spectral field's values on the M support modes, shape (..., M)."""
+        return field_hat[(...,) + self.support]
 
     def pair(self, field_hat):
         """<f, psi_k> for a vector field f, <T, grad psi_k> for a tensor field T."""
-        profiles = self.psi if field_hat.ndim == 4 else self.grad_psi
-        return self._reduce(profiles, field_hat, self.weights)
+        return self.pair_support(self.on_support(field_hat))
+
+    def pair_support(self, values):
+        """pair of a field given only by its values on the support modes: a
+        field whose one reader is the basket need not be formed anywhere else."""
+        profiles = self.psi if values.ndim == 2 else self.grad_psi
+        return self._reduce(profiles, values, self.weights)
 
     def pair_gradient(self, v_hat):
         """<grad v, grad psi_k> for a vector field v."""
-        return self._reduce(self.psi, v_hat, self.weights * np.sum(self.k_vec**2, axis=0))
+        weights = self.weights * np.sum(self.k_vec**2, axis=0)
+        return self._reduce(self.psi, self.on_support(v_hat), weights)
 
     def norms(self):
         """(||psi_k||, ||grad psi_k||) per element."""

@@ -19,9 +19,11 @@ is not evaluated offset by offset: expanding du |du|^2 turns it into five
 circular correlations of the sampled grad(eta_delta) with pointwise products
 of u (the discrete Duchon-Robert form), 27 scalar FFTs in all, whatever
 delta is.  They split by what they depend on: 13 per snapshot
-(structure_fields: u and the transforms of u_j u_k, u |u|^2 and |u|^2), 3
-per width (kernel_gradient_hat, cached per grid) and 11 inverse transforms
-per (width, snapshot) pair (defect_structure_function).  The stress-strain
+(structure_fields: u and the transforms of u_j u_k, u |u|^2 and |u|^2; the
+first 9 are the velocity products that filtering.filtered_pairs forms for
+Pi and shares, so analyze adds 4), 3 per width (kernel_gradient_hat,
+cached per grid) and 11 inverse transforms per (width, snapshot) pair
+(defect_structure_function).  The stress-strain
 density reduces a pair's filtered velocity and Reynolds stress: 15 inverse
 transforms (6 stress and 9 strain components back to real space).
 offsets_count(), the number of offsets the structure sum covers, stays for
@@ -31,9 +33,9 @@ The estimators deliberately share no code path: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
 analyze_widths runs both, and the resolved budget, over the pairs of
 filtering.filtered_pairs (the pair loop is described there), adding only
-the structure fields once per snapshot; each pair's stress serves the
-budget and the stress-strain density.  defect_cross_validate returns its
-CrossValidationReport.
+the structure fields once per snapshot, as its snapshot_fields; each
+pair's stress serves the budget and the stress-strain density.
+defect_cross_validate returns its CrossValidationReport.
 """
 
 from __future__ import annotations
@@ -122,19 +124,23 @@ class StructureFields:
     speed_sq_hat: np.ndarray  # (|u|^2)^
 
 
-def structure_fields(grid, u_hat):
-    """StructureFields of one snapshot: 3 inverse and 10 forward transforms."""
-    u_hat = dealias(grid, u_hat)
-    u = grid.inverse(u_hat)
+def structure_fields(grid, u_hat, products):
+    """StructureFields of one snapshot.
+
+    products is velocity_products(grid, u_hat), the velocity on the grid
+    and the transforms of u_j u_k, which filtering.filtered_pairs forms for
+    Pi anyway.  The rest takes 4 forward transforms.
+    """
+    u, products_hat = products
     j, k = _UPPER
     pairs = u[j] * u[k]
     speed_sq = np.sum(pairs[j == k], axis=0)
     return StructureFields(
-        u_hat=u_hat,
+        u_hat=dealias(grid, u_hat),
         u=u,
         pairs=pairs,
         speed_sq=speed_sq,
-        pairs_hat=grid.forward(pairs)[_SYMMETRIC_INDEX],
+        pairs_hat=products_hat[_SYMMETRIC_INDEX],
         cubic_hat=grid.forward(u * speed_sq),
         speed_sq_hat=grid.forward(speed_sq),
     )
@@ -143,7 +149,7 @@ def structure_fields(grid, u_hat):
 def defect_structure_function(grid, fields, delta):
     """Structure-function transfer density, real field of shape (n, n, n).
 
-    fields = structure_fields(grid, u_hat).  With g = grad(eta_delta),
+    fields = structure_fields(grid, u_hat, products).  With g = grad(eta_delta),
     v = u(x + y) and w = u(x), the offset sum sum_y g . (v - w) |v - w|^2 is
     the sum of five circular correlations C[g_k, f](x) = sum_y g_k(y) f(x + y),
     each weighted pointwise by w:
@@ -275,11 +281,11 @@ def analyze_widths(trajectory, deltas):
     """The resolved budget and both estimators at every width, in one pass.
 
     Over filtering.filtered_pairs, with the structure fields formed once per
-    snapshot; the budget terms and the stress-strain density are two
-    reductions of each pair.  Each width's series fill in time order, so the
-    budgets equal those of resolved_balance bit for bit.  Returns (one
-    BalanceReport per width, the CrossValidationReport), widths coarse to
-    fine.
+    snapshot from the velocity products the loop forms for Pi; the budget
+    terms and the stress-strain density are two reductions of each pair.
+    Each width's series fill in time order, so the budgets equal those of
+    resolved_balance bit for bit.  Returns (one BalanceReport per width,
+    the CrossValidationReport), widths coarse to fine.
     """
     deltas = _coarse_to_fine(deltas)
     grid = trajectory.grid
@@ -287,8 +293,7 @@ def analyze_widths(trajectory, deltas):
     terms = np.empty((len(deltas), 4, len(trajectory)))
     structure = np.empty((len(deltas), len(trajectory)))
     stress = np.empty((len(deltas), len(trajectory)))
-    for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
-        fields = structure_fields(grid, u_hat)
+    for i, _, fields, pairs in filtered_pairs(trajectory, kernels, structure_fields):
         for w, _, ub_hat, r_hat in pairs:
             delta = deltas[w]
             terms[w, :, i] = balance_terms(grid, ub_hat, r_hat)

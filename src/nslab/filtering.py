@@ -23,23 +23,28 @@ so that the resolved-scale energy balance
     d/dt 1/2||ubar||^2 + nu ||grad ubar||^2 = <R, grad ubar>
 
 holds to round-off for trajectories produced by the solver.  The product
-Pi = dealias((u_j u_k)^) does not depend on the width: velocity_product_hat
-forms it once per snapshot, and reynolds_stress_hat and
-filtered_pressure_hat take it as an argument.  Both symmetric tensors are
+Pi = dealias((u_j u_k)^) does not depend on the width: it is formed once
+per snapshot, and reynolds_stress_hat and filtered_pressure_hat take it as
+an argument.  Both symmetric tensors are
 formed as their 6 upper-triangle components and expanded through
 _SYMMETRIC_INDEX.
 
-filtered_pairs is the one loop over (width, snapshot) pairs, and the only
-caller of velocity_product_hat and reynolds_stress_hat.  Snapshots run
-outside and widths inside: per snapshot it forms Pi once (9 transforms) and
-yields (i, u_hat, Pi, pairs); pairs then yields (m, kernel, ubar_hat, R_hat)
-for each width m, forming the stress (9 transforms) only when the consumer
-asks for it, so one stress is alive at a time.  Every consumer reduces the
-pair it is given.  The pipeline's consumers are dissipation.analyze_widths
-(analyze) and minimizer.audit_widths (minimize, whose finest P div J is
-also the descent oracle's input).  resolved_balance and local_balance_test
-here and minimizer.assemble_flux are library entry points; the tests and
-the acceptance suite use them as independent references.
+filtered_pairs is the one loop over (width, snapshot) pairs, and the
+pipeline's only caller of velocity_products and reynolds_stress_hat.
+Snapshots run outside and widths inside: per snapshot it forms Pi once (9
+transforms: the velocity u and F = (u_j u_k)^, then Pi = dealias(F) in F's
+buffer) and yields (i, u_hat, Pi, pairs); pairs then yields (m, kernel,
+ubar_hat, R_hat) for each width m, forming the stress (9 transforms) only
+when the consumer asks for it, so one stress is alive at a time.  A
+consumer that needs u and F as well passes a snapshot_fields function,
+which receives them before F is dealiased and whose result is yielded in
+Pi's place.  Every consumer reduces the pair it is given.  The pipeline's
+consumers are dissipation.analyze_widths (analyze, whose structure fields
+are such a function) and minimizer.audit_widths (minimize, whose finest
+P div J is also the descent oracle's input).  resolved_balance and
+local_balance_test here and minimizer.assemble_flux are library entry
+points; the tests and the acceptance suite use them as independent
+references.
 """
 
 from __future__ import annotations
@@ -159,16 +164,24 @@ def width_schedule(grid, delta0, count):
     return widths
 
 
-def velocity_product_hat(grid, u_hat):
-    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1).
+def velocity_products(grid, u_hat):
+    """(u, F): the dealiased velocity u on the grid, (3, n, n, n), and F =
+    (u_j u_k)^ for j <= k before dealiasing, (6, n, n, n//2+1).
 
-    u is the dealiased velocity; 3 inverse and 6 forward scalar transforms.
-    The product does not depend on the filter width, so one Pi serves every
-    width at a snapshot.
+    3 inverse and 6 forward scalar transforms; Pi = dealias(F).
     """
     u = grid.inverse(dealias(grid, u_hat))
     j, k = _UPPER
-    return dealias(grid, grid.forward(u[j] * u[k]))
+    return u, grid.forward(u[j] * u[k])
+
+
+def velocity_product_hat(grid, u_hat):
+    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1).
+
+    The product does not depend on the filter width, so one Pi serves every
+    width at a snapshot.
+    """
+    return dealias(grid, velocity_products(grid, u_hat)[1])
 
 
 def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
@@ -185,13 +198,22 @@ def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
     return stress[_SYMMETRIC_INDEX]
 
 
-def filtered_pairs(trajectory, kernels):
+def filtered_pairs(trajectory, kernels, snapshot_fields=None):
     """Per snapshot (i, u_hat, Pi, pairs); pairs lazily yields (m, kernel,
-    ubar_hat, R_hat) for each of the kernels, in their order."""
+    ubar_hat, R_hat) for each of the kernels, in their order.
+
+    Given snapshot_fields, the third item is instead snapshot_fields(grid,
+    u_hat, (u, F)) on the velocity products (velocity_products), so a
+    consumer that needs them too does not transform them again.  Pi is then
+    formed in F's buffer: snapshot_fields must copy what it keeps of F.
+    """
     grid = trajectory.grid
     for i, u_hat in enumerate(trajectory.u_hats):
-        product_hat = velocity_product_hat(grid, u_hat)
-        yield i, u_hat, product_hat, _pairs(grid, kernels, u_hat, product_hat)
+        u, product_hat = velocity_products(grid, u_hat)
+        shared = snapshot_fields(grid, u_hat, (u, product_hat)) if snapshot_fields else product_hat
+        del u
+        dealias(grid, product_hat, out=product_hat)
+        yield i, u_hat, shared, _pairs(grid, kernels, u_hat, product_hat)
 
 
 def _pairs(grid, kernels, u_hat, product_hat):

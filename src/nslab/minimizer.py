@@ -32,8 +32,13 @@ sym grad w outright); after the pass the ball rule turns each width's W
 into s, lambda and activity, and the s-dependent sums are divided by s or
 s^2.  Of the per-snapshot fields only the finest width's b is kept: it is
 oracle_mp's input, and the finest v* is derived from it one snapshot at a
-time.  Basket pairings use TestBasket.pair/pair_gradient; the Lagrange
-ratios and weak Euler-Lagrange residuals share one BasketPairing;
+time.  Within a pair each tensor is formed in dependency order and dropped
+after its last reader (the nu = 1 problem first, then J in j1's buffer),
+the Euler-Lagrange tensor only on the basket's support modes, and the
+modeling tensor in grad w's buffer, so at most three pair tensors are
+alive at once.  Basket pairings use TestBasket.pair/pair_gradient (and
+pair_support for a field formed on the support only); the Lagrange ratios
+and weak Euler-Lagrange residuals share one BasketPairing;
 weak_convergence_diag and stress_limit_diagnostics reduce across widths.
 
 assemble_flux stores one width's J from the same pair loop as a FluxField.
@@ -213,10 +218,6 @@ def solve_mp(flux, radius_sq):
     )
 
 
-def _flat_inner(grid, a, b):
-    return VOLUME * float(np.sum(grid.parseval_w * (a.real * b.real + a.imag * b.imag)))
-
-
 def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
     """Projected gradient descent on the spectral coefficients.
 
@@ -238,6 +239,15 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
     gradient falls below tol times the J-term gradient norm.  Returns the
     best of `starts` runs (start 0 is v = 0, the rest are seeded random
     divergence-free fields).
+
+    The working set is one v per start (start_spread measures every start
+    against the best one), three complex buffers of v's size (the gradient
+    g, the line search's candidate and its step; an accepted step swaps v
+    and the candidate) and two real scratch arrays that every inner product
+    reduces through.  b / |k|^2 is not stored: it is added into g one
+    snapshot at a time.  Every reduction sums the same array in the same
+    order as its whole-array expression, so the result is bit for bit that
+    of forming each intermediate afresh.
     """
     radius_sq = float(radius_sq)
     if radius_sq <= 0.0:
@@ -246,57 +256,82 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
     if rhs.shape[0] != len(times):
         raise MinimizerError("times and Poisson right-hand sides disagree")
     n_snap = len(times)
-    tw = trapezoid_weights(times)
-    tw5 = tw.reshape((n_snap, 1, 1, 1, 1))
-    k_sq = grid.k_sq
-    # b / k^2 in the zero-mean gauge (b has no mean: it is a divergence).
-    bk = np.stack([-inverse_laplacian(grid, rhs[i]) for i in range(n_snap)])
+    shape = (n_snap, 3) + grid.spectral_shape
+    tw5 = trapezoid_weights(times).reshape((n_snap, 1, 1, 1, 1))
+    a_weight = tw5 * grid.parseval_w * grid.k_sq
+    # The working set besides one v per start: g, a line-search candidate,
+    # a step, and two real scratch arrays for the reductions.
+    g, cand, step = (np.empty(shape, dtype=complex) for _ in range(3))
+    real_scratch = np.empty((2,) + shape)
+
+    def weighted_inner(weight, x, y):
+        """VOLUME * sum(weight * (Re x Re y + Im x Im y)), formed in the scratch arrays."""
+        xy, imag = real_scratch
+        np.multiply(x.real, y.real, out=xy)
+        np.multiply(x.imag, y.imag, out=imag)
+        xy += imag
+        np.multiply(weight, xy, out=xy)
+        return VOLUME * float(np.sum(xy))
 
     def a_inner(x, y):
-        return VOLUME * float(
-            np.sum(tw5 * grid.parseval_w * k_sq * (x.real * y.real + x.imag * y.imag))
-        )
+        return weighted_inner(a_weight, x, y)
 
     def objective(v):
-        return 0.5 * a_inner(v, v) + _flat_inner(grid, tw5 * rhs, v)
+        np.multiply(tw5, rhs, out=step)
+        return 0.5 * a_inner(v, v) + weighted_inner(grid.parseval_w, step, v)
 
     def project(v):
+        """Rescale v onto the ball in place; returns its constraint value."""
         c = a_inner(v, v)
         if c > radius_sq:
-            return v * np.sqrt(radius_sq / c), radius_sq
-        return v, c
+            np.multiply(v, np.sqrt(radius_sq / c), out=v)
+            return radius_sq
+        return c
+
+    def gradient_at(v=None):
+        """g = v + bk, with bk = b / k^2 in the zero-mean gauge (b has no
+        mean: it is a divergence) formed one snapshot at a time; bk itself
+        when v is None."""
+        for i in range(n_snap):
+            np.negative(inverse_laplacian(grid, rhs[i], out=g[i]), out=g[i])
+            if v is not None:
+                np.add(v[i], g[i], out=g[i])
+        return g
 
     def projected_gradient(g, v, c):
-        """The gradient g = v + bk projected on the ball's tangent space at v."""
+        """The gradient g projected on the ball's tangent space at v, in the
+        candidate buffer when it differs from g."""
         if abs(c - radius_sq) <= 1e-9 * radius_sq and c > 0.0:
             # Constraint gradient in the same metric is 2v with norm^2 = 4c.
-            mu = max(0.0, -a_inner(g, 2.0 * v) / (4.0 * c))
-            return g + 2.0 * mu * v, mu
+            mu = max(0.0, -a_inner(g, np.multiply(2.0, v, out=step)) / (4.0 * c))
+            pg = np.multiply(2.0 * mu, v, out=cand)
+            return np.add(g, pg, out=pg), mu
         return g, 0.0
 
-    ref_grad = np.sqrt(a_inner(bk, bk))
+    gradient_at()
+    ref_grad = np.sqrt(a_inner(g, g))
     rng = np.random.default_rng(seed)
     results = []  # (objective, v, constraint) per start
     total_iters = 0
     converged_all = True
     for start in range(max(1, int(starts))):
         if start == 0:
-            v = np.zeros((n_snap, 3) + grid.spectral_shape, dtype=complex)
+            v = np.zeros(shape, dtype=complex)
         else:
-            v = np.empty((n_snap, 3) + grid.spectral_shape, dtype=complex)
-            for i in range(n_snap):
-                noise = rng.standard_normal((3,) + grid.shape)
-                v[i] = leray_project(grid, dealias(grid, grid.forward(noise)))
+            v = np.empty(shape, dtype=complex)
+            for i in range(n_snap):  # the noise's transform in the idle step buffer
+                noise_hat = grid.forward(rng.standard_normal((3,) + grid.shape), out=step[i])
+                leray_project(grid, dealias(grid, noise_hat, out=noise_hat), out=v[i])
             c0 = a_inner(v, v)
             if c0 > 0.0:
                 v *= np.sqrt(0.5 * radius_sq / c0)
-        v, c = project(v)
+        c = project(v)
         alpha = 1.0
         converged = False
         it = 0
         while it < iters:
             it += 1
-            g = v + bk
+            gradient_at(v)
             pg, _ = projected_gradient(g, v, c)
             pg_norm = np.sqrt(a_inner(pg, pg))
             if pg_norm <= tol * ref_grad or (ref_grad == 0.0 and pg_norm <= tol):
@@ -304,11 +339,13 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
                 break
             accepted = False
             while alpha > 1e-18:
-                v_new, c_new = project(v - alpha * g)
-                step = v_new - v
+                np.multiply(alpha, g, out=cand)
+                np.subtract(v, cand, out=cand)
+                c_new = project(cand)
+                np.subtract(cand, v, out=step)
                 df = a_inner(g, step) + 0.5 * a_inner(step, step)
                 if df <= -(1e-4 / alpha) * a_inner(step, step):
-                    v, c = v_new, c_new
+                    v, cand, c = cand, v, c_new
                     alpha = min(alpha * 1.3, 1.0)
                     accepted = True
                     break
@@ -326,7 +363,7 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
         diff = (v_best[i] - v_other[i] for i in range(n_snap))
         spread = max(spread, enstrophy_integral(grid, times, diff))
     spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
-    pg, mu = projected_gradient(v_best + bk, v_best, c_best)
+    pg, mu = projected_gradient(gradient_at(v_best), v_best, c_best)
     active = abs(c_best - radius_sq) <= ACTIVITY_RTOL * radius_sq
     lam = -mu if active else 0.0
     return MinimizerSolution(
@@ -657,6 +694,17 @@ class AuditReport:
         return (-self.rhs[i] * self.grid.inv_k_sq) / self.scale
 
 
+def _symmetrize(t):
+    """Overwrite a 3 x 3 tensor field with its symmetric part (T + T^T) / 2,
+    one component pair at a time, with no copy."""
+    for i in range(3):
+        for j in range(i, 3):
+            np.add(t[i, j], t[j, i], out=t[i, j])
+            np.multiply(0.5, t[i, j], out=t[i, j])
+            t[j, i] = t[i, j]
+    return t
+
+
 def audit_widths(trajectory, deltas, basket, radius_sq):
     """Solve the minimization at every width and audit its identities.
 
@@ -698,13 +746,25 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
         for m, _, ub_hat, r_hat in pairs:
             resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
             grad_ub = gradient(grid, ub_hat)
-            j_hat = nu * grad_ub - r_hat
+            # The nu = 1 problem first: j1 = grad ubar - R and its minimizer w1.
             j1_hat = grad_ub - r_hat
+            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
+            big_w1[m] += tw[i] * gradient_norm_sq(grid, w1_hat)
+            grad_w1 = gradient(grid, w1_hat)
+            j1_w1[m] += tw[i] * inner_product(grid, j1_hat, grad_w1)
+            r_w1[m] += tw[i] * inner_product(grid, r_hat, grad_w1)
+            u_w1[m] += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
+            del grad_w1, w1_hat
+            # J = nu grad ubar - R in j1's buffer; grad ubar is read after
+            # this only by the Euler-Lagrange tensor, on the basket's modes.
+            j_hat = np.multiply(nu, grad_ub, out=j1_hat)
+            j_hat -= r_hat
+            grad_ub_modes = basket.on_support(grad_ub)
+            del j1_hat, grad_ub
             b_hat = _poisson_rhs(grid, j_hat)
             if m == finest:
                 rhs[i] = b_hat
             w_hat = -b_hat * grid.inv_k_sq
-            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
             w_sq = gradient_norm_sq(grid, w_hat)
             big_w[m] += tw[i] * w_sq
             grad_w = gradient(grid, w_hat)
@@ -712,27 +772,29 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             j_sq[m] += tw[i] * inner_product(grid, j_hat, j_hat)
             pw = basket.pair_gradient(w_hat)
             pair_j[m] += wt * basket.pair(j_hat)
+            del j_hat
             pair_w[m] += wt * pw
             a[m] += wt * (pw - nu * grad_u_pair)
             div_r = tensor_divergence(grid, r_hat)
             b[m] += wt * basket.pair(div_r)
             maj_a[m] += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
             maj_b[m] += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
-            sym_w = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
-            sym_ub = 0.5 * (grad_ub + np.swapaxes(grad_ub, 0, 1))
-            model = r_hat - 2.0 * sym_w
-            el_tensor = r_hat - 2.0 * nu * sym_ub + 2.0 * sym_w
-            el_pairs[m] += wt * basket.pair(el_tensor)
+            sym_w = _symmetrize(grad_w)
+            el_tensor = (
+                basket.on_support(r_hat)
+                - 2.0 * nu * _symmetrize(grad_ub_modes)
+                + 2.0 * basket.on_support(sym_w)
+            )
+            el_pairs[m] += wt * basket.pair_support(el_tensor)
+            # model = R - 2 sym(grad w), formed in sym(grad w)'s buffer
+            model = np.multiply(2.0, sym_w, out=sym_w)
+            np.subtract(r_hat, model, out=model)
             model_pairs[m] += wt * basket.pair(model)
             stress_sq[m] += tw[i] * inner_product(grid, r_hat, r_hat)
             resid_sq[m] += tw[i] * inner_product(grid, model, model)
             w_ubar[m] += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
-            big_w1[m] += tw[i] * gradient_norm_sq(grid, w1_hat)
-            grad_w1 = gradient(grid, w1_hat)
-            j1_w1[m] += tw[i] * inner_product(grid, j1_hat, grad_w1)
-            r_w1[m] += tw[i] * inner_product(grid, r_hat, grad_w1)
-            u_w1[m] += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
             r_u[m] += tw[i] * inner_product(grid, r_hat, grad_u)
+            del b_hat, w_hat, div_r, grad_w, sym_w, model  # no field of this pair outlives it
 
     widths = []
     for m, (delta, kernel) in enumerate(zip(ordered, kernels)):

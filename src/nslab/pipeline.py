@@ -349,6 +349,10 @@ def cmd_minimize(run_dir, oracle=False):
         if radius_sq is None:
             radius_sq = default_radius_sq(traj)
         audit = audit_widths(traj, schedule, basket, radius_sq)
+        # The oracle and the minimizer/ writer read only audit.rhs and the
+        # times: release the snapshot stack before they run.
+        times = traj.times
+        del traj
         weak = audit.weak
         records = []
         for width in audit.widths:
@@ -375,13 +379,13 @@ def cmd_minimize(run_dir, oracle=False):
 
         oracle_record = None
         if oracle:
-            osol = oracle_mp(grid, traj.times, audit.rhs, radius_sq, **cfg.minimizer["oracle"])
+            osol = oracle_mp(grid, times, audit.rhs, radius_sq, **cfg.minimizer["oracle"])
             # solution_gap against v*, derived one snapshot at a time
-            diff = (osol.v_hats[i] - audit.v_star(i) for i in range(len(traj)))
+            diff = (osol.v_hats[i] - audit.v_star(i) for i in range(len(times)))
             ref = max(osol.enstrophy_used, audit.solution.enstrophy_used, 1e-300)
             oracle_record = {
                 "delta": schedule[-1],
-                "gap": enstrophy_integral(grid, traj.times, diff) / ref,
+                "gap": enstrophy_integral(grid, times, diff) / ref,
                 "k_value": osol.k_value,
                 "k_value_closed_form": audit.solution.k_value,
                 "lambda": osol.lam,
@@ -394,7 +398,7 @@ def cmd_minimize(run_dir, oracle=False):
 
         # The finest-width minimizer as a snapshot series, plus its record.
         snap_mod.write_series(
-            paths.minimizer_dir, grid, traj.times, (audit.v_star(i) for i in range(len(traj)))
+            paths.minimizer_dir, grid, times, (audit.v_star(i) for i in range(len(times)))
         )
         sidecar = {key: records[-1][key] for key in SOLUTION_KEYS}
         _write_json(os.path.join(paths.minimizer_dir, "solution.json"), sidecar)

@@ -318,10 +318,10 @@ def laplacian(grid, f_hat):
     return -grid.k_sq * f_hat
 
 
-def inverse_laplacian(grid, f_hat):
+def inverse_laplacian(grid, f_hat, out=None):
     """Solve lap(u) = f in the zero-mean gauge: the k=0 mode of the result is 0
     (and any k=0 content of f is discarded, consistent with solvability)."""
-    return -grid.inv_k_sq * f_hat
+    return np.multiply(-grid.inv_k_sq, f_hat, out=out)
 
 
 def curl(grid, v_hat):
@@ -334,24 +334,26 @@ def curl(grid, v_hat):
     return out
 
 
-def leray_project(grid, v_hat):
+def leray_project(grid, v_hat, out=None):
     """Leray projection u_hat -> (I - k k^T/|k|^2) u_hat, zero mode set to 0.
 
     Idempotent and self-adjoint; annihilates gradient fields and the mean.
+    `out`, if given, must not overlap v_hat.
     """
     kdotv = (
         grid.k_vec[0] * v_hat[0] + grid.k_vec[1] * v_hat[1] + grid.k_vec[2] * v_hat[2]
     )
     coef = kdotv * grid.inv_k_sq
-    out = v_hat - grid.k_vec * coef
+    out = np.multiply(grid.k_vec, coef, out=out)
+    np.subtract(v_hat, out, out=out)
     out[..., 0, 0, 0] = 0.0
     return out
 
 
-def dealias(grid, f_hat):
+def dealias(grid, f_hat, out=None):
     """Two-thirds-rule truncation: zero every mode with any |k_i| >= n/3,
     i.e. keep |k_i| <= grid.dealias_cutoff = floor((n - 1)/3)."""
-    return f_hat * grid.dealias_mask
+    return np.multiply(f_hat, grid.dealias_mask, out=out)
 
 
 def inner_product(grid, f_hat, g_hat):

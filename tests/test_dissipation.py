@@ -8,7 +8,9 @@ Validates:
 - pointwise agreement of the correlation form of the structure function with
   a direct offset-by-offset np.roll loop on random fields
 - the densities from shared per-snapshot and per-width transforms equal the
-  per-call formulas they replaced bit for bit; the one-pass analyze_widths
+  per-call formulas they replaced bit for bit, the structure fields formed
+  from the pair loop's velocity products equal those formed apart, and the
+  transform calls per snapshot and per pair are counted; the one-pass analyze_widths
   equals resolved_balance, and its estimator series are the per-pair
   density integrals
 - exact zeros for single-mode fields (no closed triads)
@@ -40,10 +42,12 @@ from nslab.dissipation import (
     structure_fields,
 )
 from nslab.filtering import (
+    filtered_pairs,
     kernel_for,
     resolved_balance,
     reynolds_stress_hat,
     velocity_product_hat,
+    velocity_products,
     width_schedule,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
@@ -77,7 +81,9 @@ def tool_values(text):
 
 
 def structure_density(grid, u_hat, delta):
-    return defect_structure_function(grid, structure_fields(grid, u_hat), delta)
+    return defect_structure_function(
+        grid, structure_fields(grid, u_hat, velocity_products(grid, u_hat)), delta
+    )
 
 
 def stress_density(grid, u_hat, delta):
@@ -196,7 +202,7 @@ class TestSharedTransforms:
     def test_densities_match_reference(self, n):
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
         u_hat = g.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
-        fields = structure_fields(g, u_hat)
+        fields = structure_fields(g, u_hat, velocity_products(g, u_hat))
         product_hat = velocity_product_hat(g, u_hat)
         for delta in width_schedule(g, np.pi, 3):
             structure = defect_structure_function(g, fields, delta)
@@ -205,6 +211,49 @@ class TestSharedTransforms:
             r_hat = reynolds_stress_hat(g, kernel, u_hat, product_hat)
             stress = defect_stress_strain(g, kernel.multiplier * u_hat, delta, r_hat)
             assert np.array_equal(stress, reference_stress_density(g, u_hat, delta))
+
+    def test_fields_from_shared_products(self, grid, trajectory):
+        """The structure fields analyze forms from the pair loop's velocity
+        products equal those formed from the snapshot alone, bit for bit."""
+        j, k = np.triu_indices(3)
+        snapshots = filtered_pairs(trajectory, [kernel_for(grid, np.pi)], structure_fields)
+        for _, u_hat, fields, _ in snapshots:
+            u = grid.inverse(dealias(grid, u_hat))
+            pairs = u[j] * u[k]
+            speed_sq = np.sum(pairs[j == k], axis=0)
+            want = {
+                "u_hat": dealias(grid, u_hat),
+                "u": u,
+                "pairs": pairs,
+                "speed_sq": speed_sq,
+                "pairs_hat": grid.forward(pairs)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]],
+                "cubic_hat": grid.forward(u * speed_sq),
+                "speed_sq_hat": grid.forward(speed_sq),
+            }
+            for name, array in want.items():
+                assert getattr(fields, name).tobytes() == array.tobytes(), name
+
+    def test_analyze_transforms_per_snapshot_and_pair(self, grid, trajectory, monkeypatch):
+        """With the per-width kernels cached, analyze_widths makes 4
+        transform calls per snapshot (the velocity, the products u_j u_k
+        that Pi and the structure fields share, u |u|^2 and |u|^2) and 8 per
+        pair (the stress's 2, the structure density's 4 and the
+        stress-strain density's 2)."""
+        deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
+        analyze_widths(trajectory, deltas)
+        calls = []
+
+        def counted(method):
+            def call(self, *args, **kwargs):
+                calls.append(method.__name__)
+                return method(self, *args, **kwargs)
+
+            return call
+
+        for name in ("forward", "inverse"):
+            monkeypatch.setattr(Grid, name, counted(getattr(Grid, name)))
+        analyze_widths(trajectory, deltas)
+        assert len(calls) == len(trajectory) * (4 + 8 * len(deltas))
 
     def test_one_pass_matches_per_width_reductions(self, grid, trajectory):
         """Each width's budget equals resolved_balance at that width alone;

@@ -20,8 +20,14 @@ Validates:
   every width and holds no per-snapshot tensor beyond the finest b = P div J,
   which is the assembled flux's bit for bit and gives solve_mp's v* and the
   oracle's input, with the oracle's k_value equal to K to round-off
+- the bounded working set of the minimize stage: the audit pass and the
+  oracle bit for bit against test-local references that form every field
+  afresh (audit_reference, oracle_reference), at an interior and a saturated
+  ball and 1 and 3 starts, with their inputs untouched, and their traced
+  allocation peaks in tensor and trajectory sizes
 """
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -30,7 +36,7 @@ import pytest
 
 from nslab import minimizer
 from nslab.basket import build_basket, spacetime_gradient_norm, window_l2_sq
-from nslab.filtering import kernel_for, reynolds_stress_hat, velocity_product_hat
+from nslab.filtering import filtered_pairs, kernel_for, reynolds_stress_hat, velocity_product_hat
 from nslab.minimizer import (
     DEGENERATE_RTOL,
     BasketPairing,
@@ -53,12 +59,19 @@ from nslab.minimizer import (
 )
 from nslab.solver import InitialCondition, make_initial, simulate
 from nslab.spectral import (
+    VOLUME,
     Grid,
+    dealias,
     gradient,
     gradient_inner_product,
+    gradient_norm_sq,
     inner_product,
+    inverse_laplacian,
     laplacian,
+    leray_project,
+    norm_sq,
     random_divergence_free,
+    tensor_divergence,
     trapezoid_weights,
 )
 
@@ -614,3 +627,340 @@ class TestValidation:
             audit_widths(
                 trajectory, [np.pi, np.pi / 2.0], traj_basket, default_radius_sq(trajectory)
             )
+
+
+def audit_reference(trajectory, deltas, basket, radius_sq):
+    """audit_widths with every per-pair field formed afresh and kept to the
+    end of the pair, the Euler-Lagrange tensor formed on the whole grid: the
+    bitwise reference for the bounded-memory audit pass."""
+    grid = trajectory.grid
+    nu = grid.nu
+    times = trajectory.times
+    tw = trapezoid_weights(times)
+    weights = minimizer._basket_weights(basket, times)
+    basket_norms = minimizer._basket_norms(basket, times)
+    psi_l2, psi_grad = basket.norms()
+    ordered = sorted((float(d) for d in deltas), reverse=True)
+    kernels = [kernel_for(grid, delta) for delta in ordered]
+    finest = len(kernels) - 1
+    pair_j, pair_w, a, b, maj_a, maj_b, el_pairs, model_pairs = np.zeros(
+        (8, len(kernels), len(basket))
+    )
+    big_w, j_w, j_sq, stress_sq, resid_sq, w_ubar, big_w1, j1_w1, r_w1, u_w1, r_u = np.zeros(
+        (11, len(kernels))
+    )
+    resolved_energy = np.empty((len(kernels), len(trajectory)))
+    grad_u_snap = np.empty(len(trajectory))
+    rhs = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
+    for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
+        grad_u = gradient(grid, u_hat)
+        grad_u_pair = basket.pair_gradient(u_hat)
+        grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
+        wt = weights[i]
+        for m, _, ub_hat, r_hat in pairs:
+            resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
+            grad_ub = gradient(grid, ub_hat)
+            j_hat = nu * grad_ub - r_hat
+            j1_hat = grad_ub - r_hat
+            b_hat = minimizer._poisson_rhs(grid, j_hat)
+            if m == finest:
+                rhs[i] = b_hat
+            w_hat = -b_hat * grid.inv_k_sq
+            w1_hat = -minimizer._poisson_rhs(grid, j1_hat) * grid.inv_k_sq
+            w_sq = gradient_norm_sq(grid, w_hat)
+            big_w[m] += tw[i] * w_sq
+            grad_w = gradient(grid, w_hat)
+            j_w[m] += tw[i] * inner_product(grid, j_hat, grad_w)
+            j_sq[m] += tw[i] * inner_product(grid, j_hat, j_hat)
+            pw = basket.pair_gradient(w_hat)
+            pair_j[m] += wt * basket.pair(j_hat)
+            pair_w[m] += wt * pw
+            a[m] += wt * (pw - nu * grad_u_pair)
+            div_r = tensor_divergence(grid, r_hat)
+            b[m] += wt * basket.pair(div_r)
+            maj_a[m] += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
+            maj_b[m] += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
+            sym_w = 0.5 * (grad_w + np.swapaxes(grad_w, 0, 1))
+            sym_ub = 0.5 * (grad_ub + np.swapaxes(grad_ub, 0, 1))
+            model = r_hat - 2.0 * sym_w
+            el_tensor = r_hat - 2.0 * nu * sym_ub + 2.0 * sym_w
+            el_pairs[m] += wt * basket.pair(el_tensor)
+            model_pairs[m] += wt * basket.pair(model)
+            stress_sq[m] += tw[i] * inner_product(grid, r_hat, r_hat)
+            resid_sq[m] += tw[i] * inner_product(grid, model, model)
+            w_ubar[m] += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
+            big_w1[m] += tw[i] * gradient_norm_sq(grid, w1_hat)
+            grad_w1 = gradient(grid, w1_hat)
+            j1_w1[m] += tw[i] * inner_product(grid, j1_hat, grad_w1)
+            r_w1[m] += tw[i] * inner_product(grid, r_hat, grad_w1)
+            u_w1[m] += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
+            r_u[m] += tw[i] * inner_product(grid, r_hat, grad_u)
+
+    widths = []
+    for m, (delta, kernel) in enumerate(zip(ordered, kernels)):
+        s, lam, active = minimizer._ball_rule(big_w[m], radius_sq)
+        omtl = 1.0 - 2.0 * lam
+        sol = MinimizerSolution(
+            times=times.copy(),
+            v_hats=None,
+            lam=lam,
+            one_minus_two_lambda=omtl,
+            enstrophy_used=float(big_w[m] / s**2),
+            radius_sq=radius_sq,
+            k_value=float(0.5 * big_w[m] / s**2 - j_w[m] / s),
+            constraint_active=active,
+            source="closed_form",
+        )
+        s1, lam1, _ = minimizer._ball_rule(big_w1[m], radius_sq)
+        k1, j1_v1 = 0.5 * big_w1[m] / s1**2, j1_w1[m] / s1
+        stress_limit = {
+            "delta": kernel.delta,
+            "lambda": lam1,
+            "one_minus_two_lambda": 1.0 - 2.0 * lam1,
+            "stress_vstar": r_w1[m] / s1,
+            "stress_gradu": r_u[m],
+            "gradu_gradv": u_w1[m] / s1,
+            "k_value": k1 - j1_v1,
+            "k_value_negated": k1 + j1_v1,
+            "minimality_ok": bool(k1 - j1_v1 <= k1 + j1_v1 + 1e-12 * max(1.0, abs(k1 + j1_v1))),
+        }
+        flux_norm = float(np.sqrt(max(j_sq[m], 0.0)))
+        pairing = BasketPairing(omtl, pair_j[m], pair_w[m] / s, flux_norm * basket_norms)
+        widths.append(
+            minimizer.WidthAudit(
+                delta=delta,
+                solution=sol,
+                lagrange=lagrange_ratio(pairing),
+                el=el_residual(pairing),
+                boussinesq=minimizer.boussinesq_residual(
+                    kernel.delta, el_pairs[m], model_pairs[m], stress_sq[m], resid_sq[m],
+                    basket_norms,
+                ),
+                energy_drop=minimizer.energy_drop_identity(
+                    kernel.delta, resolved_energy[m], w_ubar[m]
+                ),
+                a=a[m],
+                b=b[m],
+                a_majorant=maj_a[m],
+                b_majorant=maj_b[m],
+                stress_limit=stress_limit,
+            )
+        )
+    grad_u_norm = float(np.sqrt(np.dot(tw, grad_u_snap**2)))
+    return minimizer.AuditReport(
+        widths=tuple(widths),
+        weak=minimizer.weak_convergence_diag(widths, nu, grad_u_norm, basket_norms),
+        stress_limit=minimizer.stress_limit_diagnostics(widths, basket_norms),
+        grid=grid,
+        rhs=rhs,
+        scale=s,
+    )
+
+
+def oracle_reference(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e-10):
+    """oracle_mp with b / |k|^2 stored and every iterate, gradient, step and
+    reduction temporary formed afresh: the bitwise reference for the
+    oracle's fixed buffers."""
+    radius_sq = float(radius_sq)
+    times = np.asarray(times, dtype=np.float64)
+    n_snap = len(times)
+    tw = trapezoid_weights(times)
+    tw5 = tw.reshape((n_snap, 1, 1, 1, 1))
+    k_sq = grid.k_sq
+    bk = np.stack([-inverse_laplacian(grid, rhs[i]) for i in range(n_snap)])
+
+    def a_inner(x, y):
+        return VOLUME * float(
+            np.sum(tw5 * grid.parseval_w * k_sq * (x.real * y.real + x.imag * y.imag))
+        )
+
+    def objective(v):
+        tb = tw5 * rhs
+        return 0.5 * a_inner(v, v) + VOLUME * float(
+            np.sum(grid.parseval_w * (tb.real * v.real + tb.imag * v.imag))
+        )
+
+    def project(v):
+        c = a_inner(v, v)
+        if c > radius_sq:
+            return v * np.sqrt(radius_sq / c), radius_sq
+        return v, c
+
+    def projected_gradient(g, v, c):
+        if abs(c - radius_sq) <= 1e-9 * radius_sq and c > 0.0:
+            mu = max(0.0, -a_inner(g, 2.0 * v) / (4.0 * c))
+            return g + 2.0 * mu * v, mu
+        return g, 0.0
+
+    ref_grad = np.sqrt(a_inner(bk, bk))
+    rng = np.random.default_rng(seed)
+    results = []
+    total_iters = 0
+    converged_all = True
+    for start in range(max(1, int(starts))):
+        if start == 0:
+            v = np.zeros((n_snap, 3) + grid.spectral_shape, dtype=complex)
+        else:
+            v = np.empty((n_snap, 3) + grid.spectral_shape, dtype=complex)
+            for i in range(n_snap):
+                noise = rng.standard_normal((3,) + grid.shape)
+                v[i] = leray_project(grid, dealias(grid, grid.forward(noise)))
+            c0 = a_inner(v, v)
+            if c0 > 0.0:
+                v *= np.sqrt(0.5 * radius_sq / c0)
+        v, c = project(v)
+        alpha = 1.0
+        converged = False
+        it = 0
+        while it < iters:
+            it += 1
+            g = v + bk
+            pg, _ = projected_gradient(g, v, c)
+            pg_norm = np.sqrt(a_inner(pg, pg))
+            if pg_norm <= tol * ref_grad or (ref_grad == 0.0 and pg_norm <= tol):
+                converged = True
+                break
+            accepted = False
+            while alpha > 1e-18:
+                v_new, c_new = project(v - alpha * g)
+                step = v_new - v
+                df = a_inner(g, step) + 0.5 * a_inner(step, step)
+                if df <= -(1e-4 / alpha) * a_inner(step, step):
+                    v, c = v_new, c_new
+                    alpha = min(alpha * 1.3, 1.0)
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                break
+        total_iters += it
+        converged_all = converged_all and converged
+        results.append((objective(v), v, c))
+
+    results.sort(key=lambda r: r[0])
+    f_best, v_best, c_best = results[0]
+    spread = 0.0
+    for _, v_other, _ in results[1:]:
+        spread = max(spread, enstrophy_integral(grid, times, v_best - v_other))
+    spread_ref = max(enstrophy_integral(grid, times, v_best), 1e-300)
+    pg, mu = projected_gradient(v_best + bk, v_best, c_best)
+    active = abs(c_best - radius_sq) <= minimizer.ACTIVITY_RTOL * radius_sq
+    lam = -mu if active else 0.0
+    return MinimizerSolution(
+        times=times.copy(),
+        v_hats=v_best,
+        lam=lam,
+        one_minus_two_lambda=1.0 - 2.0 * lam,
+        enstrophy_used=c_best,
+        radius_sq=radius_sq,
+        k_value=f_best,
+        constraint_active=active,
+        source="oracle",
+        iterations=total_iters,
+        grad_norm=np.sqrt(a_inner(pg, pg)),
+        grad_norm_ref=ref_grad,
+        converged=converged_all,
+        start_spread=spread / spread_ref,
+    )
+
+
+def same_bits(got, want, where="result"):
+    """Assert that two results agree field by field, arrays and floats by
+    their bytes and everything else by equality; a failure names the field."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            same_bits(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            same_bits(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for k, (x, y) in enumerate(zip(got, want)):
+            same_bits(x, y, f"{where}[{k}]")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    elif isinstance(want, (float, np.floating)):
+        assert type(got) is type(want), where
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), where
+    else:
+        assert got == want, where
+
+
+REGIMES = {"interior": None, "saturated": 1e-4}
+
+
+def regime_radius(trajectory, regime):
+    """The default ball (every width interior) or one every width saturates."""
+    return default_radius_sq(trajectory) if REGIMES[regime] is None else REGIMES[regime]
+
+
+class TestBoundedMinimize:
+    """The minimize stage's fixed working set changes no bit: the audit pass
+    against the per-pair fields formed afresh, the oracle against its
+    stored b / |k|^2 and fresh iterates, and both inputs untouched; and
+    its traced peaks stay within a fixed number of field sizes."""
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_audit_matches_reference(self, trajectory, traj_basket, regime):
+        radius_sq = regime_radius(trajectory, regime)
+        u_before = trajectory.u_hats.tobytes()
+        report = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, radius_sq)
+        assert trajectory.u_hats.tobytes() == u_before
+        want = audit_reference(trajectory, TRAJ_DELTAS, traj_basket, radius_sq)
+        assert all(w.solution.constraint_active == (regime == "saturated") for w in want.widths)
+        same_bits(report, want)
+
+    @pytest.mark.parametrize("starts", [1, 3])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_oracle_matches_reference(self, trajectory, traj_basket, regime, starts):
+        radius_sq = regime_radius(trajectory, regime)
+        rhs = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, radius_sq).rhs
+        rhs_before = rhs.tobytes()
+        grid, times = trajectory.grid, trajectory.times
+        got = oracle_mp(grid, times, rhs, radius_sq, iters=2000, seed=9, starts=starts)
+        assert rhs.tobytes() == rhs_before
+        want = oracle_reference(grid, times, rhs, radius_sq, iters=2000, seed=9, starts=starts)
+        assert want.constraint_active == (regime == "saturated")
+        same_bits(got, want)
+        # The returned point owns its memory: no scratch buffer or input behind it.
+        assert got.v_hats.base is None and not np.shares_memory(got.v_hats, rhs)
+
+    def test_audit_working_set(self, trajectory, traj_basket):
+        """On this 16^3, 6-snapshot trajectory the audit pass peaks at 10.1
+        tensor fields (3, 3, n, n, n//2+1) above entry: the snapshot's
+        grad u, Pi and stress, at most three of the pair's tensors with one
+        inner product's temporaries, and the finest b (two tensors' worth
+        at 6 snapshots).  Forming every pair field afresh and keeping it to
+        the end of the pair peaks at 18.3 here."""
+        grid = trajectory.grid
+        for delta in TRAJ_DELTAS:
+            kernel_for(grid, delta)  # cached per grid; not part of the pass
+        tensor = 9 * np.prod(grid.spectral_shape) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            audit_widths(trajectory, TRAJ_DELTAS, traj_basket, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * tensor
+
+    def test_oracle_working_set(self, trajectory, traj_basket):
+        """On this trajectory, at 3 starts on a saturated ball, the oracle
+        peaks at 7.6 trajectory-sized arrays: 3 v's, g, the candidate, the
+        step and the two real scratch arrays (one array's worth).  Storing
+        b / |k|^2 and forming each iterate afresh peaks at 10.4 here."""
+        grid, times = trajectory.grid, trajectory.times
+        rhs = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, 1e-4).rhs
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            oracle_mp(grid, times, rhs, 1e-4, iters=2000, seed=9, starts=3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * rhs.nbytes

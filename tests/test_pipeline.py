@@ -44,6 +44,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -428,6 +429,28 @@ class TestMinimizeStage:
         pipeline.cmd_minimize(run_dir, oracle=True)
         assert built == []
 
+    def test_snapshots_released_before_oracle(self, completed, tmp_path, monkeypatch):
+        """minimize --oracle drops the trajectory once the audit pass
+        returns: the oracle and the minimizer/ writer run without the
+        snapshot stack.  Its artifacts are unchanged."""
+        run_dir = str(tmp_path / "copy")
+        shutil.copytree(completed["run_dir"], run_dir)
+        audited, alive = [], []
+
+        def audit(traj, *args):
+            audited.append(weakref.ref(traj))
+            return minimizer.audit_widths(traj, *args)
+
+        def oracle(*args, **kwargs):
+            alive.append(audited[0]() is not None)
+            return minimizer.oracle_mp(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "audit_widths", audit)
+        monkeypatch.setattr(pipeline, "oracle_mp", oracle)
+        pipeline.cmd_minimize(run_dir, oracle=True)
+        assert alive == [False]
+        assert completed["grab"](RunPaths(run_dir).minimize) == completed["minimize"]
+
     def test_minimize_summary(self, completed):
         minimize = json.loads(completed["minimize"])
         assert len(minimize["records"]) == 3
@@ -485,7 +508,7 @@ class TestMinimizeStage:
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
-        product_calls = count_calls(monkeypatch, filtering.velocity_product_hat)
+        product_calls = count_calls(monkeypatch, filtering.velocity_products)
         flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
         solve_calls = count_calls(monkeypatch, minimizer.solve_mp)
         for oracle in (False, True):

@@ -7,6 +7,8 @@ Validates:
   transforms bit for bit against irfftn/rfftn of the full layout
 - differential operators against hand-computed trig derivatives
 - vector-calculus identities (curl grad = 0, div curl = 0, Leray algebra)
+- dealias, inverse_laplacian and leray_project into a given `out`, bit for
+  bit their allocating forms
 - Parseval pairing of spectral and collocation inner products
 - helper utilities (trapezoid weights, defect diagnostics, random fields)
 """
@@ -303,6 +305,23 @@ class TestDifferentialOperators:
         )
         assert np.abs(d[~live]).max() == 0.0
         assert np.abs((d - random_scalar)[live]).max() == 0.0
+
+    def test_out_writes_the_allocating_forms_bits(self, grid, random_vector):
+        """dealias, inverse_laplacian and leray_project given `out` write
+        into it, bit for bit the expression each one replaced."""
+        v = random_vector
+        for op, want in (
+            (dealias, v * grid.dealias_mask),
+            (inverse_laplacian, -grid.inv_k_sq * v),
+            (leray_project, None),
+        ):
+            out = np.empty_like(v)
+            assert op(grid, v, out=out) is out
+            if want is None:
+                kdotv = grid.k_vec[0] * v[0] + grid.k_vec[1] * v[1] + grid.k_vec[2] * v[2]
+                want = v - grid.k_vec * (kdotv * grid.inv_k_sq)
+                want[..., 0, 0, 0] = 0.0
+            assert out.tobytes() == want.tobytes() == op(grid, v).tobytes(), op.__name__
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_edge_mode_square_does_not_alias(self, n):
