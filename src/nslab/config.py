@@ -181,6 +181,14 @@ def parse_config(data):
     oracle = cfg.minimizer["oracle"]
     if oracle["iters"] < 1 or oracle["starts"] < 1:
         raise ConfigError("minimizer.oracle: iters and starts must be positive")
+    # numpy's generators take only non-negative seeds.
+    for path, seed in (
+        ("init.seed", init["seed"]),
+        ("basket.seed", cfg.basket["seed"]),
+        ("minimizer.oracle.seed", oracle["seed"]),
+    ):
+        if seed is not None and seed < 0:
+            raise ConfigError(f"{path}: must be non-negative, got {seed}")
     if not cfg.output["dir"]:
         raise ConfigError("output.dir: empty")
 

@@ -55,7 +55,6 @@ import numpy as np
 from .basket import spacetime_gradient_norm
 from .filtering import filtered_pairs, kernel_for
 from .spectral import (
-    VOLUME,
     dealias,
     gradient,
     gradient_inner_product,
@@ -64,6 +63,7 @@ from .spectral import (
     inverse_laplacian,
     leray_project,
     norm_sq,
+    parseval_sum,
     tensor_divergence,
     trapezoid_weights,
 )
@@ -243,11 +243,9 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
     The working set is one v per start (start_spread measures every start
     against the best one), three complex buffers of v's size (the gradient
     g, the line search's candidate and its step; an accepted step swaps v
-    and the candidate) and two real scratch arrays that every inner product
-    reduces through.  b / |k|^2 is not stored: it is added into g one
-    snapshot at a time.  Every reduction sums the same array in the same
-    order as its whole-array expression, so the result is bit for bit that
-    of forming each intermediate afresh.
+    and the candidate).  b / |k|^2 is not stored: it is added into g one
+    snapshot at a time.  Every reduction is one spectral.parseval_sum, so
+    it sums in that kernel's block order whatever buffer its operands are in.
     """
     radius_sq = float(radius_sq)
     if radius_sq <= 0.0:
@@ -258,27 +256,16 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
     n_snap = len(times)
     shape = (n_snap, 3) + grid.spectral_shape
     tw5 = trapezoid_weights(times).reshape((n_snap, 1, 1, 1, 1))
-    a_weight = tw5 * grid.parseval_w * grid.k_sq
-    # The working set besides one v per start: g, a line-search candidate,
-    # a step, and two real scratch arrays for the reductions.
+    a_weight = tw5 * grid.gradient_w
+    # The working set besides one v per start: g, a line-search candidate and a step.
     g, cand, step = (np.empty(shape, dtype=complex) for _ in range(3))
-    real_scratch = np.empty((2,) + shape)
-
-    def weighted_inner(weight, x, y):
-        """VOLUME * sum(weight * (Re x Re y + Im x Im y)), formed in the scratch arrays."""
-        xy, imag = real_scratch
-        np.multiply(x.real, y.real, out=xy)
-        np.multiply(x.imag, y.imag, out=imag)
-        xy += imag
-        np.multiply(weight, xy, out=xy)
-        return VOLUME * float(np.sum(xy))
 
     def a_inner(x, y):
-        return weighted_inner(a_weight, x, y)
+        return parseval_sum(a_weight, x, y)
 
     def objective(v):
         np.multiply(tw5, rhs, out=step)
-        return 0.5 * a_inner(v, v) + weighted_inner(grid.parseval_w, step, v)
+        return 0.5 * a_inner(v, v) + inner_product(grid, step, v)
 
     def project(v):
         """Rescale v onto the ball in place; returns its constraint value."""

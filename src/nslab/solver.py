@@ -287,13 +287,10 @@ def simulate(grid, u0_hat):
     u_hats = np.empty((recorded.size,) + full.shape, dtype=np.complex128)
     # 0.5 ||u||^2 and the cumulative nu int_0^t ||grad u||^2 after each step
     step_energies, dissipation = np.empty((2, grid.steps + 1))
-    w, wk = grid.parseval_w, grid.parseval_w * grid.k_sq
-    axes = (-3, -2, -1)
 
-    def ledger(s, v):  # 0.5 norm_sq(v) into step_energies[s]; gradient_norm_sq(v)
-        sq = v.real**2 + v.imag**2  # the |v|^2 both sums take, as spectral's do
-        step_energies[s] = 0.5 * (spectral.VOLUME * float(np.sum(np.sum(w * sq, axis=axes))))
-        return spectral.VOLUME * float(np.sum(np.sum(wk * sq, axis=axes)))
+    def ledger(s, v):  # records 0.5 ||v||^2, returns ||grad v||^2
+        step_energies[s] = 0.5 * spectral.norm_sq(grid, v)
+        return spectral.gradient_norm_sq(grid, v)
 
     def trajectory(snaps, last):  # the first `snaps` snapshots, the ledger of steps 0..last
         at = recorded[:snaps]

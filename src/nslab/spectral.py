@@ -16,9 +16,13 @@ With this convention Parseval reads
 
 where the sum runs over the full wavevector lattice; the half-complex layout
 accounts for the missing conjugate modes with a weight of 2 on interior
-planes of the last axis.  Every norm and inner product in the package routes
-through :func:`inner_product` (or its gradient-weighted variant) so Parseval
-is a single-point invariant.
+planes of the last axis.  Every norm and inner product in the package is one
+call of :func:`parseval_sum`: VOLUME * sum(weight * (Re x Re y + Im x Im y))
+in split products (numpy may fuse (f * conj g).real into multiply-adds, and
+then <f, f> and ||f||^2 differ in the last bits), summed per (n, n, nh) block
+and then over the block sums.  Kept apart on purpose: basket's pairings
+(math.fsum over the support modes, as they cancel) and energy_spectrum in
+solver (its bits fix the random_band initial field).
 
 The solver steps in a smaller layout, :class:`Band`: only the modes the
 two-thirds rule keeps, stored contiguously.  Grid.forward and Grid.inverse
@@ -113,6 +117,7 @@ class Grid:
         w[0] = 1.0
         w[-1] = 1.0
         self.parseval_w = w[None, None, :]
+        self.gradient_w = self.parseval_w * self.k_sq  # of the gradient pairings
 
         stability = self.dt * self.nu * 3.0 * cut**2
         if stability > RK4_REAL_AXIS_BOUND:
@@ -356,43 +361,49 @@ def dealias(grid, f_hat, out=None):
     return np.multiply(f_hat, grid.dealias_mask, out=out)
 
 
+def parseval_sum(weight, x, y):
+    """VOLUME * sum(weight * (Re x * Re y + Im x * Im y)), x and y of one shape.
+
+    weight broadcasts against a slab of the first axis, or has x's rank and
+    is indexed along that axis.  Each slab is formed in two real scratch
+    slabs; each (n, n, nh) block is summed, then the block sums.
+    """
+    if x.ndim == 3:
+        x, y = x[None], y[None]
+    xy, imag = np.empty((2,) + x.shape[1:])
+    sums = np.empty(x.shape[:-3])
+    for i in range(x.shape[0]):
+        np.multiply(x[i].real, y[i].real, out=xy)
+        np.multiply(x[i].imag, y[i].imag, out=imag)
+        xy += imag
+        xy *= weight[i] if weight.ndim == x.ndim else weight
+        sums[i] = np.sum(xy, axis=(-3, -2, -1))
+    return VOLUME * float(np.sum(sums))
+
+
 def inner_product(grid, f_hat, g_hat):
     """L2 inner product integral(f . g) over the box via Parseval.
 
     Component axes (any leading dims) are summed over, so vector and tensor
     fields contract fully.  Both arguments must be spectral.
     """
-    s = np.sum(grid.parseval_w * (f_hat * np.conj(g_hat)).real, axis=(-3, -2, -1))
-    return VOLUME * float(np.sum(s))
+    return parseval_sum(grid.parseval_w, f_hat, g_hat)
 
 
 def norm_sq(grid, f_hat):
     """Squared L2 norm integral(|f|^2), nonnegative by construction."""
-    s = np.sum(
-        grid.parseval_w * (f_hat.real**2 + f_hat.imag**2), axis=(-3, -2, -1)
-    )
-    return VOLUME * float(np.sum(s))
+    return parseval_sum(grid.parseval_w, f_hat, f_hat)
 
 
 def gradient_inner_product(grid, f_hat, g_hat):
-    """Pairing of gradients integral(grad f : grad g) = sum_k |k|^2 <f,g>_k.
-
-    Avoids forming the gradients; exactly equals
-    inner_product(gradient(f), gradient(g)).
-    """
-    s = np.sum(
-        grid.parseval_w * grid.k_sq * (f_hat * np.conj(g_hat)).real, axis=(-3, -2, -1)
-    )
-    return VOLUME * float(np.sum(s))
+    """integral(grad f : grad g) = sum_k |k|^2 <f,g>_k without forming the
+    gradients; equals inner_product(gradient(f), gradient(g)) up to round-off."""
+    return parseval_sum(grid.gradient_w, f_hat, g_hat)
 
 
 def gradient_norm_sq(grid, f_hat):
     """integral(|grad f|^2) via the |k|^2-weighted Parseval sum."""
-    s = np.sum(
-        grid.parseval_w * grid.k_sq * (f_hat.real**2 + f_hat.imag**2),
-        axis=(-3, -2, -1),
-    )
-    return VOLUME * float(np.sum(s))
+    return parseval_sum(grid.gradient_w, f_hat, f_hat)
 
 
 def grid_inner_product(grid, f, g):

@@ -3,7 +3,8 @@
 Validates:
 - strict config parsing: defaults, unknown-key rejection at every level,
   sections that are not objects (falsy ones included) rejected by name,
-  type and finiteness checks, per-kind initial-condition requirements, and
+  type and finiteness checks, per-kind initial-condition requirements,
+  non-negative seeds (init, basket and oracle; the CLI exits 2), and
   cross-validation against grid/filter/basket rules, including the
   three-width minimum of the filter schedule
 - output-directory resolution including the NSLAB_OUT override
@@ -212,6 +213,48 @@ class TestConfigParsing:
         data["minimizer"] = {"oracle": {"iters": 0}}
         with pytest.raises(ConfigError, match="iters and starts"):
             parse_config(data)
+
+    def test_negative_init_seed_rejected(self):
+        """numpy's generators take no negative seed, so a random_band field
+        with seed -1 is refused at load time, not when simulate draws it."""
+        data = base_config()
+        data["init"] = {
+            "kind": "random_band",
+            "amplitude": 0.4,
+            "seed": -1,
+            "slope": -1.0,
+            "k_min": 1,
+            "k_max": 3,
+        }
+        with pytest.raises(ConfigError, match="init.seed: must be non-negative"):
+            parse_config(data)
+        data["init"]["seed"] = 0
+        assert parse_config(data).init["seed"] == 0
+
+    def test_negative_basket_seed_rejected(self):
+        data = base_config()
+        data["basket"] = {"seed": -1}
+        with pytest.raises(ConfigError, match="basket.seed: must be non-negative"):
+            parse_config(data)
+
+    def test_negative_oracle_seed_rejected(self):
+        data = base_config()
+        data["minimizer"] = {"oracle": {"seed": -1}}
+        with pytest.raises(ConfigError, match="minimizer.oracle.seed: must be non-negative"):
+            parse_config(data)
+
+    def test_negative_seed_exits_2_before_simulate(self, tmp_path, capsys):
+        """A negative basket seed used to pass the load and crash minimize
+        --oracle with exit 1 after simulate had run; now simulate exits 2
+        naming the key and writes nothing."""
+        data = base_config()
+        data["basket"] = {"seed": -1}
+        data["output"]["dir"] = str(tmp_path / "run")
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "basket.seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_empty_output_dir(self):
         data = base_config()

@@ -9,9 +9,14 @@ Validates:
 - vector-calculus identities (curl grad = 0, div curl = 0, Leray algebra)
 - dealias, inverse_laplacian and leray_project into a given `out`, bit for
   bit their allocating forms
-- Parseval pairing of spectral and collocation inner products
+- Parseval pairing of spectral and collocation inner products; the four
+  norms and pairings are one parseval_sum, bit for bit the block-order
+  split-product sum, so <f, f> == ||f||^2 exactly, within round-off of the
+  complex-product form, and with scratch of one slab of the first axis
 - helper utilities (trapezoid weights, defect diagnostics, random fields)
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from nslab.spectral import (
     laplacian,
     leray_project,
     norm_sq,
+    parseval_sum,
     random_divergence_free,
     tensor_divergence,
     trapezoid_weights,
@@ -351,10 +357,19 @@ class TestInnerProducts:
         f_hat = grid.forward(np.sin(grid.x[0]))
         assert norm_sq(grid, f_hat) == pytest.approx(0.5 * VOLUME, rel=1e-14)
 
-    def test_norm_sq_consistent_with_inner_product(self, grid, random_vector):
-        assert norm_sq(grid, random_vector) == pytest.approx(
-            inner_product(grid, random_vector, random_vector), rel=1e-13
-        )
+    def test_norm_sq_consistent_with_inner_product(self, grid):
+        """Exact over 20 draws: both are the same split-product sum, where
+        the complex product (f * conj f).real may round differently."""
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            f = grid.forward(rng.standard_normal((3,) + grid.shape))
+            assert norm_sq(grid, f) == inner_product(grid, f, f)
+
+    def test_gradient_norm_sq_consistent_with_gradient_inner_product(self, grid):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            f = grid.forward(rng.standard_normal((3,) + grid.shape))
+            assert gradient_norm_sq(grid, f) == gradient_inner_product(grid, f, f)
 
     def test_gradient_pairing_avoids_forming_gradients(self, grid, random_vector):
         rng = np.random.default_rng(17)
@@ -362,9 +377,73 @@ class TestInnerProducts:
         direct = inner_product(grid, gradient(grid, random_vector), gradient(grid, other))
         weighted = gradient_inner_product(grid, random_vector, other)
         assert weighted == pytest.approx(direct, rel=1e-12)
-        assert gradient_norm_sq(grid, random_vector) == pytest.approx(
-            gradient_inner_product(grid, random_vector, random_vector), rel=1e-13
+
+
+def block_sum(weight, x, y):
+    """The block-order split-product sum parseval_sum is documented to equal."""
+    xy = weight * (x.real * y.real + x.imag * y.imag)
+    return VOLUME * float(np.sum(np.sum(xy, axis=(-3, -2, -1))))
+
+
+class TestParsevalSum:
+    """The one reduction behind every norm and pairing."""
+
+    @pytest.mark.parametrize("n", [16, 18])  # odd and even nh
+    @pytest.mark.parametrize("lead", [(), (3,), (3, 3)])
+    def test_functions_are_the_block_order_sum(self, n, lead):
+        grid = Grid(n=n, nu=0.05, dt=0.01, t_end=0.1)
+        rng = np.random.default_rng(n + len(lead))
+        f, g = (grid.forward(rng.standard_normal(lead + grid.shape)) for _ in range(2))
+        w, wk = grid.parseval_w, grid.parseval_w * grid.k_sq
+        assert inner_product(grid, f, g) == block_sum(w, f, g)
+        assert norm_sq(grid, f) == block_sum(w, f, f)
+        assert gradient_inner_product(grid, f, g) == block_sum(wk, f, g)
+        assert gradient_norm_sq(grid, f) == block_sum(wk, f, f)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_time_weight_indexed_along_the_first_axis(self, n):
+        """An (S, 1, n, n, nh) weight, as the oracle's tw * |k|^2 weight,
+        on an (S, 3, ...) pair."""
+        grid = Grid(n=n, nu=0.05, dt=0.01, t_end=0.1)
+        rng = np.random.default_rng(29)
+        f, g = (grid.forward(rng.standard_normal((5, 3) + grid.shape)) for _ in range(2))
+        tw = trapezoid_weights(np.linspace(0.0, 1.0, 5)).reshape((5, 1, 1, 1, 1))
+        weight = tw * grid.gradient_w
+        assert parseval_sum(weight, f, g) == block_sum(weight, f, g)
+        assert parseval_sum(weight, f, f) == block_sum(weight, f, f)
+
+    def test_within_round_off_of_the_complex_product_form(self, grid):
+        """|new - old| <= 1e-14 sqrt(||f||^2 ||g||^2) against the sum of
+        (f * conj g).real, for the plain and the gradient pairing."""
+        rng = np.random.default_rng(31)
+        pairs = (
+            (grid.parseval_w, inner_product, norm_sq),
+            (grid.gradient_w, gradient_inner_product, gradient_norm_sq),
         )
+        for lead in ((), (3,), (3, 3)):
+            f, g = (grid.forward(rng.standard_normal(lead + grid.shape)) for _ in range(2))
+            for weight, pairing, norm in pairs:
+                old = VOLUME * float(
+                    np.sum(np.sum(weight * (f * np.conj(g)).real, axis=(-3, -2, -1)))
+                )
+                bound = 1e-14 * np.sqrt(norm(grid, f) * norm(grid, g))
+                assert abs(pairing(grid, f, g) - old) <= bound
+
+    def test_tensor_pairing_scratch_is_one_slab(self, grid):
+        """One tensor pairing at 16^3 peaks at 0.51 tensor fields: two real
+        slabs (3, n, n, nh) and numpy's fixed broadcast buffer.  The complex
+        product form peaks at 1.70."""
+        rng = np.random.default_rng(37)
+        f, g = (grid.forward(rng.standard_normal((3, 3) + grid.shape)) for _ in range(2))
+        inner_product(grid, f, g)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            inner_product(grid, f, g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * f.nbytes
 
 
 class TestDiagnosticsAndHelpers:
