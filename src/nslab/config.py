@@ -170,6 +170,12 @@ def parse_config(data):
         for name in _BAND_KEYS[1:]:
             if init[name] is not None:
                 raise ConfigError(f"init.{name}: only valid for random_band")
+    # A zero field has no energy to audit.  random_band's amplitude is an
+    # RMS, whose sign would be lost; the trig kinds' is a signed prefactor.
+    rms = init["kind"] == "random_band"
+    if init["amplitude"] == 0.0 or (rms and init["amplitude"] < 0.0):
+        need = "positive (an RMS) for random_band" if rms else "nonzero"
+        raise ConfigError(f"init.amplitude: must be {need}, got {init['amplitude']}")
     if cfg.filters["count"] < 3:
         raise ConfigError(
             "filters.count: need at least three widths (the defect fit and the "

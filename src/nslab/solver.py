@@ -14,7 +14,9 @@ applied exactly and never restricts the step.  Pressure is never formed
 during stepping; the projection removes it mode by mode.  The step holds
 its state on the two-thirds band (spectral.Band), the only modes the
 dealiasing keeps, so its arithmetic and transforms skip the modes that are
-zero.
+zero: step and nonlinear_term take band fields only, and simulate gathers
+the initial field once, sums its energy ledger on the band and scatters
+only the states it records.
 
 Beltrami (ABC) initial data gives an exact analytic solution of the discrete
 system: omega = u for an eigenfield of curl, so u x omega vanishes pointwise
@@ -139,24 +141,20 @@ def nonlinear_term(grid, u_hat, out=None):
     Equal to -P[(u.grad)u], since u x omega = grad(|u|^2/2) - (u.grad)u and
     P removes gradients.  One inverse transform of the stacked (u, omega) and
     one forward transform of their product; zero for Beltrami data (omega =
-    u).  Works on the two-thirds band (grid.band) in grid.workspace and
-    writes the term to `out`, or to a fresh array when `out` is None.  A
-    field in the full half-complex layout is gathered to the band and its
-    term scattered back, +0.0 outside the band.  On the band, bitwise equal
-    to
+    u).  Takes and returns fields in the two-thirds band layout (grid.band),
+    works in grid.workspace and writes the term to `out`, or to a fresh
+    array when `out` is None.  Bitwise equal to the band of
 
         uw = inverse(concatenate((u_hat, curl(u_hat)))); u, w = uw[:3], uw[3:]
         f = forward(stack((u[1]*w[2] - u[2]*w[1], u[2]*w[0] - u[0]*w[2],
                            u[0]*w[1] - u[1]*w[0])))
         keep * f - e * (e[0]*f[0] + e[1]*f[1] + e[2]*f[2])
 
-    in the full layout, since it applies the same operations to the same
-    operand types and the band transforms skip only zero lines.
+    in the full layout, with keep and e the full-layout forms of band.keep
+    and band.e (see spectral.Band), since it applies the same operations to
+    the same operand types and the band transforms skip only zero lines.
     """
-    band = grid.band
-    if u_hat.shape[-3:] != band.shape:
-        return band.scatter(nonlinear_term(grid, band.gather(u_hat)), out)
-    ws = grid.workspace
+    band, ws = grid.band, grid.workspace
     uw_hat, (s, tmp) = ws.uw_hat, ws.scalar
     np.copyto(uw_hat[:3], u_hat)
     # omega_i = 1j * (k_a u_b - k_b u_a) for (i, a, b) cyclic, as spectral.curl
@@ -189,19 +187,14 @@ def nonlinear_term(grid, u_hat, out=None):
 def step(grid, u_hat):
     """One integrating-factor RK4 step of length grid.dt.
 
-    Works on the two-thirds band (grid.band); a field in the full
-    half-complex layout is gathered to the band and the result scattered
-    back, +0.0 outside the band.  Returns a fresh array, which no later step
-    overwrites, and leaves u_hat unchanged; the stages live in
-    grid.workspace, so one grid must not be stepped from two threads at
-    once.  Each line below is one operation of the expressions in the
-    comments, with the same operands, so the result is bitwise that of
-    evaluating them with temporaries.
+    Takes and returns fields in the two-thirds band layout (grid.band).
+    Returns a fresh array, which no later step overwrites, and leaves u_hat
+    unchanged; the stages live in grid.workspace, so one grid must not be
+    stepped from two threads at once.  Each line below is one operation of
+    the expressions in the comments, with the same operands, so the result
+    is bitwise that of evaluating them with temporaries.
     """
-    band = grid.band
-    if u_hat.shape[-3:] != band.shape:
-        return band.scatter(step(grid, band.gather(u_hat)))
-    dt, e_half = grid.dt, band.half_step_decay
+    dt, e_half = grid.dt, grid.band.half_step_decay
     ws = grid.workspace
     u_half, (k1, k2, k3, k4), arg = ws.u_half, ws.k, ws.arg
     # Stages k_i = N(.); the full-step factor is applied as e_half twice:
@@ -269,9 +262,10 @@ def simulate(grid, u0_hat):
     """March the flow to grid.t_end, recording every snapshot_stride-th state.
 
     The initial state and the final state are always recorded.  The state is
-    stepped on the two-thirds band (grid.band); after each step it is
-    scattered into one full-layout buffer, +0.0 outside the band, which the
-    energy ledger sums and the recorded snapshots copy.  The snapshot stack
+    gathered once to the two-thirds band (grid.band) and stepped there; the
+    energy ledger sums it on the band (parseval_sum with band.parseval_w and
+    band.gradient_w), and a recorded state is scattered straight into its
+    row of the snapshot stack, +0.0 outside the band.  The snapshot stack
     and the step ledger are allocated once, and the result and
     BlowUpError.partial are views of them.  Raises BlowUpError (with the
     failure time) on NaN or overflow.  grid.workspace is dropped on return.
@@ -281,16 +275,15 @@ def simulate(grid, u0_hat):
     band = grid.band
     u = band.gather(spectral.dealias(grid, u0_hat).astype(np.complex128))
     u[..., 0, 0, 0] = 0.0
-    full = band.scatter(u)
 
     recorded = np.array([*range(0, grid.steps, grid.snapshot_stride), grid.steps])
-    u_hats = np.empty((recorded.size,) + full.shape, dtype=np.complex128)
+    u_hats = np.empty((recorded.size,) + u0_hat.shape, dtype=np.complex128)
     # 0.5 ||u||^2 and the cumulative nu int_0^t ||grad u||^2 after each step
     step_energies, dissipation = np.empty((2, grid.steps + 1))
 
     def ledger(s, v):  # records 0.5 ||v||^2, returns ||grad v||^2
-        step_energies[s] = 0.5 * spectral.norm_sq(grid, v)
-        return spectral.gradient_norm_sq(grid, v)
+        step_energies[s] = 0.5 * spectral.parseval_sum(band.parseval_w, v, v)
+        return spectral.parseval_sum(band.gradient_w, v, v)
 
     def trajectory(snaps, last):  # the first `snaps` snapshots, the ledger of steps 0..last
         at = recorded[:snaps]
@@ -303,10 +296,10 @@ def simulate(grid, u0_hat):
             step_energies=step_energies[: last + 1],
         )
 
-    u_hats[0] = full
+    band.scatter(u, out=u_hats[0])
     snaps = 1
     dissipation[0] = 0.0
-    gsq_prev = ledger(0, full)
+    gsq_prev = ledger(0, u)
     try:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for s in range(1, grid.steps + 1):
@@ -315,12 +308,11 @@ def simulate(grid, u0_hat):
                     err = BlowUpError(s * grid.dt, s)
                     err.partial = trajectory(snaps, s - 1)
                     raise err
-                band.scatter(u, out=full)
-                gsq = ledger(s, full)
+                gsq = ledger(s, u)
                 dissipation[s] = dissipation[s - 1] + 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
                 gsq_prev = gsq
                 if s == recorded[snaps]:
-                    u_hats[snaps] = full
+                    band.scatter(u, out=u_hats[snaps])
                     snaps += 1
     finally:
         grid.__dict__.pop("workspace", None)

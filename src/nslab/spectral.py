@@ -26,7 +26,10 @@ solver (its bits fix the random_band initial field).
 
 The solver steps in a smaller layout, :class:`Band`: only the modes the
 two-thirds rule keeps, stored contiguously.  Grid.forward and Grid.inverse
-accept it and skip the transform lines that are zero in it.
+accept it and skip the transform lines that are zero in it.  The band holds
+the solver's multipliers and its own Parseval weights, so simulate's energy
+ledger is parseval_sum over band fields; the full layout is only what the
+solver is given and the snapshots it returns.
 """
 
 from __future__ import annotations
@@ -182,22 +185,6 @@ class Grid:
         return np.fft.irfft(planes, n, axis=-1, norm="forward", out=out)
 
     @cached_property
-    def dealiased_leray(self):
-        """(keep, e): the solver's dealias-then-Leray multiplier in two parts.
-
-        leray_project(dealias(v)) = keep * v - e * (e . v), where keep is the
-        dealias mask with the mean mode dropped and e = keep * k / |k|.
-        """
-        keep = self.dealias_mask.astype(np.float64)
-        keep[0, 0, 0] = 0.0
-        return keep, self.k_vec * (keep * np.sqrt(self.inv_k_sq))
-
-    @cached_property
-    def half_step_decay(self):
-        """exp(-nu |k|^2 dt / 2): the viscous integrating factor over half a step."""
-        return np.exp(-self.nu * self.k_sq * (0.5 * self.dt))
-
-    @cached_property
     def band(self):
         """The two-thirds band layout the solver steps in; see Band."""
         return Band(self)
@@ -225,8 +212,16 @@ class Band:
     j <= c is wavenumber j, row j > c is j - (2c+1).  Every other mode of a
     dealiased field is zero.  The shape never equals (n, n, n/2+1), so
     Grid.forward and Grid.inverse tell the layout from an array's trailing
-    shape.  k_vec, keep, e and half_step_decay are the grid's arrays of those
-    names (keep and e from dealiased_leray) on the band.
+    shape.
+
+    The solver's multipliers live here, formed from the band's gather of
+    grid.k_vec, grid.k_sq and grid.inv_k_sq.  leray_project(dealias(v)) =
+    keep * v - e * (e . v): keep is 1 on every band mode (each passes the
+    2/3 rule) but the mean, and e = keep * k / |k|.  half_step_decay is
+    exp(-nu |k|^2 dt / 2), the viscous integrating factor over half a step.
+    parseval_w and gradient_w are the gathers of grid.parseval_w (at full
+    shape) and grid.gradient_w, the weights of norm_sq and gradient_norm_sq
+    on band fields.
     """
 
     def __init__(self, grid):
@@ -237,8 +232,13 @@ class Band:
         self.rows = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, None), slice(n - c, n)))
         self.planes = slice(0, c + 1)
         self.k_vec = self.gather(grid.k_vec)
-        self.keep, self.e = (self.gather(a) for a in grid.dealiased_leray)
-        self.half_step_decay = self.gather(grid.half_step_decay)
+        k_sq, inv_k_sq = self.gather(grid.k_sq), self.gather(grid.inv_k_sq)
+        self.keep = np.ones(self.shape)
+        self.keep[0, 0, 0] = 0.0
+        self.e = self.k_vec * (self.keep * np.sqrt(inv_k_sq))
+        self.half_step_decay = np.exp(-grid.nu * k_sq * (0.5 * grid.dt))
+        self.parseval_w = self.gather(np.broadcast_to(grid.parseval_w, self.spectral_shape))
+        self.gradient_w = self.gather(grid.gradient_w)
 
     def gather(self, full, out=None):
         """The band of a half-complex field (..., n, n, nh), as four block copies."""

@@ -4,7 +4,8 @@ Validates:
 - strict config parsing: defaults, unknown-key rejection at every level,
   sections that are not objects (falsy ones included) rejected by name,
   type and finiteness checks, per-kind initial-condition requirements,
-  non-negative seeds (init, basket and oracle; the CLI exits 2), and
+  non-negative seeds (init, basket and oracle; the CLI exits 2), a nonzero
+  init.amplitude that is positive for random_band (the CLI exits 2), and
   cross-validation against grid/filter/basket rules, including the
   three-width minimum of the filter schedule
 - output-directory resolution including the NSLAB_OUT override
@@ -254,6 +255,58 @@ class TestConfigParsing:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert "basket.seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def random_band_config(amplitude):
+        data = base_config()
+        data["init"] = {
+            "kind": "random_band",
+            "amplitude": amplitude,
+            "seed": 3,
+            "slope": -1.0,
+            "k_min": 1,
+            "k_max": 3,
+        }
+        return data
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "beltrami_abc", "random_band"])
+    def test_zero_amplitude_rejected(self, kind):
+        """A zero field loaded, simulated and analyzed, and only minimize
+        --oracle failed on it; now it is refused at load time."""
+        data = self.random_band_config(0.0)
+        if kind != "random_band":
+            data["init"] = {"kind": kind, "amplitude": 0.0}
+        with pytest.raises(ConfigError, match="init.amplitude: must be"):
+            parse_config(data)
+
+    def test_negative_random_band_amplitude_rejected(self):
+        """random_band's amplitude is an RMS: -0.8 used to run as +0.8."""
+        with pytest.raises(ConfigError, match=r"init.amplitude: must be positive \(an RMS\)"):
+            parse_config(self.random_band_config(-0.8))
+        assert parse_config(self.random_band_config(0.8)).init["amplitude"] == 0.8
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "beltrami_abc"])
+    def test_negative_trig_amplitude_flips_sign(self, kind):
+        """For the trigonometric kinds a negative amplitude is the sign-flipped field."""
+        data = base_config()
+        data["init"] = {"kind": kind, "amplitude": -0.7}
+        cfg = parse_config(data)
+        assert cfg.init["amplitude"] == -0.7
+        grid = cfg.make_grid()
+        flipped = make_initial(grid, cfg.make_initial_condition())
+        data["init"]["amplitude"] = 0.7
+        plain = make_initial(grid, parse_config(data).make_initial_condition())
+        assert np.array_equal(flipped, -plain)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -0.8])
+    def test_bad_amplitude_exits_2_before_simulate(self, tmp_path, capsys, amplitude):
+        data = self.random_band_config(amplitude)
+        data["output"]["dir"] = str(tmp_path / "run")
+        path = tmp_path / "bad_amplitude.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "init.amplitude" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_empty_output_dir(self):

@@ -7,12 +7,14 @@ Validates:
 - structural properties of the advection term (divergence-free, orthogonality)
 - the rotational advection term against the convective form, and its
   transform count
-- the band workspace step against the allocating expression form, bit for
-  bit on the retained modes, and its allocation peak
+- the band workspace step against the allocating expression form in the
+  full layout, bit for bit on the retained modes, and its allocation peak
 - blow-up detection with partial-trajectory salvage
 - simulate's one preallocated record against the list-and-stack loop, bit
   for bit on the retained modes, +0.0 outside the two-thirds band, its
   allocation peak and the workspace's lifetime
+- simulate's band ledger against a full-layout ledger of the same states,
+  within 1e-15 relative
 """
 
 import tracemalloc
@@ -133,7 +135,7 @@ class TestBeltramiDecay:
 
     def test_advection_vanishes_for_beltrami(self, grid):
         u0 = make_initial(grid, InitialCondition(kind="beltrami_abc"))
-        n = nonlinear_term(grid, u0)
+        n = nonlinear_term(grid, grid.band.gather(u0))
         assert np.abs(n).max() / np.abs(u0).max() < 1e-13
 
 
@@ -190,7 +192,7 @@ class TestAdvectionTerm:
                 kind="random_band", amplitude=1.0, seed=5, slope=-1.0, k_min=1, k_max=4
             ),
         )
-        n = nonlinear_term(grid, u)
+        n = band_term(grid, u)
         assert divergence_max(grid, n) < 1e-13
         assert np.abs(n[..., 0, 0, 0]).max() == 0.0
 
@@ -202,15 +204,23 @@ class TestAdvectionTerm:
                 kind="random_band", amplitude=1.3, seed=8, slope=0.0, k_min=1, k_max=3
             ),
         )
-        n = nonlinear_term(grid, u)
+        n = band_term(grid, u)
         scale = np.sqrt(norm_sq(grid, u) * norm_sq(grid, n))
         assert abs(inner_product(grid, u, n)) / scale < 1e-13
 
     def test_step_is_deterministic(self, grid):
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        u = grid.band.gather(u)
         a = step(grid, u)
         b = step(grid, u)
         assert np.array_equal(a, b)
+
+
+def band_term(grid, u_hat):
+    """nonlinear_term of a full-layout field: gathered to the band, its term
+    scattered back, +0.0 outside the band."""
+    band = grid.band
+    return band.scatter(nonlinear_term(grid, band.gather(u_hat)))
 
 
 def convective_reference(grid, u_hat):
@@ -236,7 +246,7 @@ class TestRotationalForm:
         )
         u = make_initial(grid, ic)
         ref = convective_reference(grid, u)
-        assert np.abs(nonlinear_term(grid, u) - ref).max() / np.abs(ref).max() < 1e-13
+        assert np.abs(band_term(grid, u) - ref).max() / np.abs(ref).max() < 1e-13
 
     def test_one_inverse_and_one_forward(self, grid, monkeypatch):
         """One call makes one inverse of the stacked (u, omega) and one
@@ -251,26 +261,37 @@ class TestRotationalForm:
 
             monkeypatch.setattr(Grid, name, counted)
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        u = grid.band.gather(u)
         calls.clear()
         nonlinear_term(grid, u)
         assert sorted(calls) == [("forward", 3), ("inverse", 6)]
 
 
+def full_multipliers(grid):
+    """(keep, e, half_step_decay) in the full layout: the dealias mask with
+    the mean dropped, keep * k / |k| and exp(-nu |k|^2 dt / 2)."""
+    keep = grid.dealias_mask.astype(np.float64)
+    keep[0, 0, 0] = 0.0
+    e = grid.k_vec * (keep * np.sqrt(grid.inv_k_sq))
+    return keep, e, np.exp(-grid.nu * grid.k_sq * (0.5 * grid.dt))
+
+
 def nonlinear_reference(grid, u_hat):
-    """P[u x omega] evaluated with a temporary per operation: the bitwise
-    reference for nonlinear_term."""
+    """P[u x omega] evaluated in the full layout with a temporary per
+    operation: the bitwise reference for nonlinear_term on the band."""
     uw = grid.inverse(np.concatenate((u_hat, curl(grid, u_hat))))
     u, w = uw[:3], uw[3:]
     f = grid.forward(
         np.stack((u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]))
     )
-    keep, e = grid.dealiased_leray
+    keep, e, _ = full_multipliers(grid)
     return keep * f - e * (e[0] * f[0] + e[1] * f[1] + e[2] * f[2])
 
 
 def step_reference(grid, u_hat):
-    """The RK4 step evaluated with temporaries: the bitwise reference for step."""
-    dt, e_half = grid.dt, grid.half_step_decay
+    """The RK4 step evaluated in the full layout with temporaries: the
+    bitwise reference for step on the band."""
+    dt, e_half = grid.dt, full_multipliers(grid)[2]
     u_half = e_half * u_hat
     k1 = nonlinear_reference(grid, u_hat)
     k2 = nonlinear_reference(grid, u_half + e_half * (0.5 * dt * k1))
@@ -308,23 +329,25 @@ def same_retained_bits(grid, got, want):
 
 
 class TestWorkspaceStep:
-    """step and nonlinear_term work on the band in grid.workspace and equal
-    the expression form with temporaries bit for bit on the retained modes,
-    with +0.0 on the discarded ones."""
+    """step and nonlinear_term work on the band in grid.workspace; scattered
+    to the full layout, their results equal the expression form with
+    temporaries bit for bit on the retained modes, with +0.0 on the
+    discarded ones."""
 
     STEPS = 30
 
-    def march(self, grid, u, steps=STEPS):
-        ref = u
+    def march(self, grid, ref, steps=STEPS):
+        band = grid.band
+        u = band.gather(ref)
         for _ in range(steps):
             u, ref = step(grid, u), step_reference(grid, ref)
-            assert same_retained_bits(grid, u, ref)
+            assert same_retained_bits(grid, band.scatter(u), ref)
         return u
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_random_band_bitwise(self, n):
         grid, u = full_band(n)
-        assert same_retained_bits(grid, nonlinear_term(grid, u), nonlinear_reference(grid, u))
+        assert same_retained_bits(grid, band_term(grid, u), nonlinear_reference(grid, u))
         self.march(grid, u)
 
     def test_taylor_green_bitwise(self, grid):
@@ -332,18 +355,20 @@ class TestWorkspaceStep:
 
     def test_two_grids_interleaved(self):
         """Steps alternating between grids of different n share no buffer."""
-        (ga, ua), (gb, ub) = full_band(16, seed=3), full_band(24, seed=4)
-        ra, rb = ua, ub
+        (ga, ra), (gb, rb) = full_band(16, seed=3), full_band(24, seed=4)
+        ua, ub = ga.band.gather(ra), gb.band.gather(rb)
         for _ in range(self.STEPS):
             ua, ub = step(ga, ua), step(gb, ub)
             ra, rb = step_reference(ga, ra), step_reference(gb, rb)
-            assert same_retained_bits(ga, ua, ra) and same_retained_bits(gb, ub, rb)
+            assert same_retained_bits(ga, ga.band.scatter(ua), ra)
+            assert same_retained_bits(gb, gb.band.scatter(ub), rb)
         assert ga.workspace is not gb.workspace
 
     def test_input_unchanged_and_results_independent(self, grid):
         """step leaves its input alone; a returned array is the caller's, so
         neither a later step nor editing it changes the other."""
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
+        u = grid.band.gather(u)
         u_before = u.copy()
         first = step(grid, u)
         assert same_bits(u, u_before)
@@ -355,15 +380,17 @@ class TestWorkspaceStep:
 
     def test_nonlinear_term_out(self, grid):
         u = make_initial(grid, InitialCondition(kind="taylor_green", amplitude=0.3))
-        out = np.empty_like(u)
-        assert nonlinear_term(grid, u, out=out) is out
-        assert same_retained_bits(grid, out, nonlinear_reference(grid, u))
+        out = np.empty((3,) + grid.band.shape, dtype=np.complex128)
+        assert nonlinear_term(grid, grid.band.gather(u), out=out) is out
+        assert same_retained_bits(grid, grid.band.scatter(out), nonlinear_reference(grid, u))
 
     def test_step_allocates_only_its_result(self):
-        """After a warm-up step the workspace exists and one step's traced
-        allocation peak is its result (step_reference peaks at 11 times
-        u_hat.nbytes)."""
+        """After a warm-up step the workspace exists and one step allocates
+        no stage: its traced peak is its result plus numpy's cast buffer for
+        a real-by-complex multiply, each one band field (2.03 band fields at
+        24^3; step_reference peaks at 11 full-layout fields)."""
         grid, u = full_band(24)
+        u = grid.band.gather(u)
         step(grid, u)
         tracemalloc.start()
         try:
@@ -371,7 +398,7 @@ class TestWorkspaceStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * u.nbytes
+        assert peak <= 2.1 * u.nbytes
 
 
 class TestBlowUp:
@@ -416,18 +443,27 @@ class TestBlowUp:
 
 
 def simulate_reference(grid, u0_hat):
-    """simulate as five growing lists stacked at the end, with norm_sq and
-    gradient_norm_sq taken apart: the bitwise reference for simulate's record."""
-    u = dealias(grid, u0_hat).astype(np.complex128)
+    """simulate as five growing lists stacked at the end, stepping the band
+    and taking its ledger apart with a temporary per operation, each block
+    summed and then the block sums (the order spectral.parseval_sum
+    states): the bitwise reference for simulate's record."""
+    band = grid.band
+    weight = band.gather(np.broadcast_to(grid.parseval_w, grid.spectral_shape))
+    gradient_weight = band.gather(grid.parseval_w * grid.k_sq)
+    u = band.gather(dealias(grid, u0_hat).astype(np.complex128))
     u[..., 0, 0, 0] = 0.0
 
-    def energy(v):
-        return 0.5 * norm_sq(grid, v)
+    def band_sum(w, v):
+        blocks = np.sum(w * (v.real * v.real + v.imag * v.imag), axis=(-3, -2, -1))
+        return VOLUME * float(np.sum(blocks))
 
-    times, snaps, energies, dissipation = [0.0], [u], [energy(u)], [0.0]
+    def energy(v):
+        return 0.5 * band_sum(weight, v)
+
+    times, snaps, energies, dissipation = [0.0], [band.scatter(u)], [energy(u)], [0.0]
     step_energies = [energies[0]]
     diss = 0.0
-    gsq_prev = gradient_norm_sq(grid, u)
+    gsq_prev = band_sum(gradient_weight, u)
 
     def record():
         return Trajectory(
@@ -446,13 +482,13 @@ def simulate_reference(grid, u0_hat):
                 err = BlowUpError(s * grid.dt, s)
                 err.partial = record()
                 raise err
-            gsq = gradient_norm_sq(grid, u)
+            gsq = band_sum(gradient_weight, u)
             diss += 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
             gsq_prev = gsq
             step_energies.append(energy(u))
             if s % grid.snapshot_stride == 0 or s == grid.steps:
                 times.append(s * grid.dt)
-                snaps.append(u)
+                snaps.append(band.scatter(u))
                 energies.append(step_energies[-1])
                 dissipation.append(diss)
     return record()
@@ -539,3 +575,45 @@ class TestRecordOnce:
         with pytest.raises(BlowUpError):
             simulate(grid, make_initial(grid, InitialCondition(kind="taylor_green", amplitude=1e150)))
         assert "workspace" not in grid.__dict__
+
+
+class TestBandLedger:
+    """simulate sums its energy ledger on the band.  Against a full-layout
+    ledger of the same states (each scattered, then norm_sq and
+    gradient_norm_sq over the whole half spectrum) it moves by round-off
+    only, and its snapshots stay the expression-form march."""
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_within_round_off_of_full_layout_ledger(self, n):
+        grid = Grid(n=n, nu=0.05, dt=2e-3, t_end=0.05, snapshot_stride=5)  # 25 steps
+        u0 = make_initial(
+            grid,
+            InitialCondition(
+                kind="random_band", amplitude=1.0, seed=n, slope=-1.0, k_min=1,
+                k_max=grid.dealias_cutoff,
+            ),
+        )
+        traj = simulate(grid, u0)
+        band = grid.band
+        ref = dealias(grid, u0).astype(np.complex128)
+        ref[..., 0, 0, 0] = 0.0
+        u = band.gather(ref)
+        full = band.scatter(u)
+        energies, dissipation, snaps = [0.5 * norm_sq(grid, full)], [0.0], [ref]
+        gsq_prev = gradient_norm_sq(grid, full)
+        for s in range(1, grid.steps + 1):
+            u, ref = step(grid, u), step_reference(grid, ref)
+            full = band.scatter(u)
+            gsq = gradient_norm_sq(grid, full)
+            dissipation.append(dissipation[-1] + 0.5 * grid.dt * grid.nu * (gsq_prev + gsq))
+            gsq_prev = gsq
+            energies.append(0.5 * norm_sq(grid, full))
+            if s % grid.snapshot_stride == 0:
+                snaps.append(ref)
+        for got, want in ((traj.step_energies, energies), (traj.dissipation, dissipation[::5])):
+            want = np.asarray(want)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert len(traj) == len(snaps) == 6
+        for got, want in zip(traj.u_hats, snaps):
+            assert same_retained_bits(grid, got, want)

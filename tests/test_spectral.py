@@ -3,7 +3,8 @@
 Validates:
 - grid construction and parameter validation
 - transform conventions (coefficient normalization, round trips)
-- the two-thirds band layout: gather/scatter, its multipliers, and the band
+- the two-thirds band layout: gather/scatter, its multipliers and Parseval
+  weights against their full-layout expressions, and the band
   transforms bit for bit against irfftn/rfftn of the full layout
 - differential operators against hand-computed trig derivatives
 - vector-calculus identities (curl grad = 0, div curl = 0, Leray algebra)
@@ -198,12 +199,16 @@ class TestBandLayout:
         want = np.zeros_like(full)
         want[..., at[0], at[1], at[2]] = gathered
         assert scattered.tobytes() == want.tobytes()  # +0.0 outside the band
-        keep, e = grid.dealiased_leray
+        # the band multipliers against their full-layout forms
+        keep = grid.dealias_mask.astype(np.float64)
+        keep[0, 0, 0] = 0.0
         for got, full_form in (
             (band.k_vec, grid.k_vec),
             (band.keep, keep),
-            (band.e, e),
-            (band.half_step_decay, grid.half_step_decay),
+            (band.e, grid.k_vec * (keep * np.sqrt(grid.inv_k_sq))),
+            (band.half_step_decay, np.exp(-grid.nu * grid.k_sq * (0.5 * grid.dt))),
+            (band.parseval_w, np.broadcast_to(grid.parseval_w, grid.spectral_shape)),
+            (band.gradient_w, grid.parseval_w * grid.k_sq),
         ):
             assert got.tobytes() == full_form[..., at[0], at[1], at[2]].tobytes()
 
