@@ -1,41 +1,40 @@
-"""Pointwise dissipation-defect estimators and their cross-validation.
+"""Dissipation-defect estimators and their cross-validation.
 
-Two independent discretizations of the same subfilter energy transfer:
+Two independent discretizations of the same subfilter energy transfer, each
+reduced to its space integral per (width, snapshot) pair:
 
-* structure-function form: for each grid offset y inside the mollifier
-  support,
+* structure-function form (Duchon-Robert): the density, for each grid
+  offset y inside the mollifier support,
 
       D_delta(x) = 1/4 * h^3 * sum_y grad(eta_delta)(y) . du |du|^2,
       du = u(x + y) - u(x),
 
   with grad(eta_delta) sampled exactly (same normalization constant as the
-  spectral filter kernel);
+  spectral filter kernel), integrated over x;
 
-* stress-strain form: -R_ij d_i ubar_j from the filtered Reynolds stress.
+* stress-strain form: -int R_ij d_i ubar_j from the filtered Reynolds stress.
 
 Both integrate against dyadic width schedules and extrapolate to delta -> 0
-by a Richardson fit on the finest three widths.  The structure-function sum
-is not evaluated offset by offset: expanding du |du|^2 turns it into five
-circular correlations of the sampled grad(eta_delta) with pointwise products
-of u (the discrete Duchon-Robert form), 27 scalar FFTs in all, whatever
-delta is.  They split by what they depend on: 13 per snapshot
-(structure_fields: u and the transforms of u_j u_k, u |u|^2 and |u|^2; the
-first 9 are the velocity products that filtering.filtered_pairs forms for
-Pi and shares, so analyze adds 4), 3 per width (kernel_gradient_hat,
-cached per grid) and 11 inverse transforms per (width, snapshot) pair
-(defect_structure_function).  The stress-strain
-density reduces a pair's filtered velocity and Reynolds stress: 15 inverse
-transforms (6 stress and 9 strain components back to real space).
-offsets_count(), the number of offsets the structure sum covers, stays for
-perfbench/stage_trace.py, which logs it.
+by a Richardson fit on the finest three widths.  Neither density is formed
+on the grid.  The structure integral is linear in the sampled
+grad(eta_delta): summed over x, the offset sum is a pairing of it with one
+width-independent field B per snapshot (structure_fields), up to constants
+the transform of the third-order structure function sum_x du |du|^2 as a
+function of the offset.  B needs no transform beyond the velocity products
+that filtering.filtered_pairs forms for Pi; grad(eta_delta) is sampled and
+transformed once per width (kernel_gradient_hat, cached per grid).  The
+stress-strain integral is -<R, grad ubar> by discrete Parseval, the
+resolved budget's flux negated.  So a pair costs two Parseval pairings and
+no transform.  offsets_count(), the number of offsets the structure sum
+covers, stays for perfbench/stage_trace.py, which logs it.
 
-The estimators deliberately share no code path: the structure form never
+The estimators deliberately share no formula: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
 analyze_widths runs both, and the resolved budget, over the pairs of
-filtering.filtered_pairs (the pair loop is described there), adding only
-the structure fields once per snapshot, as its snapshot_fields; each
-pair's stress serves the budget and the stress-strain density.
-defect_cross_validate returns its CrossValidationReport.
+filtering.filtered_pairs (the pair loop is described there), adding only B
+once per snapshot, as its snapshot_fields; each pair's stress serves the
+budget and the stress-strain pairing.  defect_cross_validate returns its
+CrossValidationReport.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import numpy as np
 
 from .filtering import (
     _SYMMETRIC_INDEX,
-    _UPPER,
     BalanceReport,
     balance_terms,
     cached_per_width,
@@ -55,7 +53,7 @@ from .filtering import (
     wrapped_displacements,
     wrapped_radius_sq,
 )
-from .spectral import VOLUME, dealias, gradient
+from .spectral import VOLUME, dealias, gradient, inner_product, parseval_sum
 
 
 class DissipationError(ValueError):
@@ -100,8 +98,9 @@ def kernel_gradient_hat(grid, delta):
 
     conj(g_hat) * f_hat is the transform of the correlation C[g, f] / n^3;
     folding n^3 into the prefactor h^3 / 4 of the offset sum gives
-    VOLUME / 4.  grad(eta_delta) is sampled once per width, not once per
-    snapshot.
+    VOLUME / 4, and the structure integral is the pairing of this field with
+    structure_fields.  grad(eta_delta) is sampled once per width, not once
+    per snapshot.
     """
     return cached_per_width(
         grid,
@@ -111,86 +110,52 @@ def kernel_gradient_hat(grid, delta):
     )
 
 
-@dataclass(frozen=True)
-class StructureFields:
-    """The width-independent inputs of the structure density at one snapshot."""
-
-    u_hat: np.ndarray  # dealiased velocity (3, n, n, nh)
-    u: np.ndarray  # its real field (3, n, n, n)
-    pairs: np.ndarray  # u_j u_k for j <= k, (6, n, n, n)
-    speed_sq: np.ndarray  # |u|^2
-    pairs_hat: np.ndarray  # (u_j u_k)^ as a (3, 3, n, n, nh) tensor
-    cubic_hat: np.ndarray  # (u |u|^2)^
-    speed_sq_hat: np.ndarray  # (|u|^2)^
-
-
 def structure_fields(grid, u_hat, products):
-    """StructureFields of one snapshot.
+    """The width-independent field B that the structure integral pairs with,
+    (3, n, n, nh), at one snapshot:
 
-    products is velocity_products(grid, u_hat), the velocity on the grid
-    and the transforms of u_j u_k, which filtering.filtered_pairs forms for
-    Pi anyway.  The rest takes 4 forward transforms.
+        B_k = 2i Im(S_hat conj(u_hat_k) + 2 sum_j P_hat_jk conj(u_hat_j)),
+
+    with u_hat the dealiased velocity, P_hat = (u_j u_k)^ and S_hat its
+    trace, the transform of |u|^2.  products is velocity_products(grid,
+    u_hat), which filtering.filtered_pairs forms for Pi anyway; only its P_hat
+    is read, so B takes no transform of its own.
     """
-    u, products_hat = products
-    j, k = _UPPER
-    pairs = u[j] * u[k]
-    speed_sq = np.sum(pairs[j == k], axis=0)
-    return StructureFields(
-        u_hat=dealias(grid, u_hat),
-        u=u,
-        pairs=pairs,
-        speed_sq=speed_sq,
-        pairs_hat=products_hat[_SYMMETRIC_INDEX],
-        cubic_hat=grid.forward(u * speed_sq),
-        speed_sq_hat=grid.forward(speed_sq),
-    )
+    p_hat = products[1]
+    u_conj = np.conj(dealias(grid, u_hat))
+    trace_hat = p_hat[0] + p_hat[3] + p_hat[5]  # the diagonal of _SYMMETRIC_INDEX
+    fields = np.zeros_like(u_conj)
+    for k in range(3):
+        x = trace_hat * u_conj[k]
+        for j in range(3):
+            x += 2.0 * p_hat[_SYMMETRIC_INDEX[j, k]] * u_conj[j]
+        fields[k].imag = 2.0 * x.imag
+    return fields
 
 
 def defect_structure_function(grid, fields, delta):
-    """Structure-function transfer density, real field of shape (n, n, n).
+    """Space integral of the structure-function transfer density at width delta.
 
-    fields = structure_fields(grid, u_hat, products).  With g = grad(eta_delta),
-    v = u(x + y) and w = u(x), the offset sum sum_y g . (v - w) |v - w|^2 is
-    the sum of five circular correlations C[g_k, f](x) = sum_y g_k(y) f(x + y),
-    each weighted pointwise by w:
-
-        C[g_k, u_k |u|^2] - w_j (2 C[g_k, u_k u_j] + C[g_j, |u|^2])
-        + |w|^2 C[g_k, u_k] + 2 w_j w_k C[g_k, u_j].
-
-    The sixth term, -w_k |w|^2 sum_y g_k(y), vanishes because g is odd.
-    Per call: 11 inverse transforms.
+    fields = structure_fields(grid, u_hat, products).  With g =
+    grad(eta_delta), v = u(x + y) and w = u(x), the offset sum
+    sum_x sum_y g . (v - w) |v - w|^2 keeps, after the terms v |v|^2 and
+    w |w|^2 cancel in the sum over x, four cross terms, each a circular
+    correlation of u with a pointwise product of u.  By discrete Parseval
+    their sum is the pairing of the sampled g with B.  No transform.
     """
-    g_hat = kernel_gradient_hat(grid, delta)
-    u_hat, u, pairs = fields.u_hat, fields.u, fields.pairs
-    j, k = _UPPER
-    cubic_hat = np.einsum("k...,k...->...", g_hat, fields.cubic_hat)
-    div_hat = np.einsum("k...,k...->...", g_hat, u_hat)
-    vec_hat = 2.0 * np.einsum("k...,kj...->j...", g_hat, fields.pairs_hat)
-    vec_hat += g_hat * fields.speed_sq_hat
-    sym_hat = g_hat[k] * u_hat[j] + g_hat[j] * u_hat[k]  # C[g_k, u_j] + C[g_j, u_k]
-
-    density = grid.inverse(cubic_hat)
-    density += fields.speed_sq * grid.inverse(div_hat)
-    density -= np.einsum("j...,j...->...", u, grid.inverse(vec_hat))
-    weights = np.where(j == k, 1.0, 2.0)
-    density += np.einsum("p,p...,p...->...", weights, pairs, grid.inverse(sym_hat))
-    return density
+    return parseval_sum(grid.parseval_w, kernel_gradient_hat(grid, delta), fields)
 
 
 def defect_stress_strain(grid, ub_hat, delta, r_hat):
-    """Stress-strain transfer density -R_ij d_i ubar_j, real field (n, n, n).
+    """Space integral of the stress-strain transfer density, -<R, grad ubar>.
 
     ub_hat and r_hat are a pair's filtered velocity and Reynolds stress
-    (filtering.filtered_pairs).  The formula does not read delta, the pair's
-    width; perfbench/stage_trace.py logs it from this position.
+    (filtering.filtered_pairs).  The pairing is the resolved budget's flux
+    (filtering.balance_terms) negated, bit for bit.  The formula does not
+    read delta, the pair's width; perfbench/stage_trace.py logs it from this
+    position.
     """
-    stress = grid.inverse(r_hat[_UPPER])[_SYMMETRIC_INDEX]
-    grad_ub = grid.inverse(gradient(grid, ub_hat))
-    return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
-
-
-def space_integral(grid, density):
-    return grid.h**3 * float(np.sum(density))
+    return -inner_product(grid, r_hat, gradient(grid, ub_hat))
 
 
 @dataclass(frozen=True)
@@ -216,7 +181,9 @@ def richardson_extrapolate(deltas, values):
             raise DissipationError(f"widths {d3} are not dyadic")
     num = v3[0] - v3[1]
     den = v3[1] - v3[2]
-    if den == 0.0 or num / den <= 0.0:
+    # No power law fits values that are not monotone, or whose successive
+    # differences are equal (order 0, which has no limit).
+    if den == 0.0 or num == den or num / den <= 0.0:
         return RichardsonFit(order=float("nan"), limit=v3[2], deltas=tuple(d3), values=tuple(v3))
     order = float(np.log2(num / den))
     limit = v3[2] - den / (2.0**order - 1.0)
@@ -280,9 +247,10 @@ def _coarse_to_fine(deltas):
 def analyze_widths(trajectory, deltas):
     """The resolved budget and both estimators at every width, in one pass.
 
-    Over filtering.filtered_pairs, with the structure fields formed once per
+    Over filtering.filtered_pairs, with the structure field formed once per
     snapshot from the velocity products the loop forms for Pi; the budget
-    terms and the stress-strain density are two reductions of each pair.
+    terms and both estimators are reductions of each pair, and the
+    stress-strain series is the negated flux series bit for bit.
     Each width's series fill in time order, so the budgets equal those of
     resolved_balance bit for bit.  Returns (one BalanceReport per width,
     the CrossValidationReport), widths coarse to fine.
@@ -297,8 +265,8 @@ def analyze_widths(trajectory, deltas):
         for w, _, ub_hat, r_hat in pairs:
             delta = deltas[w]
             terms[w, :, i] = balance_terms(grid, ub_hat, r_hat)
-            structure[w, i] = space_integral(grid, defect_structure_function(grid, fields, delta))
-            stress[w, i] = space_integral(grid, defect_stress_strain(grid, ub_hat, delta, r_hat))
+            structure[w, i] = defect_structure_function(grid, fields, delta)
+            stress[w, i] = defect_stress_strain(grid, ub_hat, delta, r_hat)
     balances = [
         BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms[w])
         for w, kernel in enumerate(kernels)

@@ -98,7 +98,7 @@ class FilterKernel:
     delta: float
     samples: np.ndarray = field(repr=False)  # (n, n, n), h^3 * sum == 1
     multiplier: np.ndarray = field(repr=False)  # (n, n, n//2+1), real
-    norm_const: float  # the C above; shared with the pointwise-defect estimator
+    norm_const: float  # the C above; shared with the structure-function estimator
     min_multiplier: float
 
 

@@ -116,10 +116,11 @@ class Grid:
 
         # Parseval weights for the half-complex layout: planes k3=0 and k3=n/2
         # are self-conjugate, every interior plane stands in for two modes.
-        w = np.full(self.nh, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        self.parseval_w = w[None, None, :]
+        # Stored at full spectral shape: numpy multiplies by a broadcast
+        # operand through its buffered iterator, at about twice the cost.
+        self.parseval_w = np.full(self.spectral_shape, 2.0)
+        self.parseval_w[..., 0] = 1.0
+        self.parseval_w[..., -1] = 1.0
         self.gradient_w = self.parseval_w * self.k_sq  # of the gradient pairings
 
         stability = self.dt * self.nu * 3.0 * cut**2
@@ -219,9 +220,9 @@ class Band:
     keep * v - e * (e . v): keep is 1 on every band mode (each passes the
     2/3 rule) but the mean, and e = keep * k / |k|.  half_step_decay is
     exp(-nu |k|^2 dt / 2), the viscous integrating factor over half a step.
-    parseval_w and gradient_w are the gathers of grid.parseval_w (at full
-    shape) and grid.gradient_w, the weights of norm_sq and gradient_norm_sq
-    on band fields.
+    parseval_w and gradient_w are the gathers of grid.parseval_w and
+    grid.gradient_w, the weights of norm_sq and gradient_norm_sq on band
+    fields.
     """
 
     def __init__(self, grid):
@@ -237,7 +238,7 @@ class Band:
         self.keep[0, 0, 0] = 0.0
         self.e = self.k_vec * (self.keep * np.sqrt(inv_k_sq))
         self.half_step_decay = np.exp(-grid.nu * k_sq * (0.5 * grid.dt))
-        self.parseval_w = self.gather(np.broadcast_to(grid.parseval_w, self.spectral_shape))
+        self.parseval_w = self.gather(grid.parseval_w)
         self.gradient_w = self.gather(grid.gradient_w)
 
     def gather(self, full, out=None):

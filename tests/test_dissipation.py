@@ -1,20 +1,23 @@
-"""Tests for the pointwise dissipation-defect estimators.
+"""Tests for the dissipation-defect estimators.
 
-Validates:
+The package reduces each (width, snapshot) pair to the space integral of
+each estimator by a spectral pairing; the pointwise densities live here, as
+test-local references.  Validates:
 - frozen reference values from tools/oracle_defect_direct.py (an FFT-free
   reimplementation: circular-convolution filtering, analytic gradients,
   modular-index offset sums) on a closed-triad field, and that the tool run
   as a script still prints them and its recorded output
-- pointwise agreement of the correlation form of the structure function with
-  a direct offset-by-offset np.roll loop on random fields
-- the densities from shared per-snapshot and per-width transforms equal the
-  per-call formulas they replaced bit for bit, the structure fields formed
-  from the pair loop's velocity products equal those formed apart, and the
-  transform calls per snapshot and per pair are counted; the one-pass analyze_widths
-  equals resolved_balance, and its estimator series are the per-pair
-  density integrals
+- pointwise agreement of the correlation form of the structure density with
+  a direct offset-by-offset np.roll loop on random fields, and of the loop's
+  space integral with the per-pair pairing
+- the per-pair pairings against the space integrals of the reference
+  densities, the structure field B formed from the pair loop's velocity
+  products against its expression in real arithmetic, and the transform
+  calls per snapshot and per pair; the one-pass analyze_widths equals
+  resolved_balance, its stress series is the negated budget flux, and its
+  estimator series are the per-pair values
 - exact zeros for single-mode fields (no closed triads)
-- odd/even symmetry of both estimators under u -> -u
+- odd symmetry of both estimators under u -> -u
 - translation invariance of the space integrals
 - Richardson extrapolation on synthetic power laws and its failure modes
 - defect_cross_validate: every width gets both estimators, three widths
@@ -38,7 +41,6 @@ from nslab.dissipation import (
     defect_structure_function,
     offsets_count,
     richardson_extrapolate,
-    space_integral,
     structure_fields,
 )
 from nslab.filtering import (
@@ -80,16 +82,23 @@ def tool_values(text):
     return values
 
 
-def structure_density(grid, u_hat, delta):
+def structure_value(grid, u_hat, delta):
+    """The package's structure integral of one snapshot at one width."""
     return defect_structure_function(
         grid, structure_fields(grid, u_hat, velocity_products(grid, u_hat)), delta
     )
 
 
-def stress_density(grid, u_hat, delta):
+def stress_value(grid, u_hat, delta):
+    """The package's stress-strain integral of one snapshot at one width."""
     kernel = kernel_for(grid, delta)
     r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
     return defect_stress_strain(grid, kernel.multiplier * u_hat, delta, r_hat)
+
+
+def space_integral(grid, density):
+    """Collocation quadrature h^3 * sum(density) of a real density."""
+    return grid.h**3 * float(np.sum(density))
 
 
 @pytest.fixture(scope="module")
@@ -144,22 +153,27 @@ def direct_structure_density(grid, u_hat, delta):
 
 
 class TestAgainstDirectLoop:
-    """The correlation form against the offset-by-offset sum it replaces."""
+    """The correlation form and the per-pair pairing against the
+    offset-by-offset sum."""
 
     @pytest.mark.parametrize("n, cells", [(24, 8.0), (24, 4.0), (24, 2.0), (32, 16.0)])
     def test_pointwise(self, n, cells):
-        """Random O(1) field; n=32 with 16 cells is delta = pi, 17070 offsets."""
+        """Random O(1) field; n=32 with 16 cells is delta = pi, 17070 offsets.
+        The integral's bound is relative to that of |density|, the size of
+        what cancels in it."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
         delta = cells * g.h
         u_hat = g.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
         ref = direct_structure_density(g, u_hat, delta)
-        fast = structure_density(g, u_hat, delta)
+        fast = reference_structure_density(g, u_hat, delta)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+        value = structure_value(g, u_hat, delta)
+        assert abs(value - space_integral(g, ref)) <= 1e-12 * space_integral(g, np.abs(ref))
 
 
 def reference_structure_density(grid, u_hat, delta):
-    """The structure density as computed before its transforms were shared:
-    all 27 transforms per call, grad(eta_delta) sampled each time."""
+    """Reference: the structure density as five circular correlations of
+    the sampled grad(eta_delta) with pointwise products of u, 27 transforms."""
     u_hat = dealias(grid, u_hat)
     u = grid.inverse(u_hat)
     g_hat = 0.25 * VOLUME * np.conj(dissipation._kernel_gradient_hat(grid, delta))
@@ -182,8 +196,9 @@ def reference_structure_density(grid, u_hat, delta):
 
 
 def reference_stress_density(grid, u_hat, delta):
-    """The stress-strain density as computed before: the nine-component
-    stress formed per call, all nine components back to real space."""
+    """Reference: the stress-strain density -R_ij d_i ubar_j on the grid,
+    the nine-component stress formed apart, all nine components back to
+    real space."""
     kernel = kernel_for(grid, delta)
     u = grid.inverse(dealias(grid, u_hat))
     prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
@@ -196,49 +211,67 @@ def reference_stress_density(grid, u_hat, delta):
 
 
 class TestSharedTransforms:
-    """Per-snapshot and per-width transforms shared across widths change no bit."""
+    """The per-pair pairings against the reference densities, and the
+    transforms that analyze_widths shares."""
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_densities_match_reference(self, n):
+        """Each pairing equals the space integral of its reference density
+        within 1e-12 of the largest |integral| over the widths."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
         u_hat = g.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
         fields = structure_fields(g, u_hat, velocity_products(g, u_hat))
         product_hat = velocity_product_hat(g, u_hat)
+        values, references = [], []
         for delta in width_schedule(g, np.pi, 3):
-            structure = defect_structure_function(g, fields, delta)
-            assert np.array_equal(structure, reference_structure_density(g, u_hat, delta))
             kernel = kernel_for(g, delta)
             r_hat = reynolds_stress_hat(g, kernel, u_hat, product_hat)
-            stress = defect_stress_strain(g, kernel.multiplier * u_hat, delta, r_hat)
-            assert np.array_equal(stress, reference_stress_density(g, u_hat, delta))
+            values.append(
+                (
+                    defect_structure_function(g, fields, delta),
+                    defect_stress_strain(g, kernel.multiplier * u_hat, delta, r_hat),
+                )
+            )
+            references.append(
+                (
+                    space_integral(g, reference_structure_density(g, u_hat, delta)),
+                    space_integral(g, reference_stress_density(g, u_hat, delta)),
+                )
+            )
+        values, references = np.array(values), np.array(references)
+        scale = np.abs(references).max(axis=0)
+        assert np.all(scale > 0.0)
+        assert np.all(np.abs(values - references) <= 1e-12 * scale)
 
     def test_fields_from_shared_products(self, grid, trajectory):
-        """The structure fields analyze forms from the pair loop's velocity
-        products equal those formed from the snapshot alone, bit for bit."""
-        j, k = np.triu_indices(3)
+        """The field B that analyze forms from the pair loop's velocity
+        products equals its expression in real arithmetic from the snapshot
+        alone, Im(a conj b) = Im a Re b - Re a Im b with each P_jk = (u_j
+        u_k)^ transformed apart and S = P_00 + P_11 + P_22, within 1e-14 of
+        max |B| (numpy's complex multiply may fuse its products; measured
+        2e-16).  Its real part is zero."""
         snapshots = filtered_pairs(trajectory, [kernel_for(grid, np.pi)], structure_fields)
         for _, u_hat, fields, _ in snapshots:
-            u = grid.inverse(dealias(grid, u_hat))
-            pairs = u[j] * u[k]
-            speed_sq = np.sum(pairs[j == k], axis=0)
-            want = {
-                "u_hat": dealias(grid, u_hat),
-                "u": u,
-                "pairs": pairs,
-                "speed_sq": speed_sq,
-                "pairs_hat": grid.forward(pairs)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]],
-                "cubic_hat": grid.forward(u * speed_sq),
-                "speed_sq_hat": grid.forward(speed_sq),
-            }
-            for name, array in want.items():
-                assert getattr(fields, name).tobytes() == array.tobytes(), name
+            u_hat = dealias(grid, u_hat)
+            u = grid.inverse(u_hat)
+            p_hat = np.array([[grid.forward(u[j] * u[k]) for k in range(3)] for j in range(3)])
+            s_hat = p_hat[0, 0] + p_hat[1, 1] + p_hat[2, 2]
+            re, im = u_hat.real, u_hat.imag
+            want = np.zeros_like(u_hat)
+            for k in range(3):
+                b = s_hat.imag * re[k] - s_hat.real * im[k]
+                for j in range(3):
+                    b += 2.0 * (p_hat[j, k].imag * re[j] - p_hat[j, k].real * im[j])
+                want[k].imag = 2.0 * b
+            assert fields.shape == u_hat.shape
+            assert not np.any(fields.real)
+            assert np.abs(fields - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_analyze_transforms_per_snapshot_and_pair(self, grid, trajectory, monkeypatch):
-        """With the per-width kernels cached, analyze_widths makes 4
-        transform calls per snapshot (the velocity, the products u_j u_k
-        that Pi and the structure fields share, u |u|^2 and |u|^2) and 8 per
-        pair (the stress's 2, the structure density's 4 and the
-        stress-strain density's 2)."""
+        """With the per-width kernels cached, analyze_widths makes 2
+        transform calls per snapshot (the velocity and the products u_j u_k
+        that Pi and the structure field share) and 2 per pair (the
+        stress's); both estimators are spectral pairings."""
         deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
         analyze_widths(trajectory, deltas)
         calls = []
@@ -253,7 +286,15 @@ class TestSharedTransforms:
         for name in ("forward", "inverse"):
             monkeypatch.setattr(Grid, name, counted(getattr(Grid, name)))
         analyze_widths(trajectory, deltas)
-        assert len(calls) == len(trajectory) * (4 + 8 * len(deltas))
+        assert len(calls) == len(trajectory) * (2 + 2 * len(deltas))
+
+    def test_stress_series_is_negated_flux(self, grid, trajectory):
+        """The stress-strain pairing is the budget's flux pairing negated,
+        bit for bit, at every width and snapshot."""
+        balances, defect = analyze_widths(trajectory, [np.pi, np.pi / 2.0, np.pi / 4.0])
+        for balance, series, total in zip(balances, defect.stress_series, defect.stress):
+            assert np.array_equal(series, -balance.flux)
+            assert total == -balance.stress_flux
 
     def test_one_pass_matches_per_width_reductions(self, grid, trajectory):
         """Each width's budget equals resolved_balance at that width alone;
@@ -282,23 +323,24 @@ class TestSpaceTime:
     DELTAS = [np.pi / 4.0, np.pi, np.pi / 2.0]
 
     def test_series_matches_snapshots(self, grid, trajectory):
-        """Each series holds the space integrals of the per-pair densities
-        bit for bit, at every width and snapshot."""
+        """Each series holds the per-pair values bit for bit, at every width
+        and snapshot, and they equal the space integrals of the reference
+        densities within 1e-12 of the largest |integral| over the widths."""
         _, defect = analyze_widths(trajectory, self.DELTAS)
         assert defect.deltas == (np.pi, np.pi / 2.0, np.pi / 4.0)
         assert defect.structure_series.shape == (3, len(trajectory))
-        for w, delta in enumerate(defect.deltas):
-            for density, series in (
-                (structure_density, defect.structure_series),
-                (stress_density, defect.stress_series),
-            ):
-                expected = np.array(
-                    [
-                        space_integral(grid, density(grid, u_hat, delta))
-                        for u_hat in trajectory.u_hats
-                    ]
+        for value, density, series in (
+            (structure_value, reference_structure_density, defect.structure_series),
+            (stress_value, reference_stress_density, defect.stress_series),
+        ):
+            for i, u_hat in enumerate(trajectory.u_hats):
+                values = [value(grid, u_hat, delta) for delta in defect.deltas]
+                assert np.array_equal(series[:, i], values)
+                references = np.array(
+                    [space_integral(grid, density(grid, u_hat, delta)) for delta in defect.deltas]
                 )
-                assert np.array_equal(series[w], expected)
+                scale = np.abs(references).max()
+                assert np.all(np.abs(series[:, i] - references) <= 1e-12 * scale)
 
     def test_total_is_trapezoid_of_series(self, grid, trajectory):
         _, defect = analyze_widths(trajectory, self.DELTAS)
@@ -316,12 +358,12 @@ class TestAgainstDirectOracle:
 
     @pytest.mark.parametrize("delta", [np.pi, np.pi / 2.0])
     def test_structure_function(self, grid, triad_hat, delta):
-        value = space_integral(grid, structure_density(grid, triad_hat, delta))
+        value = structure_value(grid, triad_hat, delta)
         assert value == pytest.approx(ORACLE[delta]["structure"], rel=1e-12)
 
     @pytest.mark.parametrize("delta", [np.pi, np.pi / 2.0])
     def test_stress_strain(self, grid, triad_hat, delta):
-        value = space_integral(grid, stress_density(grid, triad_hat, delta))
+        value = stress_value(grid, triad_hat, delta)
         assert value == pytest.approx(ORACLE[delta]["stress"], rel=1e-12)
 
     def test_tool_prints_frozen_values(self):
@@ -345,30 +387,28 @@ class TestAgainstDirectOracle:
         x1 = grid.x[0]
         u_hat = grid.forward(np.stack([np.zeros(grid.shape)] * 2 + [1.1 * np.cos(x1)]))
         for delta in (np.pi, np.pi / 2.0):
-            s = space_integral(grid, structure_density(grid, u_hat, delta))
-            t = space_integral(grid, stress_density(grid, u_hat, delta))
+            s = structure_value(grid, u_hat, delta)
+            t = stress_value(grid, u_hat, delta)
             assert abs(s) < 1e-12
             assert abs(t) < 1e-12
 
 
 class TestSymmetries:
     def test_odd_under_negation(self, grid, triad_hat):
-        """Both densities are cubic in u, hence odd: D(-u) = -D(u)."""
+        """Both estimators are cubic in u, hence odd: D(-u) = -D(u)."""
         delta = np.pi / 2.0
-        s_plus = structure_density(grid, triad_hat, delta)
-        s_minus = structure_density(grid, -triad_hat, delta)
-        assert np.abs(s_plus + s_minus).max() < 1e-12 * np.abs(s_plus).max()
-        t_plus = stress_density(grid, triad_hat, delta)
-        t_minus = stress_density(grid, -triad_hat, delta)
-        assert np.abs(t_plus + t_minus).max() < 1e-12 * np.abs(t_plus).max()
+        for estimator in (structure_value, stress_value):
+            plus = estimator(grid, triad_hat, delta)
+            minus = estimator(grid, -triad_hat, delta)
+            assert abs(plus + minus) < 1e-12 * abs(plus)
 
     def test_translation_invariance(self, grid, triad_hat):
         """Shifting the field moves the density but not its integral."""
         delta = np.pi / 2.0
         shifted = grid.forward(np.roll(grid.inverse(triad_hat), (3, 5, 1), axis=(1, 2, 3)))
-        for estimator in (structure_density, stress_density):
-            ref = space_integral(grid, estimator(grid, triad_hat, delta))
-            moved = space_integral(grid, estimator(grid, shifted, delta))
+        for estimator in (structure_value, stress_value):
+            ref = estimator(grid, triad_hat, delta)
+            moved = estimator(grid, shifted, delta)
             assert moved == pytest.approx(ref, rel=1e-11)
 
 
@@ -412,6 +452,12 @@ class TestRichardson:
         fit = richardson_extrapolate(deltas, [1.0, 0.2, 0.5])
         assert np.isnan(fit.order)
         assert fit.limit == 0.5  # falls back to the finest value
+
+    def test_equal_differences_give_nan_order(self):
+        """Equal successive differences fit order 0, which has no limit."""
+        fit = richardson_extrapolate([4.0, 2.0, 1.0], [3.0, 2.0, 1.0])
+        assert np.isnan(fit.order)
+        assert fit.limit == 1.0
 
 
 class TestCrossValidation:

@@ -448,7 +448,7 @@ def simulate_reference(grid, u0_hat):
     summed and then the block sums (the order spectral.parseval_sum
     states): the bitwise reference for simulate's record."""
     band = grid.band
-    weight = band.gather(np.broadcast_to(grid.parseval_w, grid.spectral_shape))
+    weight = band.gather(grid.parseval_w)
     gradient_weight = band.gather(grid.parseval_w * grid.k_sq)
     u = band.gather(dealias(grid, u0_hat).astype(np.complex128))
     u[..., 0, 0, 0] = 0.0

@@ -80,9 +80,12 @@ class TestGridConstruction:
         assert grid.k_sq.max() == pytest.approx(8**2 + 8**2 + 8**2)
 
     def test_parseval_weights(self, grid):
-        w = grid.parseval_w.ravel()
+        """Full spectral shape, constant along the first two axes."""
+        assert grid.parseval_w.shape == grid.spectral_shape
+        w = grid.parseval_w[0, 0]
         assert w[0] == 1.0 and w[-1] == 1.0
         assert np.all(w[1:-1] == 2.0)
+        assert np.all(grid.parseval_w == w)
 
     def test_rejects_odd_or_small_n(self):
         with pytest.raises(GridError, match="even integer"):
@@ -207,7 +210,7 @@ class TestBandLayout:
             (band.keep, keep),
             (band.e, grid.k_vec * (keep * np.sqrt(grid.inv_k_sq))),
             (band.half_step_decay, np.exp(-grid.nu * grid.k_sq * (0.5 * grid.dt))),
-            (band.parseval_w, np.broadcast_to(grid.parseval_w, grid.spectral_shape)),
+            (band.parseval_w, grid.parseval_w),
             (band.gradient_w, grid.parseval_w * grid.k_sq),
         ):
             assert got.tobytes() == full_form[..., at[0], at[1], at[2]].tobytes()
