@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from . import basket as basket_mod
 from .filtering import KernelError, width_schedule
 from .ledger import atomic_open
-from .solver import InitialCondition
-from .spectral import Grid, GridError
+from .solver import InitialCondition, shell_targets
+from .spectral import VOLUME, Grid, GridError
 
 OUTPUT_ROOT_ENV = "NSLAB_OUT"
 
@@ -176,6 +176,10 @@ def parse_config(data):
     if init["amplitude"] == 0.0 or (rms and init["amplitude"] < 0.0):
         need = "positive (an RMS) for random_band" if rms else "nonzero"
         raise ConfigError(f"init.amplitude: must be {need}, got {init['amplitude']}")
+    # mean |u|^2 at unit amplitude, so that the energy below is the initial one
+    mean_sq = {"random_band": 1.0, "taylor_green": 0.25, "beltrami_abc": 3.0}[init["kind"]]
+    if not 0.0 < 0.5 * init["amplitude"] * init["amplitude"] * mean_sq * VOLUME < math.inf:
+        raise ConfigError(f"init.amplitude: {init['amplitude']:g} under- or overflows the energy")
     if cfg.filters["count"] < 3:
         raise ConfigError(
             "filters.count: need at least three widths (the defect fit and the "
@@ -219,6 +223,10 @@ def parse_config(data):
                 raise ConfigError(
                     f"init: band [{k_min}, {k_max}] outside [1, {grid_obj.dealias_cutoff}]"
                 )
+            try:
+                shell_targets(cfg.make_initial_condition())
+            except GridError as exc:
+                raise ConfigError(f"init.slope: {exc}") from exc
     except (GridError, KernelError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -230,6 +238,8 @@ def load_config(path):
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: not found") from exc
+    except OSError as exc:  # a directory, or unreadable
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(data)

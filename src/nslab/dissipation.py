@@ -20,8 +20,8 @@ on the grid.  The structure integral is linear in the sampled
 grad(eta_delta): summed over x, the offset sum is a pairing of it with one
 width-independent field B per snapshot (structure_fields), up to constants
 the transform of the third-order structure function sum_x du |du|^2 as a
-function of the offset.  B needs no transform beyond the velocity products
-that filtering.filtered_pairs forms for Pi; grad(eta_delta) is sampled and
+function of the offset.  B needs no transform beyond the product Pi that
+filtering.filtered_pairs forms; grad(eta_delta) is sampled and
 transformed once per width (kernel_gradient_hat, cached per grid).  The
 stress-strain integral is -<R, grad ubar> by discrete Parseval, the
 resolved budget's flux negated.  So a pair costs two Parseval pairings and
@@ -32,7 +32,7 @@ The estimators deliberately share no formula: the structure form never
 touches the spectral multiplier, the stress form never touches increments.
 analyze_widths runs both, and the resolved budget, over the pairs of
 filtering.filtered_pairs (the pair loop is described there), adding only B
-once per snapshot, as its snapshot_fields; each pair's stress serves the
+once per snapshot, from the loop's Pi; each pair's stress serves the
 budget and the stress-strain pairing.  defect_cross_validate returns its
 CrossValidationReport.
 """
@@ -53,7 +53,7 @@ from .filtering import (
     wrapped_displacements,
     wrapped_radius_sq,
 )
-from .spectral import VOLUME, dealias, gradient, inner_product, parseval_sum
+from .spectral import VOLUME, gradient, inner_product, parseval_sum
 
 
 class DissipationError(ValueError):
@@ -110,25 +110,23 @@ def kernel_gradient_hat(grid, delta):
     )
 
 
-def structure_fields(grid, u_hat, products):
+def structure_fields(grid, u_hat, product_hat):
     """The width-independent field B that the structure integral pairs with,
     (3, n, n, nh), at one snapshot:
 
         B_k = 2i Im(S_hat conj(u_hat_k) + 2 sum_j P_hat_jk conj(u_hat_j)),
 
-    with u_hat the dealiased velocity, P_hat = (u_j u_k)^ and S_hat its
-    trace, the transform of |u|^2.  products is velocity_products(grid,
-    u_hat), which filtering.filtered_pairs forms for Pi anyway; only its P_hat
-    is read, so B takes no transform of its own.
+    with P_hat = product_hat = Pi, the product filtered_pairs forms, and S_hat
+    its trace, the transform of |u|^2.  Pi is zero off the two-thirds band,
+    so B is too and u_hat needs no dealiasing.  No transform.
     """
-    p_hat = products[1]
-    u_conj = np.conj(dealias(grid, u_hat))
-    trace_hat = p_hat[0] + p_hat[3] + p_hat[5]  # the diagonal of _SYMMETRIC_INDEX
+    u_conj = np.conj(u_hat)
+    trace_hat = product_hat[0] + product_hat[3] + product_hat[5]  # diagonal entries
     fields = np.zeros_like(u_conj)
     for k in range(3):
         x = trace_hat * u_conj[k]
         for j in range(3):
-            x += 2.0 * p_hat[_SYMMETRIC_INDEX[j, k]] * u_conj[j]
+            x += 2.0 * product_hat[_SYMMETRIC_INDEX[j, k]] * u_conj[j]
         fields[k].imag = 2.0 * x.imag
     return fields
 
@@ -136,7 +134,7 @@ def structure_fields(grid, u_hat, products):
 def defect_structure_function(grid, fields, delta):
     """Space integral of the structure-function transfer density at width delta.
 
-    fields = structure_fields(grid, u_hat, products).  With g =
+    fields = structure_fields(grid, u_hat, Pi).  With g =
     grad(eta_delta), v = u(x + y) and w = u(x), the offset sum
     sum_x sum_y g . (v - w) |v - w|^2 keeps, after the terms v |v|^2 and
     w |w|^2 cancel in the sum over x, four cross terms, each a circular
@@ -248,11 +246,10 @@ def analyze_widths(trajectory, deltas):
     """The resolved budget and both estimators at every width, in one pass.
 
     Over filtering.filtered_pairs, with the structure field formed once per
-    snapshot from the velocity products the loop forms for Pi; the budget
-    terms and both estimators are reductions of each pair, and the
-    stress-strain series is the negated flux series bit for bit.
-    Each width's series fill in time order, so the budgets equal those of
-    resolved_balance bit for bit.  Returns (one BalanceReport per width,
+    snapshot from the loop's Pi; the budget terms and both estimators are
+    reductions of each pair, and the stress-strain series is the negated
+    flux series bit for bit.  Each width's series fill in time order, so
+    the budgets equal those of resolved_balance bit for bit.  Returns (one BalanceReport per width,
     the CrossValidationReport), widths coarse to fine.
     """
     deltas = _coarse_to_fine(deltas)
@@ -261,8 +258,9 @@ def analyze_widths(trajectory, deltas):
     terms = np.empty((len(deltas), 4, len(trajectory)))
     structure = np.empty((len(deltas), len(trajectory)))
     stress = np.empty((len(deltas), len(trajectory)))
-    for i, _, fields, pairs in filtered_pairs(trajectory, kernels, structure_fields):
-        for w, _, ub_hat, r_hat in pairs:
+    for i, u_hat, product_hat, pairs in filtered_pairs(trajectory, kernels):
+        fields = structure_fields(grid, u_hat, product_hat)
+        for w, ub_hat, r_hat in pairs:
             delta = deltas[w]
             terms[w, :, i] = balance_terms(grid, ub_hat, r_hat)
             structure[w, i] = defect_structure_function(grid, fields, delta)

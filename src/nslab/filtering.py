@@ -25,26 +25,19 @@ so that the resolved-scale energy balance
 holds to round-off for trajectories produced by the solver.  The product
 Pi = dealias((u_j u_k)^) does not depend on the width: it is formed once
 per snapshot, and reynolds_stress_hat and filtered_pressure_hat take it as
-an argument.  Both symmetric tensors are
-formed as their 6 upper-triangle components and expanded through
-_SYMMETRIC_INDEX.
+an argument.  Both symmetric tensors are formed as their 6 upper-triangle
+components and expanded through _SYMMETRIC_INDEX.
 
 filtered_pairs is the one loop over (width, snapshot) pairs, and the
-pipeline's only caller of velocity_products and reynolds_stress_hat.
-Snapshots run outside and widths inside: per snapshot it forms Pi once (9
-transforms: the velocity u and F = (u_j u_k)^, then Pi = dealias(F) in F's
-buffer) and yields (i, u_hat, Pi, pairs); pairs then yields (m, kernel,
-ubar_hat, R_hat) for each width m, forming the stress (9 transforms) only
-when the consumer asks for it, so one stress is alive at a time.  A
-consumer that needs u and F as well passes a snapshot_fields function,
-which receives them before F is dealiased and whose result is yielded in
-Pi's place.  Every consumer reduces the pair it is given.  The pipeline's
-consumers are dissipation.analyze_widths (analyze, whose structure fields
-are such a function) and minimizer.audit_widths (minimize, whose finest
-P div J is also the descent oracle's input).  resolved_balance and
-local_balance_test here and minimizer.assemble_flux are library entry
-points; the tests and the acceptance suite use them as independent
-references.
+pipeline's only caller of velocity_product_hat and reynolds_stress_hat.
+Snapshots run outside and widths inside: per snapshot it forms Pi once and
+yields (i, u_hat, Pi, pairs); pairs then yields (m, ubar_hat, R_hat) per
+width m, forming the stress from that ubar_hat only when the consumer
+draws the pair, so one stress is alive at a time.  The pipeline's
+consumers are dissipation.analyze_widths and minimizer.audit_widths;
+resolved_balance and local_balance_test here and minimizer.assemble_flux
+are library entry points that the tests and the acceptance suite use as
+independent references.
 """
 
 from __future__ import annotations
@@ -164,62 +157,44 @@ def width_schedule(grid, delta0, count):
     return widths
 
 
-def velocity_products(grid, u_hat):
-    """(u, F): the dealiased velocity u on the grid, (3, n, n, n), and F =
-    (u_j u_k)^ for j <= k before dealiasing, (6, n, n, n//2+1).
-
-    3 inverse and 6 forward scalar transforms; Pi = dealias(F).
-    """
+def velocity_product_hat(grid, u_hat):
+    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1), formed
+    in the forward transform's buffer; 9 scalar transforms.  One Pi serves
+    every width at a snapshot."""
     u = grid.inverse(dealias(grid, u_hat))
     j, k = _UPPER
-    return u, grid.forward(u[j] * u[k])
+    product_hat = grid.forward(u[j] * u[k])
+    return dealias(grid, product_hat, out=product_hat)
 
 
-def velocity_product_hat(grid, u_hat):
-    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1).
-
-    The product does not depend on the filter width, so one Pi serves every
-    width at a snapshot.
-    """
-    return dealias(grid, velocity_products(grid, u_hat)[1])
-
-
-def reynolds_stress_hat(grid, kernel, u_hat, product_hat):
+def reynolds_stress_hat(grid, kernel, ub_hat, product_hat):
     """Spectral filtered Reynolds stress, shape (3, 3, n, n, n//2+1).
 
-    R_ij = m * Pi_ij - (ubar_i ubar_j)^ with ubar = m * u and Pi =
-    velocity_product_hat(grid, u_hat).  Per call: 3 inverse and 6 forward
-    scalar transforms; with Pi's 9 per snapshot that is 18 for one width and
-    9 + 9 per width for several.
+    R_ij = m * Pi_ij - (ubar_i ubar_j)^ for ub_hat = m * u_hat and Pi =
+    velocity_product_hat(grid, u_hat), the difference taken in the forward
+    transform's buffer after ubar is dropped.  9 scalar transforms per call,
+    so 9 + 9 per width with Pi's per snapshot.
     """
-    ubar = grid.inverse(kernel.multiplier * u_hat)
     j, k = _UPPER
-    stress = kernel.multiplier * product_hat - grid.forward(ubar[j] * ubar[k])
-    return stress[_SYMMETRIC_INDEX]
+    ubar = grid.inverse(ub_hat)
+    resolved = grid.forward(ubar[j] * ubar[k])
+    del ubar
+    return np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)[_SYMMETRIC_INDEX]
 
 
-def filtered_pairs(trajectory, kernels, snapshot_fields=None):
-    """Per snapshot (i, u_hat, Pi, pairs); pairs lazily yields (m, kernel,
-    ubar_hat, R_hat) for each of the kernels, in their order.
-
-    Given snapshot_fields, the third item is instead snapshot_fields(grid,
-    u_hat, (u, F)) on the velocity products (velocity_products), so a
-    consumer that needs them too does not transform them again.  Pi is then
-    formed in F's buffer: snapshot_fields must copy what it keeps of F.
-    """
+def filtered_pairs(trajectory, kernels):
+    """Per snapshot (i, u_hat, Pi, pairs); pairs lazily yields (m, ubar_hat,
+    R_hat) for each of the kernels, in their order."""
     grid = trajectory.grid
     for i, u_hat in enumerate(trajectory.u_hats):
-        u, product_hat = velocity_products(grid, u_hat)
-        shared = snapshot_fields(grid, u_hat, (u, product_hat)) if snapshot_fields else product_hat
-        del u
-        dealias(grid, product_hat, out=product_hat)
-        yield i, u_hat, shared, _pairs(grid, kernels, u_hat, product_hat)
+        product_hat = velocity_product_hat(grid, u_hat)
+        yield i, u_hat, product_hat, _pairs(grid, kernels, u_hat, product_hat)
 
 
 def _pairs(grid, kernels, u_hat, product_hat):
     for m, kernel in enumerate(kernels):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
-        yield m, kernel, kernel.multiplier * u_hat, r_hat
+        ub_hat = kernel.multiplier * u_hat
+        yield m, ub_hat, reynolds_stress_hat(grid, kernel, ub_hat, product_hat)
 
 
 def filtered_pressure_hat(grid, kernel, product_hat):
@@ -283,7 +258,7 @@ def resolved_balance(trajectory, kernel):
     grid = trajectory.grid
     terms = np.empty((4, len(trajectory)))
     for i, _, _, pairs in filtered_pairs(trajectory, [kernel]):
-        for _, _, ub_hat, r_hat in pairs:
+        for _, ub_hat, r_hat in pairs:
             terms[:, i] = balance_terms(grid, ub_hat, r_hat)
     return BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms)
 
@@ -324,7 +299,7 @@ def local_balance_test(trajectory, kernel, phi, window):
     transfer = np.empty(n_snap)
     boundary_density = np.empty(n_snap)
     for i, _, product_hat, pairs in filtered_pairs(trajectory, [kernel]):
-        for _, _, ub_hat, r_hat in pairs:
+        for _, ub_hat, r_hat in pairs:
             ub = grid.inverse(ub_hat)
             e = np.einsum("ixyz,ixyz->xyz", ub, ub)
             pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))

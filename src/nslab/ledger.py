@@ -125,6 +125,8 @@ def read_ledger(path):
         fh = open(path, "r", encoding="utf-8", errors="replace", newline="")
     except FileNotFoundError:
         raise LedgerError(f"{path}: missing") from None
+    except OSError as exc:  # a directory, or unreadable
+        raise LedgerError(f"{path}: cannot read ({exc.strerror})") from None
     with fh:
         schema = fh.readline().rstrip("\n")
         if schema != SCHEMA_LINE:

@@ -140,7 +140,7 @@ def assemble_flux(trajectory, kernel):
     grid = trajectory.grid
     j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
     for i, _, _, pairs in filtered_pairs(trajectory, [kernel]):
-        for _, _, ub_hat, r_hat in pairs:
+        for _, ub_hat, r_hat in pairs:
             j_hats[i] = grid.nu * gradient(grid, ub_hat) - r_hat
     return FluxField(grid, trajectory.times, j_hats)
 
@@ -730,7 +730,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
         grad_u_pair = basket.pair_gradient(u_hat)
         grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
         wt = weights[i]
-        for m, _, ub_hat, r_hat in pairs:
+        for m, ub_hat, r_hat in pairs:
             resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
             grad_ub = gradient(grid, ub_hat)
             # The nu = 1 problem first: j1 = grad ubar - R and its minimizer w1.

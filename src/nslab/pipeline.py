@@ -110,6 +110,8 @@ def _read_json(path, *keys):
             record = json.load(fh)
     except FileNotFoundError:
         raise LedgerError(f"{path}: missing") from None
+    except OSError as exc:  # a directory, or unreadable
+        raise LedgerError(f"{path}: cannot read ({exc.strerror})") from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise LedgerError(f"{path}: invalid JSON ({exc})") from None
     for key in keys:

@@ -61,7 +61,11 @@ def write_snapshot(path, time, fields):
 
 def read_snapshot(path):
     """Read one .nsel file; returns (time, fields) with fields (ncomp, n, n, n)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise SnapshotFormatError(path, "cannot read", exc.strerror) from None
+    with fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise SnapshotFormatError(path, "truncated header")
@@ -117,6 +121,8 @@ def read_series(directory, grid):
         paths = list_snapshots(directory)
     except FileNotFoundError:
         raise SnapshotFormatError(directory, "missing") from None
+    except OSError as exc:  # not a directory, or unreadable
+        raise SnapshotFormatError(directory, "cannot list", exc.strerror) from None
     if not paths:
         raise SnapshotFormatError(directory, "no snapshots")
     expected = (3,) + grid.shape

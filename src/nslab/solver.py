@@ -93,6 +93,17 @@ def make_initial(grid, ic):
     return u_hat
 
 
+def shell_targets(ic):
+    """random_band's energy per shell s = k_min..k_max, s**slope scaled to a
+    total of 1/2 amplitude^2 VOLUME; GridError unless all are finite, sum > 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        targets = np.arange(ic.k_min, ic.k_max + 1, dtype=np.float64) ** ic.slope
+        targets *= 0.5 * ic.amplitude**2 * spectral.VOLUME / targets.sum()
+    if not (np.all(np.isfinite(targets)) and targets.sum() > 0.0):
+        raise GridError(f"random_band slope {ic.slope:g} leaves no finite shell energies")
+    return targets
+
+
 def _random_band(grid, ic):
     if ic.seed is None or ic.slope is None or ic.k_min is None or ic.k_max is None:
         raise GridError("random_band requires seed, slope, k_min and k_max")
@@ -101,15 +112,13 @@ def _random_band(grid, ic):
             f"random_band band [{ic.k_min}, {ic.k_max}] outside the resolved "
             f"range [1, {grid.dealias_cutoff}]"
         )
+    targets = shell_targets(ic)
     rng = np.random.default_rng(ic.seed)
     noise = rng.standard_normal((3,) + grid.shape)
     u_hat = spectral.leray_project(grid, grid.forward(noise))
     k_mag = np.sqrt(grid.k_sq)
     shells, energies = energy_spectrum(grid, u_hat)
     band = slice(ic.k_min - 1, ic.k_max)
-    targets = shells[band].astype(np.float64) ** ic.slope
-    e_total = 0.5 * ic.amplitude**2 * spectral.VOLUME
-    targets *= e_total / targets.sum()
     scaled = np.zeros_like(u_hat)
     for s, target, current in zip(shells[band], targets, energies[band]):
         mask = (k_mag > s - 0.5) & (k_mag <= s + 0.5)

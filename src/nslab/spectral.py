@@ -157,23 +157,19 @@ class Grid:
     def inverse(self, field_hat, out=None):
         """Spectral coefficients (..., n, n, nh) or their band -> real field(s) (..., n, n, n).
 
-        Runs irfftn's passes itself: ifft of axis -3, then of axis -2 in
-        place in the first pass's result, then irfft into `out` (a fresh
-        array when None).  The output is bitwise that of irfftn.
-
-        A field in band layout (see Band) is transformed as irfftn of its
-        scatter, bitwise, skipping the lines that are zero there: ifft of
-        axis -3 on the kept (k2, k3) lines only, in two slab calls, ifft of
-        axis -2 on planes k3 <= c only, and irfft of every line.  Its
-        workspace buffers hold zeros where no pass writes: the rows between
-        the kept blocks and the planes above c.
+        A full-layout field goes through irfftn.  A field in band layout
+        (see Band) is transformed as irfftn of its scatter, bitwise, skipping
+        the lines that are zero there: ifft of axis -3 on the kept (k2, k3)
+        lines only, in two slab calls, ifft of axis -2 on planes k3 <= c
+        only, and irfft of every line.  Its workspace buffers hold zeros
+        where no pass writes: the rows between the kept blocks and the
+        planes above c.
         """
-        n = self.n
         if field_hat.shape[-3:] == self.spectral_shape:
-            work = np.fft.ifft(field_hat, n, axis=-3, norm="forward")
-            np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
-            return np.fft.irfft(work, n, axis=-1, norm="forward", out=out)
-        band, ws, lead = self.band, self.workspace, field_hat.shape[:-3]
+            return np.fft.irfftn(
+                field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward", out=out
+            )
+        n, band, ws, lead = self.n, self.band, self.workspace, field_hat.shape[:-3]
         width, depth = band.shape[1:]  # 2c + 1 kept rows of axis -2, c + 1 planes
         spread = ws.buffer("inverse_rows", lead + (n, width, depth))
         lines = ws.buffer("inverse_lines", lead + (n, n, depth))

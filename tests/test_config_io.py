@@ -5,8 +5,10 @@ Validates:
   sections that are not objects (falsy ones included) rejected by name,
   type and finiteness checks, per-kind initial-condition requirements,
   non-negative seeds (init, basket and oracle; the CLI exits 2), a nonzero
-  init.amplitude that is positive for random_band (the CLI exits 2), and
-  cross-validation against grid/filter/basket rules, including the
+  init.amplitude that is positive for random_band (the CLI exits 2), an
+  init.amplitude or init.slope that cannot give a finite initial field
+  rejected by name (the CLI exits 2) while a steep slope that can stays
+  valid, and cross-validation against grid/filter/basket rules, including the
   three-width minimum of the filter schedule
 - output-directory resolution including the NSLAB_OUT override
 - config file round trips and deterministic dumps
@@ -64,7 +66,7 @@ from nslab.snapshots import (
     write_snapshot,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
-from nslab.spectral import Grid
+from nslab.spectral import VOLUME, Grid, norm_sq
 
 
 def base_config():
@@ -308,6 +310,71 @@ class TestConfigParsing:
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert "init.amplitude" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    # init -> the key its rejection names.  Each made a NaN or infinite
+    # initial field, a Python OverflowError, or a zero initial energy before
+    # load time refused it.
+    UNREPRESENTABLE_INITS = {
+        "overflowing_slope": (
+            {"kind": "random_band", "seed": 3, "slope": 1000.0, "k_min": 2, "k_max": 4},
+            "init.slope",
+        ),
+        "underflowing_slope": (
+            {"kind": "random_band", "seed": 3, "slope": -1000.0, "k_min": 3, "k_max": 4},
+            "init.slope",
+        ),
+        "random_band_amplitude": (
+            {"kind": "random_band", "amplitude": 1e160, "seed": 3, "slope": -1.0,
+             "k_min": 1, "k_max": 3},
+            "init.amplitude",
+        ),
+        "random_band_tiny_amplitude": (
+            {"kind": "random_band", "amplitude": 1e-200, "seed": 3, "slope": -1.0,
+             "k_min": 1, "k_max": 3},
+            "init.amplitude",
+        ),
+        "taylor_green_amplitude": ({"kind": "taylor_green", "amplitude": 1e160}, "init.amplitude"),
+        "taylor_green_tiny_amplitude": (
+            {"kind": "taylor_green", "amplitude": 1e-200},
+            "init.amplitude",
+        ),
+        "beltrami_amplitude": ({"kind": "beltrami_abc", "amplitude": 1e155}, "init.amplitude"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREPRESENTABLE_INITS))
+    def test_unrepresentable_initial_field_exits_2(self, tmp_path, capsys, case):
+        init, key = self.UNREPRESENTABLE_INITS[case]
+        data = base_config()
+        data["init"] = init
+        data["output"]["dir"] = str(tmp_path / "run")
+        path = tmp_path / "bad_init.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("k_min", [1, 2])
+    def test_steep_negative_slope_stays_valid(self, k_min):
+        """At slope -1000 the shells beyond the first underflow to a zero
+        target, but the first, 1 or 2**-1000, is positive and takes all the
+        energy: the config loads and makes a finite field of the asked-for
+        energy."""
+        data = self.random_band_config(0.8)
+        data["init"].update(slope=-1000.0, k_min=k_min, k_max=4)
+        cfg = parse_config(data)
+        u_hat = make_initial(cfg.make_grid(), cfg.make_initial_condition())
+        assert np.all(np.isfinite(u_hat))
+        energy = 0.5 * norm_sq(cfg.make_grid(), u_hat)
+        assert energy == pytest.approx(0.5 * 0.8**2 * VOLUME, rel=1e-12)
+
+    def test_trig_amplitudes_below_overflow_stay_valid(self):
+        """The trig kinds are refused only where the initial energy
+        overflows: VOLUME / 8 * amplitude^2 for taylor_green and 3 / 2 *
+        VOLUME * amplitude^2 for beltrami_abc."""
+        for kind, amplitude in (("taylor_green", 1e153), ("beltrami_abc", 1e152)):
+            data = base_config()
+            data["init"] = {"kind": kind, "amplitude": amplitude}
+            assert parse_config(data).init["amplitude"] == amplitude
 
     def test_empty_output_dir(self):
         data = base_config()

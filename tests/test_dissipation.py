@@ -11,8 +11,9 @@ test-local references.  Validates:
   a direct offset-by-offset np.roll loop on random fields, and of the loop's
   space integral with the per-pair pairing
 - the per-pair pairings against the space integrals of the reference
-  densities, the structure field B formed from the pair loop's velocity
-  products against its expression in real arithmetic, and the transform
+  densities, the structure field B formed from the pair loop's Pi against
+  its expression in real arithmetic and against B from the undealiased
+  product, and the transform
   calls per snapshot and per pair; the one-pass analyze_widths equals
   resolved_balance, its stress series is the negated budget flux, and its
   estimator series are the per-pair values
@@ -44,12 +45,12 @@ from nslab.dissipation import (
     structure_fields,
 )
 from nslab.filtering import (
+    _SYMMETRIC_INDEX,
     filtered_pairs,
     kernel_for,
     resolved_balance,
     reynolds_stress_hat,
     velocity_product_hat,
-    velocity_products,
     width_schedule,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
@@ -85,15 +86,30 @@ def tool_values(text):
 def structure_value(grid, u_hat, delta):
     """The package's structure integral of one snapshot at one width."""
     return defect_structure_function(
-        grid, structure_fields(grid, u_hat, velocity_products(grid, u_hat)), delta
+        grid, structure_fields(grid, u_hat, velocity_product_hat(grid, u_hat)), delta
     )
 
 
 def stress_value(grid, u_hat, delta):
     """The package's stress-strain integral of one snapshot at one width."""
     kernel = kernel_for(grid, delta)
-    r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-    return defect_stress_strain(grid, kernel.multiplier * u_hat, delta, r_hat)
+    ub_hat = kernel.multiplier * u_hat
+    r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
+    return defect_stress_strain(grid, ub_hat, delta, r_hat)
+
+
+def structure_fields_from_f(grid, u_hat, f_hat):
+    """B from the undealiased product F = (u_j u_k)^, j <= k, and the
+    dealiased velocity: the reference that structure_fields is held to."""
+    u_conj = np.conj(dealias(grid, u_hat))
+    trace_hat = f_hat[0] + f_hat[3] + f_hat[5]
+    fields = np.zeros_like(u_conj)
+    for k in range(3):
+        x = trace_hat * u_conj[k]
+        for j in range(3):
+            x += 2.0 * f_hat[_SYMMETRIC_INDEX[j, k]] * u_conj[j]
+        fields[k].imag = 2.0 * x.imag
+    return fields
 
 
 def space_integral(grid, density):
@@ -220,16 +236,17 @@ class TestSharedTransforms:
         within 1e-12 of the largest |integral| over the widths."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
         u_hat = g.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
-        fields = structure_fields(g, u_hat, velocity_products(g, u_hat))
         product_hat = velocity_product_hat(g, u_hat)
+        fields = structure_fields(g, u_hat, product_hat)
         values, references = [], []
         for delta in width_schedule(g, np.pi, 3):
             kernel = kernel_for(g, delta)
-            r_hat = reynolds_stress_hat(g, kernel, u_hat, product_hat)
+            ub_hat = kernel.multiplier * u_hat
+            r_hat = reynolds_stress_hat(g, kernel, ub_hat, product_hat)
             values.append(
                 (
                     defect_structure_function(g, fields, delta),
-                    defect_stress_strain(g, kernel.multiplier * u_hat, delta, r_hat),
+                    defect_stress_strain(g, ub_hat, delta, r_hat),
                 )
             )
             references.append(
@@ -244,14 +261,13 @@ class TestSharedTransforms:
         assert np.all(np.abs(values - references) <= 1e-12 * scale)
 
     def test_fields_from_shared_products(self, grid, trajectory):
-        """The field B that analyze forms from the pair loop's velocity
-        products equals its expression in real arithmetic from the snapshot
-        alone, Im(a conj b) = Im a Re b - Re a Im b with each P_jk = (u_j
+        """The field B that analyze forms from the pair loop's Pi equals
+        its expression in real arithmetic from the snapshot alone, Im(a conj b) = Im a Re b - Re a Im b with each P_jk = (u_j
         u_k)^ transformed apart and S = P_00 + P_11 + P_22, within 1e-14 of
         max |B| (numpy's complex multiply may fuse its products; measured
         2e-16).  Its real part is zero."""
-        snapshots = filtered_pairs(trajectory, [kernel_for(grid, np.pi)], structure_fields)
-        for _, u_hat, fields, _ in snapshots:
+        for _, u_hat, product_hat, _ in filtered_pairs(trajectory, [kernel_for(grid, np.pi)]):
+            fields = structure_fields(grid, u_hat, product_hat)
             u_hat = dealias(grid, u_hat)
             u = grid.inverse(u_hat)
             p_hat = np.array([[grid.forward(u[j] * u[k]) for k in range(3)] for j in range(3)])
@@ -267,10 +283,26 @@ class TestSharedTransforms:
             assert not np.any(fields.real)
             assert np.abs(fields - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_fields_from_dealiased_product(self, n):
+        """B from Pi and the raw velocity equals B from the undealiased
+        product F = (u_j u_k)^ and the dealiased velocity: both factors agree
+        on the two-thirds band and one of them is zero off it.  The fields
+        are random, so neither u_hat nor F is band-limited; off the band the
+        two differ at most in the sign of zero, which array_equal ignores."""
+        g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
+        u_hat = g.forward(np.random.default_rng(n + 2).standard_normal((3,) + g.shape))
+        u = g.inverse(dealias(g, u_hat))
+        j, k = np.triu_indices(3)
+        f_hat = g.forward(u[j] * u[k])
+        fields = structure_fields(g, u_hat, velocity_product_hat(g, u_hat))
+        assert np.array_equal(fields, structure_fields_from_f(g, u_hat, f_hat))
+        assert not np.any(fields[:, ~g.dealias_mask])
+
     def test_analyze_transforms_per_snapshot_and_pair(self, grid, trajectory, monkeypatch):
         """With the per-width kernels cached, analyze_widths makes 2
-        transform calls per snapshot (the velocity and the products u_j u_k
-        that Pi and the structure field share) and 2 per pair (the
+        transform calls per snapshot (Pi's: the velocity and the products
+        u_j u_k; the structure field is formed from Pi) and 2 per pair (the
         stress's); both estimators are spectral pairings."""
         deltas = [np.pi, np.pi / 2.0, np.pi / 4.0]
         analyze_widths(trajectory, deltas)

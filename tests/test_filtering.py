@@ -9,12 +9,14 @@ Validates:
 - filtered pressure against the operator-composed Poisson equation
 - resolved and local energy budgets closing on solver trajectories
 - the pair loop filtered_pairs: one product per snapshot, stresses formed
-  only as pairs are drawn; resolved_balance, local_balance_test and
+  only as pairs are drawn and from the filtered velocity each pair yields,
+  and one snapshot's working set; resolved_balance, local_balance_test and
   assemble_flux equal the per-snapshot loops they replaced bit for bit and
   form one product and one stress per snapshot
 - window functions and their analytic derivatives
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -141,6 +143,12 @@ def reference_stress_hat(grid, kernel, u_hat):
     return filtered - grid.forward(resolved)
 
 
+def stress_hat(grid, kernel, u_hat):
+    """One pair's stress as the pair loop forms it, from its own Pi."""
+    product_hat = velocity_product_hat(grid, u_hat)
+    return reynolds_stress_hat(grid, kernel, kernel.multiplier * u_hat, product_hat)
+
+
 class TestReynoldsStress:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_shared_product_matches_reference(self, n):
@@ -152,20 +160,18 @@ class TestReynoldsStress:
         assert product_hat.shape == (6,) + g.spectral_shape
         for delta in width_schedule(g, np.pi, 3):
             kernel = kernel_for(g, delta)
-            shared = reynolds_stress_hat(g, kernel, u_hat, product_hat)
+            shared = reynolds_stress_hat(g, kernel, kernel.multiplier * u_hat, product_hat)
             assert np.array_equal(shared, reference_stress_hat(g, kernel, u_hat))
 
     def test_symmetry(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
-        r = grid.inverse(
-            reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-        )
+        r = grid.inverse(stress_hat(grid, kernel, u_hat))
         assert np.abs(r - np.swapaxes(r, 0, 1)).max() < 1e-14
 
     def test_trace_energy_identity(self, grid, u_hat):
         """integral tr(R) = ||u||^2 - ||ubar||^2 for dealiased u (Parseval)."""
         kernel = kernel_for(grid, np.pi / 2.0)
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+        r_hat = stress_hat(grid, kernel, u_hat)
         trace = r_hat[0, 0] + r_hat[1, 1] + r_hat[2, 2]
         ud = dealias(grid, u_hat)
         expected = norm_sq(grid, ud) - norm_sq(grid, kernel.multiplier * ud)
@@ -176,7 +182,7 @@ class TestReynoldsStress:
 
     def test_hermitian(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+        r_hat = stress_hat(grid, kernel, u_hat)
         assert hermitian_defect(grid, r_hat) < 1e-12
 
 
@@ -278,8 +284,8 @@ def reference_resolved_balance(trajectory, kernel):
     grid = trajectory.grid
     terms = np.empty((4, len(trajectory)))
     for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
         ub_hat = kernel.multiplier * u_hat
+        r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
         terms[:, i] = (
             0.5 * norm_sq(grid, ub_hat),
             gradient_norm_sq(grid, ub_hat),
@@ -294,8 +300,9 @@ def reference_assemble_flux(trajectory, kernel):
     grid = trajectory.grid
     j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
     for i, u_hat in enumerate(trajectory.u_hats):
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
-        j_hats[i] = grid.nu * gradient(grid, kernel.multiplier * u_hat) - r_hat
+        ub_hat = kernel.multiplier * u_hat
+        r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
+        j_hats[i] = grid.nu * gradient(grid, ub_hat) - r_hat
     return j_hats
 
 
@@ -319,7 +326,7 @@ def reference_local_balance(trajectory, kernel, phi, window):
         e = np.einsum("ixyz,ixyz->xyz", ub, ub)
         pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
         grad_ub = grid.inverse(gradient(grid, ub_hat))
-        r_hat = reynolds_stress_hat(grid, kernel, u_hat, product_hat)
+        r_hat = reynolds_stress_hat(grid, kernel, ub_hat, product_hat)
         div_r = grid.inverse(tensor_divergence(grid, r_hat))
         boundary_density[i] = grid_inner_product(grid, e, phi)
         time_term[i] = grid_inner_product(grid, e, phi) * s_dot[i] + grid.nu * s[
@@ -371,9 +378,10 @@ class TestPairLoop:
 
     def test_stresses_formed_as_pairs_are_drawn(self, grid, trajectory, monkeypatch):
         """Pi is formed when a snapshot is drawn, each stress when its pair
-        is; undrawn pairs form no stress."""
+        is, from the very ubar_hat that the pair yields; undrawn pairs form
+        no stress."""
         first_product_hat = velocity_product_hat(grid, trajectory.u_hats[0])
-        products = call_log(monkeypatch, "velocity_products")
+        products = call_log(monkeypatch, "velocity_product_hat")
         stresses = call_log(monkeypatch, "reynolds_stress_hat")
         kernels = [kernel_for(grid, np.pi / 2.0), kernel_for(grid, np.pi / 4.0)]
         snapshots = filtered_pairs(trajectory, kernels)
@@ -381,13 +389,35 @@ class TestPairLoop:
         assert (i, len(products), len(stresses)) == (0, 1, 0)
         assert np.array_equal(u_hat, trajectory.u_hats[0])
         assert np.array_equal(product_hat, first_product_hat)
-        for m, (w, kernel, ub_hat, r_hat) in enumerate(pairs):
-            assert kernel is kernels[m]
+        for m, (w, ub_hat, r_hat) in enumerate(pairs):
+            kernel = kernels[m]
             assert (w, len(stresses)) == (m, m + 1)
+            assert stresses[m][1] is kernel and stresses[m][2] is ub_hat
             assert np.array_equal(ub_hat, kernel.multiplier * u_hat)
             assert np.array_equal(r_hat, reference_stress_hat(grid, kernel, u_hat))
         assert [i for i, *_ in snapshots] == list(range(1, len(trajectory)))
         assert (len(products), len(stresses)) == (len(trajectory), 2)
+
+    def test_pair_working_set(self, grid, trajectory):
+        """One snapshot of this 16^3 trajectory, Pi and its three pairs with
+        each stress reduced as it is drawn, peaks at 13.7 vector fields
+        (3, n, n, n//2+1) above entry: Pi, the previous pair's ubar_hat and
+        stress, the new ubar_hat, ubar and its products on the grid, and the
+        forward transform's result and pass copy.  Forming m * Pi before
+        that transform and the difference in a fresh array peaks at 14.7."""
+        kernels = [kernel_for(grid, d) for d in width_schedule(grid, np.pi, 3)]
+        vector = trajectory.u_hats[0].nbytes
+        snapshots = filtered_pairs(trajectory, kernels)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, _, _, pairs = next(snapshots)
+            for _, _, r_hat in pairs:
+                inner_product(grid, r_hat, r_hat)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.2 * vector
 
     def test_consumers_match_reference_loops(self, grid, trajectory, local_inputs):
         """Each consumer equals the per-snapshot loop it replaced bit for bit."""
@@ -410,7 +440,7 @@ class TestPairLoop:
             lambda: assemble_flux(trajectory, kernel),
             lambda: local_balance_test(trajectory, kernel, *local_inputs),
         ):
-            products = call_log(monkeypatch, "velocity_products")
+            products = call_log(monkeypatch, "velocity_product_hat")
             stresses = call_log(monkeypatch, "reynolds_stress_hat")
             consume()
             assert (len(products), len(stresses)) == (len(trajectory), len(trajectory))

@@ -197,9 +197,10 @@ class TestFluxField:
         flux = assemble_flux(trajectory, kernel)
         i = len(trajectory) // 2
         u_hat = trajectory.u_hats[i]
+        ub_hat = kernel.multiplier * u_hat
         product_hat = velocity_product_hat(traj_grid, u_hat)
-        r_hat = reynolds_stress_hat(traj_grid, kernel, u_hat, product_hat)
-        expected = traj_grid.nu * gradient(traj_grid, kernel.multiplier * u_hat) - r_hat
+        r_hat = reynolds_stress_hat(traj_grid, kernel, ub_hat, product_hat)
+        expected = traj_grid.nu * gradient(traj_grid, ub_hat) - r_hat
         assert np.max(np.abs(flux.j_hats[i] - expected)) < 1e-12
 
 
@@ -471,7 +472,9 @@ class TestTrajectoryDiagnostics:
             kernel = kernel_for(grid, row["delta"])
             r_hats = np.stack(
                 [
-                    reynolds_stress_hat(grid, kernel, u_hat, velocity_product_hat(grid, u_hat))
+                    reynolds_stress_hat(
+                        grid, kernel, kernel.multiplier * u_hat, velocity_product_hat(grid, u_hat)
+                    )
                     for u_hat in trajectory.u_hats
                 ]
             )
@@ -657,7 +660,7 @@ def audit_reference(trajectory, deltas, basket, radius_sq):
         grad_u_pair = basket.pair_gradient(u_hat)
         grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
         wt = weights[i]
-        for m, _, ub_hat, r_hat in pairs:
+        for m, ub_hat, r_hat in pairs:
             resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
             grad_ub = gradient(grid, ub_hat)
             j_hat = nu * grad_ub - r_hat

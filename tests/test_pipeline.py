@@ -24,15 +24,18 @@ Validates:
 - CLI exit codes: 0 on success, 1 for runtime failures, 2 for bad input,
   including snapshot times that are not finite and strictly increasing,
   non-finite time-ledger cells, a time ledger that disagrees with the
-  snapshots and a run.json that is not a run record
+  snapshots and a run.json that is not a run record, and a simulate
+  config path that names a directory
 - a corruption matrix: a dropped time-ledger column, a changed or dropped
   width-ledger row, a missing width ledger, a missing top-level or nested
   key that report reads from analysis.json or minimize.json, an
   analysis.json balance with no rows or fewer rows than the schedule, a
   fitted order that is not a number, a missing minimize.json, a missing
-  snapshots/ directory and a non-finite snapshot sample each make the stage
-  that reads them exit 2 naming the file (and the key), with every other
-  artifact left byte for byte
+  snapshots/ directory, a non-finite snapshot sample, a directory where
+  config.json, energy_time.csv, run.json, analysis.json, width_ledger.csv
+  or a snapshot belongs and a file where snapshots/ belongs each make the
+  stage that reads them exit 2 naming the file (and the key), with every
+  other artifact left byte for byte
 - a simulate rerun rejects a malformed run.json before it integrates
 """
 
@@ -508,7 +511,7 @@ class TestMinimizeStage:
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         stress_calls = count_calls(monkeypatch, filtering.reynolds_stress_hat)
-        product_calls = count_calls(monkeypatch, filtering.velocity_products)
+        product_calls = count_calls(monkeypatch, filtering.velocity_product_hat)
         flux_calls = count_calls(monkeypatch, minimizer.assemble_flux)
         solve_calls = count_calls(monkeypatch, minimizer.solve_mp)
         for oracle in (False, True):
@@ -770,6 +773,34 @@ def nan_snapshot_sample(paths):
     return victim
 
 
+def directory_in_place_of(path):
+    """Replace the file at path by an empty directory of its name."""
+    os.unlink(path)
+    os.mkdir(path)
+    return path
+
+
+def snapshots_as_file(paths):
+    shutil.rmtree(paths.snapshots)
+    with open(paths.snapshots, "wb"):
+        pass
+    return paths.snapshots
+
+
+def snapshot_as_directory(paths):
+    return directory_in_place_of(list_snapshots(paths.snapshots)[1])
+
+
+# damage -> the RunPaths attribute of the file it turns into a directory
+DIRECTORY_IN_PLACE = {
+    "config_as_directory": "config",
+    "time_ledger_as_directory": "time_ledger",
+    "state_as_directory": "state",
+    "analysis_as_directory": "analysis",
+    "width_ledger_as_directory": "width_ledger",
+}
+
+
 CORRUPTIONS = {
     f.__name__: f
     for f in (
@@ -780,8 +811,16 @@ CORRUPTIONS = {
         remove_minimize_record,
         remove_snapshots,
         nan_snapshot_sample,
+        snapshots_as_file,
+        snapshot_as_directory,
     )
 }
+CORRUPTIONS.update(
+    {
+        damage: lambda paths, name=name: directory_in_place_of(getattr(paths, name))
+        for damage, name in DIRECTORY_IN_PLACE.items()
+    }
+)
 CORRUPTIONS.update(
     {
         damage: lambda paths, record=record, key=key: drop_json_key(getattr(paths, record), key)
@@ -826,6 +865,16 @@ class TestCommandLine:
     def test_bad_config_is_input_error(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_directory_is_input_error(self, tmp_path, capsys):
+        """A config path that names a directory exits 2 naming it and
+        writes nothing."""
+        config_dir = tmp_path / "cfg.json"
+        config_dir.mkdir()
+        assert cli.main(["simulate", "--config", str(config_dir)]) == 2
+        assert f"error: {config_dir}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert not any(config_dir.iterdir())
 
     def test_invalid_config_value(self, tmp_path, capsys):
         data = make_config(tmp_path / "run")
@@ -987,6 +1036,13 @@ class TestCommandLine:
             ("analyze", "remove_snapshots"),
             ("minimize", "remove_snapshots"),
             ("analyze", "nan_snapshot_sample"),
+            ("analyze", "config_as_directory"),
+            ("analyze", "time_ledger_as_directory"),
+            ("analyze", "snapshots_as_file"),
+            ("analyze", "snapshot_as_directory"),
+            ("report", "state_as_directory"),
+            ("report", "analysis_as_directory"),
+            ("report", "width_ledger_as_directory"),
             *[("report", damage) for damage in DROPPED_KEYS],
             *[("report", damage) for damage in MALFORMED_VALUES],
         ],
