@@ -16,7 +16,11 @@ identity below exact instead of "exact up to quadrature".
 
 The filtered Reynolds stress is assembled in the dealiased spectral algebra,
 
-    R_ij = filter(dealias(u_i u_j)) - ubar_i ubar_j,
+    R_ij = dealias(filter(dealias(u_i u_j)) - ubar_i ubar_j),
+
+its two-thirds band: outside the band (ubar_i ubar_j)^ of two band fields
+is partly aliased, and nothing the budget or the minimizer pairs R with
+has modes there,
 
 so that the resolved-scale energy balance
 
@@ -170,16 +174,19 @@ def velocity_product_hat(grid, u_hat):
 def reynolds_stress_hat(grid, kernel, ub_hat, product_hat):
     """Spectral filtered Reynolds stress, shape (3, 3, n, n, n//2+1).
 
-    R_ij = m * Pi_ij - (ubar_i ubar_j)^ for ub_hat = m * u_hat and Pi =
-    velocity_product_hat(grid, u_hat), the difference taken in the forward
-    transform's buffer after ubar is dropped.  9 scalar transforms per call,
-    so 9 + 9 per width with Pi's per snapshot.
+    R_ij = m * Pi_ij - (ubar_i ubar_j)^ on the two-thirds band and 0 off it,
+    for ub_hat = m * u_hat and Pi = velocity_product_hat(grid, u_hat), the
+    difference taken in the forward transform's buffer after ubar is
+    dropped.  9 scalar transforms per call, so 9 + 9 per width with Pi's
+    per snapshot.
     """
     j, k = _UPPER
     ubar = grid.inverse(ub_hat)
     resolved = grid.forward(ubar[j] * ubar[k])
     del ubar
-    return np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)[_SYMMETRIC_INDEX]
+    r_hat = np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)
+    r_hat[:, ~grid.dealias_mask] = 0.0
+    return r_hat[_SYMMETRIC_INDEX]
 
 
 def filtered_pairs(trajectory, kernels):

@@ -213,15 +213,15 @@ def reference_structure_density(grid, u_hat, delta):
 
 def reference_stress_density(grid, u_hat, delta):
     """Reference: the stress-strain density -R_ij d_i ubar_j on the grid,
-    the nine-component stress formed apart, all nine components back to
-    real space."""
+    the nine-component stress formed apart and dealiased, all nine
+    components back to real space."""
     kernel = kernel_for(grid, delta)
     u = grid.inverse(dealias(grid, u_hat))
     prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
     filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
     ubar = grid.inverse(kernel.multiplier * u_hat)
     resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
-    stress = grid.inverse(filtered - grid.forward(resolved))
+    stress = grid.inverse(dealias(grid, filtered - grid.forward(resolved)))
     grad_ub = grid.inverse(gradient(grid, kernel.multiplier * u_hat))
     return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
 

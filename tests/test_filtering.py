@@ -134,13 +134,15 @@ class TestWidthSchedule:
 
 def reference_stress_hat(grid, kernel, u_hat):
     """The stress as assembled before Pi was shared: all nine components of
-    m * dealias((u_i u_j)^) - (ubar_i ubar_j)^, the product formed per call."""
+    dealias(m * dealias((u_i u_j)^) - (ubar_i ubar_j)^), the product formed
+    per call.  The stress is its two-thirds band: outside it, (ubar_i
+    ubar_j)^ is partly aliased."""
     u = grid.inverse(dealias(grid, u_hat))
     prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
     filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
     ubar = grid.inverse(kernel.multiplier * u_hat)
     resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
-    return filtered - grid.forward(resolved)
+    return dealias(grid, filtered - grid.forward(resolved))
 
 
 def stress_hat(grid, kernel, u_hat):
