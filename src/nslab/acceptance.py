@@ -136,24 +136,27 @@ class AcceptanceLab:
     @cached_property
     def manufactured(self):
         """(basket, cases): ten manufactured fluxes with closed-form solutions,
-        checked by criterion 6's oracle and paired by criteria 8 and 9."""
+        checked by criterion 6's oracle and paired by criteria 8 and 9.  The
+        fluxes live on the grid's two-thirds band, like every field the
+        basket pairs with; a case's "grid" is that layout, grid.band."""
         grid = Grid(n=16, nu=0.05, dt=0.1, t_end=1.0, snapshot_stride=1)
+        band = grid.band
         times = np.linspace(0.0, 1.0, 5)
         basket = build_basket(grid, t_end=1.0, seed=515, size=8, max_mode=2)
         cases = []
         for case in range(10):
             rng = np.random.default_rng(100 + case)
-            profile = random_divergence_free(grid, rng, max_k_sq=9, amplitude=1.0)
+            profile = random_divergence_free(band, rng, max_k_sq=9, amplitude=1.0)
             svals = 1.0 + 0.5 * np.sin(2.0 * np.pi * times + rng.uniform(0.0, 2.0 * np.pi))
             scale = rng.uniform(0.5, 2.0)
-            flux = make_gradient_flux(grid, times, profile, svals, scale)
+            flux = make_gradient_flux(band, times, profile, svals, scale)
             w_exact = np.stack([scale * s * profile for s in svals])
-            big_w = enstrophy_integral(grid, times, w_exact)
+            big_w = enstrophy_integral(band, times, w_exact)
             interior = case % 2 == 0
             radius_sq = 2.0 * big_w if interior else 0.25 * big_w
             cases.append(
                 {
-                    "grid": grid,
+                    "grid": band,
                     "times": times,
                     "flux": flux,
                     "w_exact": w_exact,

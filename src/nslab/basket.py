@@ -32,14 +32,16 @@ class BasketElement:
 @dataclass(frozen=True)
 class TestBasket:
     """The basket, its profiles stored only on the M modes where some psi_j is
-    nonzero (0 < |k| <= max_mode: 22 half-complex modes for max_mode 2)."""
+    nonzero (0 < |k| <= max_mode: 22 half-complex modes for max_mode 2).
+    support indexes those modes in the two-thirds band layout (spectral.Band),
+    the layout of every field the pipeline pairs with the basket."""
 
     seed: int
     size: int
     max_mode: int
     t_end: float
     elements: tuple
-    support: tuple = field(repr=False)  # (i1, i2, i3) spectral indices, M each
+    support: tuple = field(repr=False)  # (i1, i2, i3) band indices, M each
     k_vec: np.ndarray = field(repr=False)  # (3, M)
     weights: np.ndarray = field(repr=False)  # (M,) VOLUME * Parseval weight
     psi: np.ndarray = field(repr=False)  # (size, 3, M)
@@ -59,7 +61,7 @@ class TestBasket:
         return np.array([math.fsum(row) for row in terms.reshape(len(self), -1)])
 
     def on_support(self, field_hat):
-        """A spectral field's values on the M support modes, shape (..., M)."""
+        """A band field's values on the M support modes, shape (..., M)."""
         return field_hat[(...,) + self.support]
 
     def pair(self, field_hat):
@@ -90,15 +92,21 @@ def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEF
         raise ValueError(
             f"max_mode {max_mode} outside the resolved band [1, {grid.dealias_cutoff}]"
         )
+    # Every step below runs on the two-thirds band, where each mode gets the
+    # operations it got in the full layout, so psi is the band of the
+    # full-layout construction, bitwise.  Only the two gradient-norm sums
+    # run over the scattered half spectrum: their summation order fixes
+    # the bits of psi (a band sum moves them by up to 8e-16 relative).
+    band = grid.band
     rng = np.random.default_rng(seed)
-    band = (grid.k_sq > 0.0) & (grid.k_sq <= float(max_mode) ** 2)
+    modes = (band.k_sq > 0.0) & (band.k_sq <= float(max_mode) ** 2)
     elements = []
     profiles = []
     for j in range(size):
         noise = rng.standard_normal((3,) + grid.shape)
-        a_hat = grid.forward(noise) * band
-        psi_hat = leray_project(grid, dealias(grid, curl(grid, a_hat)))
-        gnsq = gradient_norm_sq(grid, psi_hat)
+        a_hat = band.forward(noise) * modes
+        psi_hat = leray_project(band, dealias(band, curl(band, a_hat)))
+        gnsq = gradient_norm_sq(grid, band.scatter(psi_hat))
         if gnsq <= 0.0:
             raise ValueError(f"degenerate basket element {j}")
         psi_hat /= np.sqrt(gnsq)
@@ -107,23 +115,23 @@ def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEF
         elements.append(
             BasketElement(
                 window=BumpWindow(t0, t1),
-                grad_norm_sq=gradient_norm_sq(grid, psi_hat),
+                grad_norm_sq=gradient_norm_sq(grid, band.scatter(psi_hat)),
             )
         )
-        # The curl, dealiasing and projection of a band-limited potential
-        # leave every mode outside the band exactly zero.
-        profiles.append(psi_hat[:, band])
+        # The curl, dealiasing and projection of a potential on these modes
+        # leave every other mode exactly zero.
+        profiles.append(psi_hat[:, modes])
     psi = np.stack(profiles)
     nonzero = np.any(psi != 0.0, axis=(0, 1))
-    support = tuple(ix[nonzero] for ix in np.nonzero(band))
+    support = tuple(ix[nonzero] for ix in np.nonzero(modes))
     psi = psi[..., nonzero]
-    k_vec = grid.k_vec[(slice(None),) + support]
+    k_vec = band.k_vec.real[(slice(None),) + support]
     return TestBasket(
         seed=int(seed), size=int(size), max_mode=int(max_mode), t_end=float(t_end),
         elements=tuple(elements),
         support=support,
         k_vec=k_vec,
-        weights=VOLUME * grid.parseval_w[0, 0, support[2]],
+        weights=VOLUME * band.parseval_w[0, 0, support[2]],
         psi=psi,
         grad_psi=1j * k_vec[:, None, :] * psi[:, None, :, :],
     )

@@ -22,8 +22,10 @@ width-independent field B per snapshot (structure_fields), up to constants
 the transform of the third-order structure function sum_x du |du|^2 as a
 function of the offset.  B needs no transform beyond the product Pi that
 filtering.filtered_pairs forms; grad(eta_delta) is sampled and
-transformed once per width (kernel_gradient_hat, cached per grid).  The
-stress-strain integral is -<R, grad ubar> by discrete Parseval, the
+transformed once per width (kernel_gradient_hat, cached per grid).  Both
+are band fields (spectral.Band), like every spectral field of the pair
+loop: B is zero off the two-thirds band, so the pairing reads the band
+only.  The stress-strain integral is -<R, grad ubar> by discrete Parseval, the
 resolved budget's flux negated.  So a pair costs two Parseval pairings and
 no transform.  offsets_count(), the number of offsets the structure sum
 covers, stays for perfbench/stage_trace.py, which logs it.
@@ -66,8 +68,8 @@ def offsets_count(grid, delta):
     return int(np.count_nonzero((r_sq > 0.0) & (r_sq < float(delta) ** 2)))
 
 
-def _kernel_gradient_hat(grid, delta):
-    """Transform of grad(eta_delta) sampled on the wrapped grid, (3, n, n, nh).
+def _kernel_gradient_samples(grid, delta):
+    """grad(eta_delta) sampled on the wrapped grid, (3, n, n, n).
 
     The samples come from the analytic mollifier formula with the filter
     kernel's normalization constant, at every offset with 0 < |y| < delta,
@@ -90,7 +92,13 @@ def _kernel_gradient_hat(grid, delta):
             * np.exp(-1.0 / (1.0 - rho**2))
             / (r_m * delta)
         )
-    return grid.forward(amp * disp)
+    return amp * disp
+
+
+def _kernel_gradient_hat(grid, delta):
+    """Transform of the sampled grad(eta_delta) on the band, (3,) + band
+    shape: the band of its rfftn, bitwise."""
+    return grid.band.forward(_kernel_gradient_samples(grid, delta))
 
 
 def kernel_gradient_hat(grid, delta):
@@ -112,13 +120,13 @@ def kernel_gradient_hat(grid, delta):
 
 def structure_fields(grid, u_hat, product_hat):
     """The width-independent field B that the structure integral pairs with,
-    (3, n, n, nh), at one snapshot:
+    a band field of u_hat's shape, at one snapshot:
 
         B_k = 2i Im(S_hat conj(u_hat_k) + 2 sum_j P_hat_jk conj(u_hat_j)),
 
     with P_hat = product_hat = Pi, the product filtered_pairs forms, and S_hat
-    its trace, the transform of |u|^2.  Pi is zero off the two-thirds band,
-    so B is too and u_hat needs no dealiasing.  No transform.
+    its trace, the transform of |u|^2, both band fields: off the band Pi,
+    and so B, is zero.  No transform.
     """
     u_conj = np.conj(u_hat)
     trace_hat = product_hat[0] + product_hat[3] + product_hat[5]  # diagonal entries
@@ -141,7 +149,7 @@ def defect_structure_function(grid, fields, delta):
     correlation of u with a pointwise product of u.  By discrete Parseval
     their sum is the pairing of the sampled g with B.  No transform.
     """
-    return parseval_sum(grid.parseval_w, kernel_gradient_hat(grid, delta), fields)
+    return parseval_sum(grid.band.parseval_w, kernel_gradient_hat(grid, delta), fields)
 
 
 def defect_stress_strain(grid, ub_hat, delta, r_hat):
@@ -153,7 +161,7 @@ def defect_stress_strain(grid, ub_hat, delta, r_hat):
     read delta, the pair's width; perfbench/stage_trace.py logs it from this
     position.
     """
-    return -inner_product(grid, r_hat, gradient(grid, ub_hat))
+    return -inner_product(grid.band, r_hat, gradient(grid.band, ub_hat))
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,25 @@ exactly.  Filtering acts in spectral space through the multiplier
 which is real (the sampled kernel is even under x -> -x mod 2pi), equals 1 at
 k = 0 by construction, and satisfies |m(k)| <= 1 because eta >= 0.  Using the
 grid-sampled kernel rather than the continuum one makes every discrete
-identity below exact instead of "exact up to quadrature".
+identity below exact instead of "exact up to quadrature".  The kernel keeps
+m on the two-thirds band (spectral.Band) only: every field it filters is a
+band field.
 
-The filtered Reynolds stress is assembled in the dealiased spectral algebra,
+The filtered Reynolds stress is assembled in the dealiased spectral algebra
+on the two-thirds band,
 
-    R_ij = dealias(filter(dealias(u_i u_j)) - ubar_i ubar_j),
+    R_ij = band(filter(band(u_i u_j)) - ubar_i ubar_j),
 
-its two-thirds band: outside the band (ubar_i ubar_j)^ of two band fields
-is partly aliased, and nothing the budget or the minimizer pairs R with
-has modes there,
-
-so that the resolved-scale energy balance
+where band() keeps the modes the 2/3 rule keeps: outside the band
+(ubar_i ubar_j)^ of two band fields is partly aliased, and nothing the
+budget or the minimizer pairs R with has modes there.  Every spectral
+field here is a band field (spectral.Band), and every spectral helper is
+given grid.band, so that the resolved-scale energy balance
 
     d/dt 1/2||ubar||^2 + nu ||grad ubar||^2 = <R, grad ubar>
 
 holds to round-off for trajectories produced by the solver.  The product
-Pi = dealias((u_j u_k)^) does not depend on the width: it is formed once
+Pi = band((u_j u_k)^) does not depend on the width: it is formed once
 per snapshot, and reynolds_stress_hat and filtered_pressure_hat take it as
 an argument.  Both symmetric tensors are formed as their 6 upper-triangle
 components and expanded through _SYMMETRIC_INDEX.
@@ -52,7 +55,6 @@ import numpy as np
 
 from .spectral import (
     VOLUME,
-    dealias,
     gradient,
     gradient_norm_sq,
     grid_inner_product,
@@ -94,7 +96,7 @@ class FilterKernel:
 
     delta: float
     samples: np.ndarray = field(repr=False)  # (n, n, n), h^3 * sum == 1
-    multiplier: np.ndarray = field(repr=False)  # (n, n, n//2+1), real
+    multiplier: np.ndarray = field(repr=False)  # real, on the band: grid.band.spectral_shape
     norm_const: float  # the C above; shared with the structure-function estimator
     min_multiplier: float
 
@@ -123,12 +125,13 @@ def make_kernel(grid, delta):
     mult[0, 0, 0] = 1.0  # exact unit mass; the float value differs only by round-off
     if np.max(np.abs(mult)) > 1.0 + 1e-12:
         raise KernelError("multiplier magnitude exceeds 1")
+    multiplier = grid.band.gather(mult)
     return FilterKernel(
         delta=delta,
         samples=samples,
-        multiplier=mult,
+        multiplier=multiplier,
         norm_const=norm_const,
-        min_multiplier=float(mult.min()),
+        min_multiplier=float(multiplier.min()),
     )
 
 
@@ -162,31 +165,29 @@ def width_schedule(grid, delta0, count):
 
 
 def velocity_product_hat(grid, u_hat):
-    """Pi = dealias((u_j u_k)^) for j <= k, shape (6, n, n, n//2+1), formed
-    in the forward transform's buffer; 9 scalar transforms.  One Pi serves
-    every width at a snapshot."""
-    u = grid.inverse(dealias(grid, u_hat))
+    """Pi = (u_j u_k)^ on the band for j <= k, (6,) + band shape, from a
+    band velocity: the band of dealias((u_j u_k)^), bitwise; 9 scalar band
+    transforms.  One Pi serves every width at a snapshot."""
+    u = grid.inverse(u_hat)
     j, k = _UPPER
-    product_hat = grid.forward(u[j] * u[k])
-    return dealias(grid, product_hat, out=product_hat)
+    return grid.band.forward(u[j] * u[k])
 
 
 def reynolds_stress_hat(grid, kernel, ub_hat, product_hat):
-    """Spectral filtered Reynolds stress, shape (3, 3, n, n, n//2+1).
+    """Spectral filtered Reynolds stress on the band, (3, 3) + band shape.
 
-    R_ij = m * Pi_ij - (ubar_i ubar_j)^ on the two-thirds band and 0 off it,
-    for ub_hat = m * u_hat and Pi = velocity_product_hat(grid, u_hat), the
-    difference taken in the forward transform's buffer after ubar is
-    dropped.  9 scalar transforms per call, so 9 + 9 per width with Pi's
-    per snapshot.
+    R_ij = m * Pi_ij - (ubar_i ubar_j)^ for the band fields ub_hat = m *
+    u_hat and Pi = velocity_product_hat(grid, u_hat), the difference taken
+    in the band forward transform's result after ubar is dropped.  The
+    modes off the band, where (ubar_i ubar_j)^ is partly aliased, are not
+    part of R.  9 scalar band transforms per call, so 9 + 9 per width with
+    Pi's per snapshot.
     """
     j, k = _UPPER
     ubar = grid.inverse(ub_hat)
-    resolved = grid.forward(ubar[j] * ubar[k])
+    resolved = grid.band.forward(ubar[j] * ubar[k])
     del ubar
-    r_hat = np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)
-    r_hat[:, ~grid.dealias_mask] = 0.0
-    return r_hat[_SYMMETRIC_INDEX]
+    return np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)[_SYMMETRIC_INDEX]
 
 
 def filtered_pairs(trajectory, kernels):
@@ -205,10 +206,11 @@ def _pairs(grid, kernels, u_hat, product_hat):
 
 
 def filtered_pressure_hat(grid, kernel, product_hat):
-    """Zero-mean filtered pressure from -lap(pbar) = div div (m * Pi)."""
+    """Zero-mean filtered pressure from -lap(pbar) = div div (m * Pi), on the band."""
+    band = grid.band
     t_hat = (kernel.multiplier * product_hat)[_SYMMETRIC_INDEX]
-    kk = np.einsum("ixyz,jxyz,ijxyz->xyz", grid.k_vec, grid.k_vec, t_hat)
-    return -kk * grid.inv_k_sq
+    kk = np.einsum("ixyz,jxyz,ijxyz->xyz", band.k_vec, band.k_vec, t_hat)
+    return -kk * band.inv_k_sq
 
 
 @dataclass(frozen=True)
@@ -251,13 +253,14 @@ class BalanceReport:
 
 
 def balance_terms(grid, ub_hat, r_hat):
-    """One pair's budget terms from its filtered velocity and stress:
+    """One pair's budget terms from its band filtered velocity and stress:
     (1/2 ||ubar||^2, ||grad ubar||^2, <R, grad ubar>, ||R||^2)."""
+    band = grid.band
     return (
-        0.5 * norm_sq(grid, ub_hat),
-        gradient_norm_sq(grid, ub_hat),
-        inner_product(grid, r_hat, gradient(grid, ub_hat)),
-        inner_product(grid, r_hat, r_hat),
+        0.5 * norm_sq(band, ub_hat),
+        gradient_norm_sq(band, ub_hat),
+        inner_product(band, r_hat, gradient(band, ub_hat)),
+        inner_product(band, r_hat, r_hat),
     )
 
 
@@ -286,6 +289,7 @@ def local_balance_test(trajectory, kernel, phi, window):
     the individual terms plus the imbalance.
     """
     grid = trajectory.grid
+    band = grid.band
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != grid.shape:
         raise ValueError(f"phi shape {phi.shape} != grid shape {grid.shape}")
@@ -310,8 +314,8 @@ def local_balance_test(trajectory, kernel, phi, window):
             ub = grid.inverse(ub_hat)
             e = np.einsum("ixyz,ixyz->xyz", ub, ub)
             pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
-            grad_ub = grid.inverse(gradient(grid, ub_hat))
-            div_r = grid.inverse(tensor_divergence(grid, r_hat))
+            grad_ub = grid.inverse(gradient(band, ub_hat))
+            div_r = grid.inverse(tensor_divergence(band, r_hat))
             boundary_density[i] = grid_inner_product(grid, e, phi)
             time_term[i] = (
                 boundary_density[i] * s_dot[i]

@@ -20,12 +20,15 @@ constraint int_0^T ||grad v||^2 dt <= radius_sq.  Two solvers:
   form, so the oracle certifies rather than rediscovers it: a vanishing
   projected gradient of the strictly convex reduced objective there, and a
   k_value from b alone that matches the one solve_mp takes from J.
+  dual_gap adds the duality gap of the ball problem at the oracle's point.
 
 audit_widths is the entry point for a trajectory.  It reduces the pairs of
 filtering.filtered_pairs (the pair loop is described there), adding grad u
-and its basket pairing once per snapshot; from each pair's filtered
-velocity and Reynolds stress follow J, b = P div J, w = -b / |k|^2 and the
-nu = 1 minimizer w1 = -P div(grad ubar - R) / |k|^2.  Since v* = w / s with
+and its basket pairing once per snapshot.  Every field is a band field
+(spectral.Band) and every spectral helper is given grid.band.  From each
+pair's filtered velocity and Reynolds stress follow J, b = P div J,
+w = -b / |k|^2 and the nu = 1 minimizer w1 = -P div(grad ubar - R) /
+|k|^2.  Since v* = w / s with
 one scalar s per width, every integral is accumulated in w unscaled, one
 row per width (the stress-modeling tensors (1 - 2 lambda) sym grad v* are
 sym grad w outright); after the pass the ball rule turns each width's W
@@ -41,9 +44,12 @@ pair_support for a field formed on the support only); the Lagrange ratios
 and weak Euler-Lagrange residuals share one BasketPairing;
 weak_convergence_diag and stress_limit_diagnostics reduce across widths.
 
-assemble_flux stores one width's J from the same pair loop as a FluxField.
-It is a library entry point and the tests' independent reference for
-solve_mp and k_functional; no pipeline stage calls it.
+assemble_flux stores one width's J from the same pair loop as a FluxField
+on the band.  It is a library entry point and the tests' independent
+reference for solve_mp and k_functional; no pipeline stage calls it.
+FluxField, solve_mp, k_functional, pair_basket and oracle_mp work in the
+layout they are given (a Grid or a Band), so manufactured full-layout and
+band fluxes take one code path; the basket pairs band fields only.
 """
 
 from __future__ import annotations
@@ -88,9 +94,10 @@ class MinimizerError(ValueError):
 class FluxField:
     """Per-snapshot spectral flux tensor J[s, i, j] = (J_ij)_hat at time times[s].
 
-    Solver-generated fluxes are assembled exactly as nu grad(ubar) - R; the
-    class also accepts arbitrary tensors (manufactured test fluxes need not
-    be symmetric).
+    grid is the layout of j_hats: a Grid for full-layout tensors, or a
+    grid's Band for band ones (assemble_flux's).  Solver-generated fluxes
+    are assembled exactly as nu grad(ubar) - R; the class also accepts
+    arbitrary tensors (manufactured test fluxes need not be symmetric).
     """
 
     def __init__(self, grid, times, j_hats):
@@ -136,13 +143,15 @@ def _ball_rule(big_w, radius_sq):
 
 
 def assemble_flux(trajectory, kernel):
-    """Flux of a trajectory at one filter width: J = nu grad(ubar) - R."""
+    """Flux of a trajectory at one filter width: J = nu grad(ubar) - R, a
+    FluxField on the trajectory's band (its grid is grid.band)."""
     grid = trajectory.grid
-    j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
+    band = grid.band
+    j_hats = np.empty((len(trajectory), 3, 3) + band.spectral_shape, dtype=complex)
     for i, _, _, pairs in filtered_pairs(trajectory, [kernel]):
         for _, ub_hat, r_hat in pairs:
-            j_hats[i] = grid.nu * gradient(grid, ub_hat) - r_hat
-    return FluxField(grid, trajectory.times, j_hats)
+            j_hats[i] = grid.nu * gradient(band, ub_hat) - r_hat
+    return FluxField(band, trajectory.times, j_hats)
 
 
 def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
@@ -150,7 +159,8 @@ def make_gradient_flux(grid, times, profile_hat, window_values, scale=1.0):
 
     For divergence-free band-limited profile phi0, P div J = scale * s(t) *
     lap(phi0), so the unconstrained minimizer is w(t) = scale * s(t) * phi0
-    exactly -- an analytic oracle for both solvers.
+    exactly -- an analytic oracle for both solvers.  grid is the layout of
+    profile_hat (a Grid or a Band) and of the flux.
     """
     times = np.asarray(times, dtype=np.float64)
     window_values = np.asarray(window_values, dtype=np.float64)
@@ -183,7 +193,7 @@ def k_functional(flux, v_hats):
 @dataclass(frozen=True)
 class MinimizerSolution:
     times: np.ndarray = field(repr=False)
-    v_hats: np.ndarray = field(repr=False)  # (S, 3, n, n, n//2+1)
+    v_hats: np.ndarray = field(repr=False)  # (S, 3) + the flux's spectral shape
     lam: float
     one_minus_two_lambda: float
     enstrophy_used: float
@@ -223,7 +233,8 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
 
     rhs[i] is the Poisson right-hand side b_i = P (div J)_hat at times[i]
     (flux.poisson_rhs() for a FluxField; minimize passes the finest width's
-    b as audit_widths keeps it), and tw = trapezoid_weights(times).  The
+    band b as audit_widths keeps it, with grid.band), grid is the layout of
+    rhs, a Grid or a Band, and tw = trapezoid_weights(times).  The
     reduced objective
         F(v) = sum_i tw_i ( 1/2 ||grad v_i||^2 + <b_i, v_i> )
     equals K(v) for divergence-free v, since <J, grad v> = -<b, v> by parts;
@@ -369,6 +380,26 @@ def oracle_mp(grid, times, rhs, radius_sq, iters=20000, seed=0, starts=3, tol=1e
         converged=converged_all,
         start_spread=spread / spread_ref,
     )
+
+
+def dual_gap(solution):
+    """(absolute, relative) duality gap F(v) - g(mu) of an oracle_mp solution.
+
+    The ball problem min F(v) = sum_i tw_i (1/2 ||grad v_i||^2 + <b_i, v_i>)
+    over sum_i tw_i ||grad v_i||^2 <= r^2 has the Lagrangian dual
+
+        g(mu) = -W / (2 (1 + 2 mu)) - mu r^2,   mu >= 0,
+
+    with W = sum_i tw_i ||grad(b_i / |k|^2)||^2 = grad_norm_ref^2, and
+    F(v) - g(mu) >= 0 for every feasible v (weak duality), 0 only at the
+    minimizer with its multiplier (trust-region duality: More & Sorensen
+    1983).  So the gap at the oracle's point and mu = -lambda certifies
+    optimality with no pass over the data.  relative = gap / max(|F|, |g|).
+    """
+    mu = -solution.lam
+    bound = -solution.grad_norm_ref**2 / (2.0 * (1.0 + 2.0 * mu)) - mu * solution.radius_sq
+    gap = solution.k_value - bound
+    return gap, gap / max(abs(solution.k_value), abs(bound), 1e-300)
 
 
 def solution_gap(grid, times, sol_a, sol_b):
@@ -659,16 +690,16 @@ class AuditReport:
     and the finest width's minimizer.
 
     The finest v* is kept as its Poisson right-hand side b = P div J, one
-    row per snapshot, and its scale s: v* = w / s with w = -b / |k|^2.  b is
-    the descent oracle's input, and v_star(i) derives snapshot i of v* by
-    the same elementwise operations as the closed form, so bit for bit.
+    band row per snapshot, and its scale s: v* = w / s with w = -b / |k|^2.
+    b is the descent oracle's input, and v_star(i) derives snapshot i of v*
+    by the same elementwise operations as the closed form, so bit for bit.
     """
 
     widths: tuple  # WidthAudit per width, coarse to fine
     weak: ConvergenceReport
     stress_limit: dict
     grid: object = field(repr=False)
-    rhs: np.ndarray = field(repr=False)  # (S, 3, n, n, n//2+1): the finest b
+    rhs: np.ndarray = field(repr=False)  # (S, 3) + band shape: the finest b
     scale: float  # the finest s
 
     @property
@@ -678,7 +709,7 @@ class AuditReport:
 
     def v_star(self, i):
         """Snapshot i of the finest width's minimizer v*."""
-        return (-self.rhs[i] * self.grid.inv_k_sq) / self.scale
+        return (-self.rhs[i] * self.grid.band.inv_k_sq) / self.scale
 
 
 def _symmetrize(t):
@@ -706,6 +737,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
         raise MinimizerError("need at least three widths for refinement trends")
     radius_sq = float(radius_sq)
     grid = trajectory.grid
+    band = grid.band
     nu = grid.nu
     times = trajectory.times
     tw = trapezoid_weights(times)
@@ -724,23 +756,23 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     )
     resolved_energy = np.empty((len(kernels), len(trajectory)))
     grad_u_snap = np.empty(len(trajectory))
-    rhs = np.empty((len(trajectory), 3) + grid.spectral_shape, dtype=complex)
+    rhs = np.empty((len(trajectory), 3) + band.spectral_shape, dtype=complex)
     for i, u_hat, _, pairs in filtered_pairs(trajectory, kernels):
-        grad_u = gradient(grid, u_hat)
+        grad_u = gradient(band, u_hat)
         grad_u_pair = basket.pair_gradient(u_hat)
-        grad_u_snap[i] = np.sqrt(gradient_norm_sq(grid, u_hat))
+        grad_u_snap[i] = np.sqrt(gradient_norm_sq(band, u_hat))
         wt = weights[i]
         for m, ub_hat, r_hat in pairs:
-            resolved_energy[m, i] = 0.5 * norm_sq(grid, ub_hat)
-            grad_ub = gradient(grid, ub_hat)
+            resolved_energy[m, i] = 0.5 * norm_sq(band, ub_hat)
+            grad_ub = gradient(band, ub_hat)
             # The nu = 1 problem first: j1 = grad ubar - R and its minimizer w1.
             j1_hat = grad_ub - r_hat
-            w1_hat = -_poisson_rhs(grid, j1_hat) * grid.inv_k_sq
-            big_w1[m] += tw[i] * gradient_norm_sq(grid, w1_hat)
-            grad_w1 = gradient(grid, w1_hat)
-            j1_w1[m] += tw[i] * inner_product(grid, j1_hat, grad_w1)
-            r_w1[m] += tw[i] * inner_product(grid, r_hat, grad_w1)
-            u_w1[m] += tw[i] * gradient_inner_product(grid, u_hat, w1_hat)
+            w1_hat = -_poisson_rhs(band, j1_hat) * band.inv_k_sq
+            big_w1[m] += tw[i] * gradient_norm_sq(band, w1_hat)
+            grad_w1 = gradient(band, w1_hat)
+            j1_w1[m] += tw[i] * inner_product(band, j1_hat, grad_w1)
+            r_w1[m] += tw[i] * inner_product(band, r_hat, grad_w1)
+            u_w1[m] += tw[i] * gradient_inner_product(band, u_hat, w1_hat)
             del grad_w1, w1_hat
             # J = nu grad ubar - R in j1's buffer; grad ubar is read after
             # this only by the Euler-Lagrange tensor, on the basket's modes.
@@ -748,24 +780,24 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             j_hat -= r_hat
             grad_ub_modes = basket.on_support(grad_ub)
             del j1_hat, grad_ub
-            b_hat = _poisson_rhs(grid, j_hat)
+            b_hat = _poisson_rhs(band, j_hat)
             if m == finest:
                 rhs[i] = b_hat
-            w_hat = -b_hat * grid.inv_k_sq
-            w_sq = gradient_norm_sq(grid, w_hat)
+            w_hat = -b_hat * band.inv_k_sq
+            w_sq = gradient_norm_sq(band, w_hat)
             big_w[m] += tw[i] * w_sq
-            grad_w = gradient(grid, w_hat)
-            j_w[m] += tw[i] * inner_product(grid, j_hat, grad_w)
-            j_sq[m] += tw[i] * inner_product(grid, j_hat, j_hat)
+            grad_w = gradient(band, w_hat)
+            j_w[m] += tw[i] * inner_product(band, j_hat, grad_w)
+            j_sq[m] += tw[i] * inner_product(band, j_hat, j_hat)
             pw = basket.pair_gradient(w_hat)
             pair_j[m] += wt * basket.pair(j_hat)
             del j_hat
             pair_w[m] += wt * pw
             a[m] += wt * (pw - nu * grad_u_pair)
-            div_r = tensor_divergence(grid, r_hat)
+            div_r = tensor_divergence(band, r_hat)
             b[m] += wt * basket.pair(div_r)
             maj_a[m] += np.abs(wt) * psi_grad * (np.sqrt(w_sq) + nu * grad_u_snap[i])
-            maj_b[m] += np.abs(wt) * np.sqrt(inner_product(grid, div_r, div_r)) * psi_l2
+            maj_b[m] += np.abs(wt) * np.sqrt(inner_product(band, div_r, div_r)) * psi_l2
             sym_w = _symmetrize(grad_w)
             el_tensor = (
                 basket.on_support(r_hat)
@@ -777,10 +809,10 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             model = np.multiply(2.0, sym_w, out=sym_w)
             np.subtract(r_hat, model, out=model)
             model_pairs[m] += wt * basket.pair(model)
-            stress_sq[m] += tw[i] * inner_product(grid, r_hat, r_hat)
-            resid_sq[m] += tw[i] * inner_product(grid, model, model)
-            w_ubar[m] += tw[i] * gradient_inner_product(grid, w_hat, ub_hat)
-            r_u[m] += tw[i] * inner_product(grid, r_hat, grad_u)
+            stress_sq[m] += tw[i] * inner_product(band, r_hat, r_hat)
+            resid_sq[m] += tw[i] * inner_product(band, model, model)
+            w_ubar[m] += tw[i] * gradient_inner_product(band, w_hat, ub_hat)
+            r_u[m] += tw[i] * inner_product(band, r_hat, grad_u)
             del b_hat, w_hat, div_r, grad_w, sym_w, model  # no field of this pair outlives it
 
     widths = []

@@ -35,7 +35,7 @@ from .ledger import (
     write_width_ledger,
 )
 from .minimizer import _fit_order, audit_widths, default_radius_sq
-from .minimizer import enstrophy_integral, oracle_mp
+from .minimizer import dual_gap, enstrophy_integral, oracle_mp
 from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 STAGES = ("simulate", "analyze", "minimize", "report")
@@ -381,13 +381,14 @@ def cmd_minimize(run_dir, oracle=False):
 
         oracle_record = None
         if oracle:
-            osol = oracle_mp(grid, times, audit.rhs, radius_sq, **cfg.minimizer["oracle"])
+            osol = oracle_mp(grid.band, times, audit.rhs, radius_sq, **cfg.minimizer["oracle"])
             # solution_gap against v*, derived one snapshot at a time
             diff = (osol.v_hats[i] - audit.v_star(i) for i in range(len(times)))
             ref = max(osol.enstrophy_used, audit.solution.enstrophy_used, 1e-300)
+            gap, gap_rel = dual_gap(osol)
             oracle_record = {
                 "delta": schedule[-1],
-                "gap": enstrophy_integral(grid, times, diff) / ref,
+                "gap": enstrophy_integral(grid.band, times, diff) / ref,
                 "k_value": osol.k_value,
                 "k_value_closed_form": audit.solution.k_value,
                 "lambda": osol.lam,
@@ -396,6 +397,7 @@ def cmd_minimize(run_dir, oracle=False):
                 "grad_norm": osol.grad_norm,
                 "grad_norm_ref": osol.grad_norm_ref,
                 "start_spread": osol.start_spread,
+                "dual_gap": {"absolute": gap, "relative": gap_rel},
             }
 
         # The finest-width minimizer as a snapshot series, plus its record.
@@ -456,6 +458,10 @@ def cmd_report(run_dir):
                          "defect.stress_order", finite=False)
         _require_numbers(paths.minimize, minimize, "weak_convergence.final_a_normalized",
                          finite=False)
+        oracle = minimize["oracle"]
+        if oracle is not None:
+            _require_numbers(paths.minimize, minimize, "oracle.dual_gap.absolute",
+                             "oracle.dual_gap.relative")
         time_ledger = read_time_ledger(paths.time_ledger)
         width_rows = _read_width_rows(paths.width_ledger, deltas)
 
@@ -510,6 +516,12 @@ def cmd_report(run_dir):
             f"weak convergence: monotone_a={weak['monotone_a']} "
             f"monotone_b={weak['monotone_b']} final_a_normalized={weak['final_a_normalized']:.3e}",
         ]
+        if oracle is not None:
+            gap = oracle["dual_gap"]
+            lines.append(
+                f"oracle dual gap {gap['absolute']:.3e} ({gap['relative']:.3e} rel), "
+                f"delta {oracle['delta']:.6g}"
+            )
         with atomic_open(os.path.join(paths.report_dir, "summary.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -105,7 +105,8 @@ def list_snapshots(directory):
 
 
 def write_series(directory, grid, times, field_hats):
-    """Write spectral fields as the real-space snapshots of `directory`, replacing it whole."""
+    """Write spectral fields, full or band layout, as the real-space
+    snapshots of `directory`, replacing it whole."""
     with atomic_path(directory) as tmp:
         os.mkdir(tmp)
         for i, (time, f_hat) in enumerate(zip(times, field_hats, strict=True)):
@@ -114,7 +115,10 @@ def write_series(directory, grid, times, field_hats):
 
 def read_series(directory, grid):
     """Read the series in `directory` as (times, u_hats), forward-transforming
-    each file as it is read.  Every file must hold (3,) + grid.shape finite
+    each file as it is read straight into its row of u_hats, in the
+    two-thirds band layout (grid.band): the band of rfftn, bitwise.  The
+    modes it drops hold only the round-off of the real-space round trip of
+    a band-limited field.  Every file must hold (3,) + grid.shape finite
     fields and the times must be finite and strictly increasing; a missing
     directory is a format error too."""
     try:
@@ -127,7 +131,7 @@ def read_series(directory, grid):
         raise SnapshotFormatError(directory, "no snapshots")
     expected = (3,) + grid.shape
     times = np.empty(len(paths))
-    u_hats = np.empty((len(paths), 3) + grid.spectral_shape, dtype=np.complex128)
+    u_hats = np.empty((len(paths), 3) + grid.band.spectral_shape, dtype=np.complex128)
     for i, path in enumerate(paths):
         times[i], fields = read_snapshot(path)
         if fields.shape != expected:
@@ -138,5 +142,5 @@ def read_series(directory, grid):
             raise SnapshotFormatError(directory, "bad times", detail + "strictly increasing")
         if not np.isfinite(fields).all():
             raise SnapshotFormatError(path, "bad values", f"snapshot {i} has non-finite samples")
-        u_hats[i] = grid.forward(fields)
+        grid.forward(fields, out=u_hats[i])
     return times, u_hats

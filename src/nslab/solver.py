@@ -15,8 +15,8 @@ during stepping; the projection removes it mode by mode.  The step holds
 its state on the two-thirds band (spectral.Band), the only modes the
 dealiasing keeps, so its arithmetic and transforms skip the modes that are
 zero: step and nonlinear_term take band fields only, and simulate gathers
-the initial field once, sums its energy ledger on the band and scatters
-only the states it records.
+the initial field once, sums its energy ledger on the band and records
+band states.
 
 Beltrami (ABC) initial data gives an exact analytic solution of the discrete
 system: omega = u for an eigenfield of curl, so u x omega vanishes pointwise
@@ -241,7 +241,11 @@ def step(grid, u_hat):
 class Trajectory:
     """Snapshots of one simulation plus its step-resolved energy ledger.
 
-    times / u_hats / energies / dissipation are snapshot-aligned; dissipation
+    times / u_hats / energies / dissipation are snapshot-aligned; u_hats are
+    in the two-thirds band layout (grid.band), (S, 3) + band.spectral_shape,
+    whoever made them: simulate records band states and
+    snapshots.read_series reads each file straight into a band row.
+    dissipation
     holds the cumulative nu * int_0^t ||grad u||^2 ds accumulated with the
     trapezoid rule at full step resolution (snapshot-level quadrature would
     waste most of the energy-equality tolerance).  step_energies records
@@ -273,11 +277,12 @@ def simulate(grid, u0_hat):
     The initial state and the final state are always recorded.  The state is
     gathered once to the two-thirds band (grid.band) and stepped there; the
     energy ledger sums it on the band (parseval_sum with band.parseval_w and
-    band.gradient_w), and a recorded state is scattered straight into its
-    row of the snapshot stack, +0.0 outside the band.  The snapshot stack
+    band.gradient_w), and a recorded state is copied into its band row of
+    the snapshot stack.  The snapshot stack
     and the step ledger are allocated once, and the result and
     BlowUpError.partial are views of them.  Raises BlowUpError (with the
-    failure time) on NaN or overflow.  grid.workspace is dropped on return.
+    failure time) on NaN or overflow.  grid.workspace and the transform
+    buffers (Grid.buffer) are dropped on return.
     """
     if spectral.divergence_max(grid, u0_hat) > 1e-8:
         raise GridError("initial velocity is not divergence-free")
@@ -286,7 +291,7 @@ def simulate(grid, u0_hat):
     u[..., 0, 0, 0] = 0.0
 
     recorded = np.array([*range(0, grid.steps, grid.snapshot_stride), grid.steps])
-    u_hats = np.empty((recorded.size,) + u0_hat.shape, dtype=np.complex128)
+    u_hats = np.empty((recorded.size,) + u.shape, dtype=np.complex128)
     # 0.5 ||u||^2 and the cumulative nu int_0^t ||grad u||^2 after each step
     step_energies, dissipation = np.empty((2, grid.steps + 1))
 
@@ -305,7 +310,7 @@ def simulate(grid, u0_hat):
             step_energies=step_energies[: last + 1],
         )
 
-    band.scatter(u, out=u_hats[0])
+    u_hats[0] = u
     snaps = 1
     dissipation[0] = 0.0
     gsq_prev = ledger(0, u)
@@ -321,8 +326,9 @@ def simulate(grid, u0_hat):
                 dissipation[s] = dissipation[s - 1] + 0.5 * grid.dt * grid.nu * (gsq_prev + gsq)
                 gsq_prev = gsq
                 if s == recorded[snaps]:
-                    band.scatter(u, out=u_hats[snaps])
+                    u_hats[snaps] = u
                     snaps += 1
     finally:
         grid.__dict__.pop("workspace", None)
+        grid.__dict__.pop("_buffers", None)
     return trajectory(snaps, grid.steps)

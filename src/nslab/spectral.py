@@ -24,12 +24,15 @@ and then over the block sums.  Kept apart on purpose: basket's pairings
 (math.fsum over the support modes, as they cancel) and energy_spectrum in
 solver (its bits fix the random_band initial field).
 
-The solver steps in a smaller layout, :class:`Band`: only the modes the
-two-thirds rule keeps, stored contiguously.  Grid.forward and Grid.inverse
-accept it and skip the transform lines that are zero in it.  The band holds
-the solver's multipliers and its own Parseval weights, so simulate's energy
-ledger is parseval_sum over band fields; the full layout is only what the
-solver is given and the snapshots it returns.
+The solver and the analysis work in a smaller layout, :class:`Band`: only
+the modes the two-thirds rule keeps, stored contiguously.  Grid.forward and
+Grid.inverse accept it and skip the transform lines that are zero in it.
+Every helper below reads its multipliers (k_vec, k_sq, inv_k_sq,
+dealias_mask, parseval_w, gradient_w) from the layout object it is given,
+a Grid for full-layout fields or grid.band for band fields, so one code
+path serves both; the band also holds the solver's multipliers.  The full
+layout is only what the solver is given and what real-space data (a kernel
+sample, noise) transforms to before its band is kept.
 """
 
 from __future__ import annotations
@@ -140,12 +143,12 @@ class Grid:
         into `out`, then fft of axes -2 and -3 in place.  An `out` in band
         layout (see Band) receives the band of that result, bitwise: rfft of
         every line, then fft of axis -2 on planes k3 <= c only and of axis -3
-        on the kept (k2, k3) lines only, all in one workspace buffer.
+        on the kept (k2, k3) lines only, all in one transform buffer.
         """
         if out is None or out.shape[-3:] == self.spectral_shape:
             return np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward", out=out)
         band = self.band
-        work = self.workspace.buffer("forward", field.shape[:-3] + self.spectral_shape)
+        work = self.buffer("forward", field.shape[:-3] + self.spectral_shape)
         np.fft.rfft(field, axis=-1, norm="forward", out=work)
         planes = work[..., band.planes]
         np.fft.fft(planes, axis=-2, norm="forward", out=planes)
@@ -161,7 +164,7 @@ class Grid:
         (see Band) is transformed as irfftn of its scatter, bitwise, skipping
         the lines that are zero there: ifft of axis -3 on the kept (k2, k3)
         lines only, in two slab calls, ifft of axis -2 on planes k3 <= c
-        only, and irfft of every line.  Its workspace buffers hold zeros
+        only, and irfft of every line.  Its transform buffers hold zeros
         where no pass writes: the rows between the kept blocks and the
         planes above c.
         """
@@ -169,11 +172,11 @@ class Grid:
             return np.fft.irfftn(
                 field_hat, s=self.shape, axes=(-3, -2, -1), norm="forward", out=out
             )
-        n, band, ws, lead = self.n, self.band, self.workspace, field_hat.shape[:-3]
-        width, depth = band.shape[1:]  # 2c + 1 kept rows of axis -2, c + 1 planes
-        spread = ws.buffer("inverse_rows", lead + (n, width, depth))
-        lines = ws.buffer("inverse_lines", lead + (n, n, depth))
-        planes = ws.buffer("inverse_planes", lead + self.spectral_shape)
+        n, band, lead = self.n, self.band, field_hat.shape[:-3]
+        width, depth = band.spectral_shape[1:]  # 2c + 1 kept rows of axis -2, c + 1 planes
+        spread = self.buffer("inverse_rows", lead + (n, width, depth))
+        lines = self.buffer("inverse_lines", lead + (n, n, depth))
+        planes = self.buffer("inverse_planes", lead + self.spectral_shape)
         for kept, rows in band.rows:
             spread[..., rows, :, :] = field_hat[..., kept, :, :]
         for kept, rows in band.rows:
@@ -181,16 +184,28 @@ class Grid:
         np.fft.ifft(lines, n, axis=-2, norm="forward", out=planes[..., band.planes])
         return np.fft.irfft(planes, n, axis=-1, norm="forward", out=out)
 
+    def buffer(self, name, shape):
+        """The band transforms' complex buffer of this name and shape,
+        zero-filled when first made and kept on the grid for later calls (a
+        band transform never writes where it relies on zeros).  Shared by
+        every transform on this grid, so one grid must not transform from
+        two threads at once."""
+        buffers = self.__dict__.setdefault("_buffers", {})
+        buf = buffers.get((name, shape))
+        if buf is None:
+            buf = buffers[name, shape] = np.zeros(shape, dtype=np.complex128)
+        return buf
+
     @cached_property
     def band(self):
-        """The two-thirds band layout the solver steps in; see Band."""
+        """The two-thirds band layout the solver and the analysis work in; see Band."""
         return Band(self)
 
     @cached_property
     def workspace(self):
-        """Scratch arrays of solver.step, solver.nonlinear_term and the band
-        transforms, built on the first step and reused by every later one
-        until solver.simulate drops them on return; see StepWorkspace."""
+        """Scratch arrays of solver.step and solver.nonlinear_term, built on
+        the first step and reused by every later one until solver.simulate
+        drops them on return; see StepWorkspace."""
         return StepWorkspace(self)
 
     def __repr__(self):
@@ -205,42 +220,63 @@ class Band:
 
     With c = grid.dealias_cutoff these are rows 0..c and n-c..n-1 of axes -3
     and -2 and planes 0..c of axis -1 of the half-complex layout.  The band
-    layout holds them as arrays of shape (..., 2c+1, 2c+1, c+1): band row
-    j <= c is wavenumber j, row j > c is j - (2c+1).  Every other mode of a
-    dealiased field is zero.  The shape never equals (n, n, n/2+1), so
-    Grid.forward and Grid.inverse tell the layout from an array's trailing
-    shape.
+    layout holds them as arrays of trailing shape spectral_shape = (2c+1,
+    2c+1, c+1): band row j <= c is wavenumber j, row j > c is j - (2c+1).
+    Every other mode of a dealiased field is zero.  That shape never equals
+    (n, n, n/2+1), so Grid.forward and Grid.inverse tell the layout from an
+    array's trailing shape.
 
-    The solver's multipliers live here, formed from the band's gather of
-    grid.k_vec, grid.k_sq and grid.inv_k_sq.  leray_project(dealias(v)) =
-    keep * v - e * (e . v): keep is 1 on every band mode (each passes the
-    2/3 rule) but the mean, and e = keep * k / |k|.  half_step_decay is
-    exp(-nu |k|^2 dt / 2), the viscous integrating factor over half a step.
-    parseval_w and gradient_w are the gathers of grid.parseval_w and
-    grid.gradient_w, the weights of norm_sq and gradient_norm_sq on band
-    fields.
+    A Band is a layout object like its Grid: the spectral helpers of this
+    module read k_vec, k_sq, inv_k_sq, dealias_mask (all True: every band
+    mode passes the 2/3 rule), parseval_w and gradient_w from it, each the
+    gather of the grid's, and shape, forward and inverse are the grid's
+    real shape and transforms with band-layout spectral fields.
+
+    The solver's multipliers live here too.  leray_project(dealias(v)) =
+    keep * v - e * (e . v): keep is 1 on every band mode but the mean, and
+    e = keep * k / |k|.  half_step_decay is exp(-nu |k|^2 dt / 2), the
+    viscous integrating factor over half a step.  k_vec, keep, e and
+    half_step_decay only ever multiply complex fields, so they are stored
+    as complex128 (x + 0j, what numpy would cast them to): a multiply then
+    needs no casting buffer and gives the same bits.
     """
 
     def __init__(self, grid):
         n, c = grid.n, grid.dealias_cutoff
-        self.spectral_shape = grid.spectral_shape
-        self.shape = (2 * c + 1, 2 * c + 1, c + 1)
+        self._grid = grid
+        self.shape = grid.shape
+        self.full_shape = grid.spectral_shape
+        self.spectral_shape = (2 * c + 1, 2 * c + 1, c + 1)
         #: (band rows, full rows) of the two kept blocks of axes -3 and -2
         self.rows = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, None), slice(n - c, n)))
         self.planes = slice(0, c + 1)
-        self.k_vec = self.gather(grid.k_vec)
-        k_sq, inv_k_sq = self.gather(grid.k_sq), self.gather(grid.inv_k_sq)
-        self.keep = np.ones(self.shape)
-        self.keep[0, 0, 0] = 0.0
-        self.e = self.k_vec * (self.keep * np.sqrt(inv_k_sq))
-        self.half_step_decay = np.exp(-grid.nu * k_sq * (0.5 * grid.dt))
+        k_vec = self.gather(grid.k_vec)
+        self.k_sq, self.inv_k_sq = self.gather(grid.k_sq), self.gather(grid.inv_k_sq)
+        self.dealias_mask = np.ones(self.spectral_shape, dtype=bool)
+        keep = np.ones(self.spectral_shape)
+        keep[0, 0, 0] = 0.0
+        e = k_vec * (keep * np.sqrt(self.inv_k_sq))
+        half_step_decay = np.exp(-grid.nu * self.k_sq * (0.5 * grid.dt))
+        self.k_vec, self.keep, self.e, self.half_step_decay = (
+            x.astype(np.complex128) for x in (k_vec, keep, e, half_step_decay)
+        )
         self.parseval_w = self.gather(grid.parseval_w)
         self.gradient_w = self.gather(grid.gradient_w)
+
+    def forward(self, field, out=None):
+        """Real field(s) (..., n, n, n) -> their band (grid.forward)."""
+        if out is None:
+            out = np.empty(field.shape[:-3] + self.spectral_shape, dtype=np.complex128)
+        return self._grid.forward(field, out=out)
+
+    def inverse(self, field_hat, out=None):
+        """Band field(s) -> real field(s) (..., n, n, n) (grid.inverse)."""
+        return self._grid.inverse(field_hat, out=out)
 
     def gather(self, full, out=None):
         """The band of a half-complex field (..., n, n, nh), as four block copies."""
         if out is None:
-            out = np.empty(full.shape[:-3] + self.shape, dtype=full.dtype)
+            out = np.empty(full.shape[:-3] + self.spectral_shape, dtype=full.dtype)
         for kept1, rows1 in self.rows:
             for kept2, rows2 in self.rows:
                 out[..., kept1, kept2, :] = full[..., rows1, rows2, self.planes]
@@ -250,7 +286,7 @@ class Band:
         """A band field in the half-complex layout, +0.0 outside the band:
         four block copies into zeros."""
         if out is None:
-            out = np.zeros(band.shape[:-3] + self.spectral_shape, dtype=band.dtype)
+            out = np.zeros(band.shape[:-3] + self.full_shape, dtype=band.dtype)
         else:
             out.fill(0.0)
         for kept1, rows1 in self.rows:
@@ -269,12 +305,13 @@ class StepWorkspace:
     three the projection's e (e . f)), scalar = two scalar fields (e . f and
     a product).  Real buffers: uw = (u, omega) on the grid (6 components),
     cross = u x omega, product = one scalar field.  The band transforms keep
-    their zero-padded buffers here too (buffer).  Shared by every step on
-    this grid, so one grid must not be stepped from two threads at once.
+    their zero-padded buffers on the grid (Grid.buffer).  Shared by every
+    step on this grid, so one grid must not be stepped from two threads at
+    once.
     """
 
     def __init__(self, grid):
-        spec, real = grid.band.shape, grid.shape
+        spec, real = grid.band.spectral_shape, grid.shape
         self.u_half = np.empty((3,) + spec, dtype=np.complex128)
         self.k = np.empty((4, 3) + spec, dtype=np.complex128)
         self.arg = np.empty((3,) + spec, dtype=np.complex128)
@@ -283,22 +320,13 @@ class StepWorkspace:
         self.uw = np.empty((6,) + real)
         self.cross = np.empty((3,) + real)
         self.product = np.empty(real)
-        self._buffers = {}
-
-    def buffer(self, name, shape):
-        """The complex buffer of this name and shape, zero-filled when first
-        made and kept for later calls: a band transform never writes where
-        it relies on zeros."""
-        buf = self._buffers.get((name, shape))
-        if buf is None:
-            buf = self._buffers[name, shape] = np.zeros(shape, dtype=np.complex128)
-        return buf
 
 
 def gradient(grid, f_hat):
-    """Spectral gradient.  Scalar (n,n,nh) -> (3,n,n,nh); a leading component
-    axis is preserved, e.g. vector (3,n,n,nh) -> (3,3,n,n,nh) with layout
-    out[i, j] = (d/dx_i f_j)_hat."""
+    """Spectral gradient in grid's layout.  Scalar (n,n,nh) -> (3,n,n,nh); a
+    leading component axis is preserved, e.g. vector (3,n,n,nh) ->
+    (3,3,n,n,nh) with layout out[i, j] = (d/dx_i f_j)_hat (band fields
+    alike, with the band's spectral shape)."""
     return 1j * grid.k_vec.reshape((3,) + (1,) * (f_hat.ndim - 3) + grid.spectral_shape) * f_hat
 
 

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from full_layout import full_stress
 
 from nslab import dissipation
 from nslab.dissipation import (
@@ -83,8 +84,24 @@ def tool_values(text):
     return values
 
 
+def as_band(grid, u_hat):
+    """A velocity in the band layout: a full-layout one is gathered, which
+    drops the modes the two-thirds rule drops."""
+    if u_hat.shape[-3:] == grid.spectral_shape:
+        return grid.band.gather(u_hat)
+    return u_hat
+
+
+def as_full(grid, u_hat):
+    """A velocity in the full layout, dealiased: a band one is scattered."""
+    if u_hat.shape[-3:] == grid.spectral_shape:
+        return dealias(grid, u_hat)
+    return grid.band.scatter(u_hat)
+
+
 def structure_value(grid, u_hat, delta):
     """The package's structure integral of one snapshot at one width."""
+    u_hat = as_band(grid, u_hat)
     return defect_structure_function(
         grid, structure_fields(grid, u_hat, velocity_product_hat(grid, u_hat)), delta
     )
@@ -92,6 +109,7 @@ def structure_value(grid, u_hat, delta):
 
 def stress_value(grid, u_hat, delta):
     """The package's stress-strain integral of one snapshot at one width."""
+    u_hat = as_band(grid, u_hat)
     kernel = kernel_for(grid, delta)
     ub_hat = kernel.multiplier * u_hat
     r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
@@ -151,7 +169,7 @@ class TestOffsets:
 def direct_structure_density(grid, u_hat, delta):
     """Reference: the structure-function offset sum, one np.roll per offset."""
     norm_const = kernel_for(grid, delta).norm_const
-    u = grid.inverse(dealias(grid, u_hat))
+    u = grid.inverse(as_full(grid, u_hat))
     coords = grid.h * np.arange(grid.n)
     wrapped = np.where(coords <= np.pi, coords, coords - 2.0 * np.pi)
     acc = np.zeros(grid.shape)
@@ -190,9 +208,9 @@ class TestAgainstDirectLoop:
 def reference_structure_density(grid, u_hat, delta):
     """Reference: the structure density as five circular correlations of
     the sampled grad(eta_delta) with pointwise products of u, 27 transforms."""
-    u_hat = dealias(grid, u_hat)
+    u_hat = as_full(grid, u_hat)
     u = grid.inverse(u_hat)
-    g_hat = 0.25 * VOLUME * np.conj(dissipation._kernel_gradient_hat(grid, delta))
+    g_hat = 0.25 * VOLUME * np.conj(grid.forward(dissipation._kernel_gradient_samples(grid, delta)))
     j, k = np.triu_indices(3)
     pairs = u[j] * u[k]
     speed_sq = np.sum(pairs[j == k], axis=0)
@@ -213,16 +231,11 @@ def reference_structure_density(grid, u_hat, delta):
 
 def reference_stress_density(grid, u_hat, delta):
     """Reference: the stress-strain density -R_ij d_i ubar_j on the grid,
-    the nine-component stress formed apart and dealiased, all nine
-    components back to real space."""
-    kernel = kernel_for(grid, delta)
-    u = grid.inverse(dealias(grid, u_hat))
-    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
-    filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
-    ubar = grid.inverse(kernel.multiplier * u_hat)
-    resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
-    stress = grid.inverse(dealias(grid, filtered - grid.forward(resolved)))
-    grad_ub = grid.inverse(gradient(grid, kernel.multiplier * u_hat))
+    the nine-component stress formed apart in the full layout and
+    dealiased, all nine components back to real space."""
+    ub_hat, r_hat = full_stress(grid, kernel_for(grid, delta), as_full(grid, u_hat))
+    stress = grid.inverse(r_hat)
+    grad_ub = grid.inverse(gradient(grid, ub_hat))
     return -np.einsum("ijxyz,ijxyz->xyz", stress, grad_ub)
 
 
@@ -235,7 +248,7 @@ class TestSharedTransforms:
         """Each pairing equals the space integral of its reference density
         within 1e-12 of the largest |integral| over the widths."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
-        u_hat = g.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
+        u_hat = g.band.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
         product_hat = velocity_product_hat(g, u_hat)
         fields = structure_fields(g, u_hat, product_hat)
         values, references = [], []
@@ -267,8 +280,8 @@ class TestSharedTransforms:
         max |B| (numpy's complex multiply may fuse its products; measured
         2e-16).  Its real part is zero."""
         for _, u_hat, product_hat, _ in filtered_pairs(trajectory, [kernel_for(grid, np.pi)]):
-            fields = structure_fields(grid, u_hat, product_hat)
-            u_hat = dealias(grid, u_hat)
+            fields = grid.band.scatter(structure_fields(grid, u_hat, product_hat))
+            u_hat = grid.band.scatter(u_hat)
             u = grid.inverse(u_hat)
             p_hat = np.array([[grid.forward(u[j] * u[k]) for k in range(3)] for j in range(3)])
             s_hat = p_hat[0, 0] + p_hat[1, 1] + p_hat[2, 2]
@@ -285,19 +298,22 @@ class TestSharedTransforms:
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_fields_from_dealiased_product(self, n):
-        """B from Pi and the raw velocity equals B from the undealiased
-        product F = (u_j u_k)^ and the dealiased velocity: both factors agree
-        on the two-thirds band and one of them is zero off it.  The fields
-        are random, so neither u_hat nor F is band-limited; off the band the
+        """B from the band velocity and its band Pi equals, on the band, B
+        from the undealiased product F = (u_j u_k)^ and the dealiased
+        velocity in the full layout, which is zero off the band: both
+        factors agree on the two-thirds band and one of them is zero off it.
+        The fields are random, so neither u_hat nor F is band-limited; the
         two differ at most in the sign of zero, which array_equal ignores."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
         u_hat = g.forward(np.random.default_rng(n + 2).standard_normal((3,) + g.shape))
         u = g.inverse(dealias(g, u_hat))
         j, k = np.triu_indices(3)
         f_hat = g.forward(u[j] * u[k])
-        fields = structure_fields(g, u_hat, velocity_product_hat(g, u_hat))
-        assert np.array_equal(fields, structure_fields_from_f(g, u_hat, f_hat))
-        assert not np.any(fields[:, ~g.dealias_mask])
+        band_u = g.band.gather(u_hat)
+        fields = structure_fields(g, band_u, velocity_product_hat(g, band_u))
+        want = structure_fields_from_f(g, u_hat, f_hat)
+        assert np.array_equal(fields, g.band.gather(want))
+        assert not np.any(want[:, ~g.dealias_mask])
 
     def test_analyze_transforms_per_snapshot_and_pair(self, grid, trajectory, monkeypatch):
         """With the per-width kernels cached, analyze_widths makes 2

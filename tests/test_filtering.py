@@ -3,9 +3,10 @@
 Validates:
 - kernel normalization and the spectral-multiplier/circular-convolution identity
 - width validation (box embedding above, grid resolution below)
-- Reynolds stress symmetry and its trace/energy identity; the stress from
-  the shared product Pi equals the nine-component formula it replaced bit
-  for bit
+- Reynolds stress symmetry and its trace/energy identity; the band stress
+  from the shared product Pi equals, bit for bit, the band of the
+  nine-component full-layout formula it replaced (tests/full_layout.py),
+  which is zero off the band
 - filtered pressure against the operator-composed Poisson equation
 - resolved and local energy budgets closing on solver trajectories
 - the pair loop filtered_pairs: one product per snapshot, stresses formed
@@ -21,6 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from full_layout import full_multiplier, full_stress
 
 from nslab import filtering
 from nslab.filtering import (
@@ -41,7 +43,6 @@ from nslab.minimizer import assemble_flux
 from nslab.solver import InitialCondition, make_initial, simulate
 from nslab.spectral import (
     Grid,
-    dealias,
     divergence,
     gradient,
     gradient_norm_sq,
@@ -84,19 +85,23 @@ class TestKernel:
     def test_multiplier_bounded_and_real(self, grid):
         kernel = make_kernel(grid, np.pi / 2.0)
         assert kernel.multiplier.dtype == np.float64
+        assert kernel.multiplier.shape == grid.band.spectral_shape
         assert np.abs(kernel.multiplier).max() <= 1.0 + 1e-12
         assert kernel.min_multiplier == kernel.multiplier.min()
+        full = full_multiplier(grid, kernel)
+        assert kernel.multiplier.tobytes() == grid.band.gather(full).tobytes()
 
     def test_multiplier_is_convolution(self, grid):
-        """m(k) u_hat must equal the circular convolution h^3 sum eta(y) u(x-y)."""
+        """m(k) u_hat must equal the circular convolution h^3 sum eta(y) u(x-y)
+        for a band-limited u, whose filtered field is band-limited too."""
         rng = np.random.default_rng(4)
-        f = rng.standard_normal(grid.shape)
+        f = grid.inverse(grid.band.forward(rng.standard_normal(grid.shape)))
         kernel = make_kernel(grid, np.pi / 2.0)
         direct = np.zeros(grid.shape)
         for s0, s1, s2 in np.argwhere(kernel.samples > 0.0):
             direct += kernel.samples[s0, s1, s2] * np.roll(f, (s0, s1, s2), axis=(0, 1, 2))
         direct *= grid.h**3
-        via_multiplier = grid.inverse(kernel.multiplier * grid.forward(f))
+        via_multiplier = grid.inverse(kernel.multiplier * grid.band.forward(f))
         assert np.abs(direct - via_multiplier).max() < 1e-12 * np.abs(f).max()
 
     def test_width_validation(self, grid):
@@ -133,20 +138,18 @@ class TestWidthSchedule:
 
 
 def reference_stress_hat(grid, kernel, u_hat):
-    """The stress as assembled before Pi was shared: all nine components of
-    dealias(m * dealias((u_i u_j)^) - (ubar_i ubar_j)^), the product formed
-    per call.  The stress is its two-thirds band: outside it, (ubar_i
-    ubar_j)^ is partly aliased."""
-    u = grid.inverse(dealias(grid, u_hat))
-    prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
-    filtered = kernel.multiplier * dealias(grid, grid.forward(prod))
-    ubar = grid.inverse(kernel.multiplier * u_hat)
-    resolved = np.einsum("ixyz,jxyz->ijxyz", ubar, ubar)
-    return dealias(grid, filtered - grid.forward(resolved))
+    """The stress of a band velocity as assembled before Pi was shared and
+    before the analysis moved to the band: all nine components of
+    dealias(m * dealias((u_i u_j)^) - (ubar_i ubar_j)^) in the full layout,
+    the product formed per call, gathered to the band.  The stress is its
+    two-thirds band: outside it, (ubar_i ubar_j)^ is partly aliased."""
+    return grid.band.gather(full_stress(grid, kernel, grid.band.scatter(u_hat))[1])
 
 
 def stress_hat(grid, kernel, u_hat):
-    """One pair's stress as the pair loop forms it, from its own Pi."""
+    """One pair's stress as the pair loop forms it, from its own Pi, for a
+    full-layout velocity gathered to the band."""
+    u_hat = grid.band.gather(u_hat)
     product_hat = velocity_product_hat(grid, u_hat)
     return reynolds_stress_hat(grid, kernel, kernel.multiplier * u_hat, product_hat)
 
@@ -154,16 +157,20 @@ def stress_hat(grid, kernel, u_hat):
 class TestReynoldsStress:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_shared_product_matches_reference(self, n):
-        """One Pi per snapshot, 6 components each side, reproduces the
-        nine-component formula exactly at every width."""
+        """One Pi per snapshot, 6 components each side, on the band,
+        reproduces the nine-component full-layout formula exactly at every
+        width; R has no mode off the band."""
         g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
-        u_hat = g.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
+        u_hat = g.band.forward(np.random.default_rng(n).standard_normal((3,) + g.shape))
         product_hat = velocity_product_hat(g, u_hat)
-        assert product_hat.shape == (6,) + g.spectral_shape
+        assert product_hat.shape == (6,) + g.band.spectral_shape
         for delta in width_schedule(g, np.pi, 3):
             kernel = kernel_for(g, delta)
             shared = reynolds_stress_hat(g, kernel, kernel.multiplier * u_hat, product_hat)
+            assert shared.shape == (3, 3) + g.band.spectral_shape
             assert np.array_equal(shared, reference_stress_hat(g, kernel, u_hat))
+            _, full = full_stress(g, kernel, g.band.scatter(u_hat))
+            assert not np.any(full[..., ~g.dealias_mask])
 
     def test_symmetry(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
@@ -175,8 +182,8 @@ class TestReynoldsStress:
         kernel = kernel_for(grid, np.pi / 2.0)
         r_hat = stress_hat(grid, kernel, u_hat)
         trace = r_hat[0, 0] + r_hat[1, 1] + r_hat[2, 2]
-        ud = dealias(grid, u_hat)
-        expected = norm_sq(grid, ud) - norm_sq(grid, kernel.multiplier * ud)
+        ud = grid.band.gather(u_hat)
+        expected = norm_sq(grid.band, ud) - norm_sq(grid.band, kernel.multiplier * ud)
         from nslab.spectral import VOLUME
 
         integral = VOLUME * float(trace[0, 0, 0].real)
@@ -184,20 +191,21 @@ class TestReynoldsStress:
 
     def test_hermitian(self, grid, u_hat):
         kernel = kernel_for(grid, np.pi / 2.0)
-        r_hat = stress_hat(grid, kernel, u_hat)
+        r_hat = grid.band.scatter(stress_hat(grid, kernel, u_hat))
         assert hermitian_defect(grid, r_hat) < 1e-12
 
 
 class TestFilteredPressure:
     def test_poisson_equation(self, grid, u_hat):
         """-lap(pbar) = div div (filtered u x u), composed from tested operators."""
-        kernel = kernel_for(grid, np.pi / 2.0)
+        kernel, band = kernel_for(grid, np.pi / 2.0), grid.band
+        u_hat = band.gather(u_hat)
         p_hat = filtered_pressure_hat(grid, kernel, velocity_product_hat(grid, u_hat))
-        u = grid.inverse(dealias(grid, u_hat))
+        u = grid.inverse(u_hat)
         prod = np.einsum("ixyz,jxyz->ijxyz", u, u)
-        t_hat = kernel.multiplier * dealias(grid, grid.forward(prod))
-        ddt = divergence(grid, tensor_divergence(grid, t_hat))
-        lhs = -laplacian(grid, p_hat)
+        t_hat = kernel.multiplier * band.forward(prod)
+        ddt = divergence(band, tensor_divergence(band, t_hat))
+        lhs = -laplacian(band, p_hat)
         scale = np.abs(ddt).max()
         assert np.abs(lhs - ddt).max() < 1e-12 * scale
         assert p_hat[0, 0, 0] == 0.0
@@ -232,7 +240,8 @@ class TestResolvedBalance:
     def test_smoothing_reduces_gradients(self, grid, trajectory):
         kernel = kernel_for(grid, np.pi / 2.0)
         ub = kernel.multiplier * trajectory.u_hats[0]
-        assert gradient_norm_sq(grid, ub) < gradient_norm_sq(grid, trajectory.u_hats[0])
+        band = grid.band
+        assert gradient_norm_sq(band, ub) < gradient_norm_sq(band, trajectory.u_hats[0])
 
 
 class TestLocalBalance:
@@ -284,15 +293,16 @@ def reference_resolved_balance(trajectory, kernel):
     """resolved_balance as it was before the pair loop: each snapshot forms
     its own product, stress and filtered velocity."""
     grid = trajectory.grid
+    band = grid.band
     terms = np.empty((4, len(trajectory)))
     for i, u_hat in enumerate(trajectory.u_hats):
         ub_hat = kernel.multiplier * u_hat
         r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
         terms[:, i] = (
-            0.5 * norm_sq(grid, ub_hat),
-            gradient_norm_sq(grid, ub_hat),
-            inner_product(grid, r_hat, gradient(grid, ub_hat)),
-            inner_product(grid, r_hat, r_hat),
+            0.5 * norm_sq(band, ub_hat),
+            gradient_norm_sq(band, ub_hat),
+            inner_product(band, r_hat, gradient(band, ub_hat)),
+            inner_product(band, r_hat, r_hat),
         )
     return BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms)
 
@@ -300,11 +310,11 @@ def reference_resolved_balance(trajectory, kernel):
 def reference_assemble_flux(trajectory, kernel):
     """assemble_flux's J = nu grad(ubar) - R as it was before the pair loop."""
     grid = trajectory.grid
-    j_hats = np.empty((len(trajectory), 3, 3) + grid.spectral_shape, dtype=complex)
+    j_hats = np.empty((len(trajectory), 3, 3) + grid.band.spectral_shape, dtype=complex)
     for i, u_hat in enumerate(trajectory.u_hats):
         ub_hat = kernel.multiplier * u_hat
         r_hat = reynolds_stress_hat(grid, kernel, ub_hat, velocity_product_hat(grid, u_hat))
-        j_hats[i] = grid.nu * gradient(grid, ub_hat) - r_hat
+        j_hats[i] = grid.nu * gradient(grid.band, ub_hat) - r_hat
     return j_hats
 
 
@@ -327,9 +337,9 @@ def reference_local_balance(trajectory, kernel, phi, window):
         ub = grid.inverse(ub_hat)
         e = np.einsum("ixyz,ixyz->xyz", ub, ub)
         pbar = grid.inverse(filtered_pressure_hat(grid, kernel, product_hat))
-        grad_ub = grid.inverse(gradient(grid, ub_hat))
+        grad_ub = grid.inverse(gradient(grid.band, ub_hat))
         r_hat = reynolds_stress_hat(grid, kernel, ub_hat, product_hat)
-        div_r = grid.inverse(tensor_divergence(grid, r_hat))
+        div_r = grid.inverse(tensor_divergence(grid.band, r_hat))
         boundary_density[i] = grid_inner_product(grid, e, phi)
         time_term[i] = grid_inner_product(grid, e, phi) * s_dot[i] + grid.nu * s[
             i
@@ -402,24 +412,31 @@ class TestPairLoop:
 
     def test_pair_working_set(self, grid, trajectory):
         """One snapshot of this 16^3 trajectory, Pi and its three pairs with
-        each stress reduced as it is drawn, peaks at 13.7 vector fields
-        (3, n, n, n//2+1) above entry: Pi, the previous pair's ubar_hat and
-        stress, the new ubar_hat, ubar and its products on the grid, and the
-        forward transform's result and pass copy.  Forming m * Pi before
-        that transform and the difference in a fresh array peaks at 14.7."""
+        each stress reduced as it is drawn, in vector fields of the full
+        layout (3, n, n, n//2+1).  The first snapshot peaks at 12.6 above
+        entry: the band transforms' buffers are made then and kept on the
+        grid (4.1 of the 12.6).  A later snapshot peaks at 8.4: Pi, the
+        previous pair's ubar_hat and stress, the new ubar_hat, all band
+        fields, and ubar and its products on the grid.  The full-layout
+        pass peaked at 13.7 (14.2 was its bound)."""
         kernels = [kernel_for(grid, d) for d in width_schedule(grid, np.pi, 3)]
-        vector = trajectory.u_hats[0].nbytes
+        vector = 3 * grid.n * grid.n * grid.nh * 16
         snapshots = filtered_pairs(trajectory, kernels)
+        grid.__dict__.pop("_buffers", None)
+        peaks = []
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            _, _, _, pairs = next(snapshots)
-            for _, _, r_hat in pairs:
-                inner_product(grid, r_hat, r_hat)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            for _ in range(2):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _, _, _, pairs = next(snapshots)
+                for _, _, r_hat in pairs:
+                    inner_product(grid.band, r_hat, r_hat)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert peak <= 14.2 * vector
+        assert peaks[0] <= 12.8 * vector
+        assert peaks[1] <= 8.6 * vector
 
     def test_consumers_match_reference_loops(self, grid, trajectory, local_inputs):
         """Each consumer equals the per-snapshot loop it replaced bit for bit."""

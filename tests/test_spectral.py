@@ -182,8 +182,8 @@ class TestBandLayout:
     def test_shape_holds_every_kept_mode(self, n):
         grid = self.make_grid(n)
         c = grid.dealias_cutoff
-        assert grid.band.shape == (2 * c + 1, 2 * c + 1, c + 1)
-        assert grid.band.shape != grid.spectral_shape
+        assert grid.band.spectral_shape == (2 * c + 1, 2 * c + 1, c + 1)
+        assert grid.band.spectral_shape != grid.spectral_shape
         kept = np.zeros(grid.spectral_shape, dtype=bool)
         kept[band_index(grid)] = True
         assert np.array_equal(kept, np.broadcast_to(grid.dealias_mask, grid.spectral_shape))
@@ -202,18 +202,28 @@ class TestBandLayout:
         want = np.zeros_like(full)
         want[..., at[0], at[1], at[2]] = gathered
         assert scattered.tobytes() == want.tobytes()  # +0.0 outside the band
-        # the band multipliers against their full-layout forms
+        # the band multipliers against their full-layout forms; those that
+        # only multiply complex fields are stored as numpy would cast them
         keep = grid.dealias_mask.astype(np.float64)
         keep[0, 0, 0] = 0.0
-        for got, full_form in (
-            (band.k_vec, grid.k_vec),
-            (band.keep, keep),
-            (band.e, grid.k_vec * (keep * np.sqrt(grid.inv_k_sq))),
-            (band.half_step_decay, np.exp(-grid.nu * grid.k_sq * (0.5 * grid.dt))),
-            (band.parseval_w, grid.parseval_w),
-            (band.gradient_w, grid.parseval_w * grid.k_sq),
+        for got, full_form, dtype in (
+            (band.k_vec, grid.k_vec, np.complex128),
+            (band.keep, keep, np.complex128),
+            (band.e, grid.k_vec * (keep * np.sqrt(grid.inv_k_sq)), np.complex128),
+            (
+                band.half_step_decay,
+                np.exp(-grid.nu * grid.k_sq * (0.5 * grid.dt)),
+                np.complex128,
+            ),
+            (band.k_sq, grid.k_sq, np.float64),
+            (band.inv_k_sq, grid.inv_k_sq, np.float64),
+            (band.parseval_w, grid.parseval_w, np.float64),
+            (band.gradient_w, grid.parseval_w * grid.k_sq, np.float64),
         ):
-            assert got.tobytes() == full_form[..., at[0], at[1], at[2]].tobytes()
+            assert got.dtype == dtype
+            want = full_form[..., at[0], at[1], at[2]].astype(dtype)
+            assert got.tobytes() == want.tobytes()
+        assert np.all(band.dealias_mask) and band.dealias_mask.shape == band.spectral_shape
 
     @pytest.mark.parametrize("lead", BAND_LEADS)
     @pytest.mark.parametrize("n", BAND_SIZES)
@@ -223,8 +233,8 @@ class TestBandLayout:
         at = band_index(grid)
         rng = np.random.default_rng(n + sum(lead))
         for _ in range(2):
-            band = rng.standard_normal(lead + grid.band.shape) + 1j * rng.standard_normal(
-                lead + grid.band.shape
+            band = rng.standard_normal(lead + grid.band.spectral_shape) + 1j * rng.standard_normal(
+                lead + grid.band.spectral_shape
             )
             before = band.copy()
             full = np.zeros(lead + grid.spectral_shape, dtype=np.complex128)
@@ -246,7 +256,7 @@ class TestBandLayout:
         for _ in range(2):
             field = rng.standard_normal(lead + grid.shape)
             want = np.fft.rfftn(field, axes=(-3, -2, -1), norm="forward")[..., at[0], at[1], at[2]]
-            out = np.empty(lead + grid.band.shape, dtype=np.complex128)
+            out = np.empty(lead + grid.band.spectral_shape, dtype=np.complex128)
             assert grid.forward(field, out=out) is out
             assert out.tobytes() == want.tobytes()
 
