@@ -4,8 +4,9 @@ Validates:
 - grid construction and parameter validation
 - transform conventions (coefficient normalization, round trips)
 - the two-thirds band layout: gather/scatter, its multipliers and Parseval
-  weights against their full-layout expressions, and the band
-  transforms bit for bit against irfftn/rfftn of the full layout
+  weights against their full-layout expressions, the band transforms bit
+  for bit against irfftn/rfftn of the full layout, and every helper given
+  the band as its layout against the same helper on the scattered fields
 - differential operators against hand-computed trig derivatives
 - vector-calculus identities (curl grad = 0, div curl = 0, Leray algebra)
 - dealias, inverse_laplacian and leray_project into a given `out`, bit for
@@ -259,6 +260,46 @@ class TestBandLayout:
             out = np.empty(lead + grid.band.spectral_shape, dtype=np.complex128)
             assert grid.forward(field, out=out) is out
             assert out.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_helpers_read_the_layout_they_are_given(self, n):
+        """Given grid.band, every helper acts on band fields as it acts on
+        their scatter in the full layout: the operators bit for bit on the
+        band (array_equal; a full-layout dealias may flip the sign of a
+        zero), the reductions within 1e-15 of the full-layout sums, which
+        differ only in summation order.  band.forward and band.inverse are
+        the grid's transforms with band fields."""
+        grid = self.make_grid(n)
+        band = grid.band
+        rng = np.random.default_rng(3 * n)
+        noise = rng.standard_normal((3,) + grid.shape)
+        v = band.forward(noise)
+        assert v.shape == (3,) + band.spectral_shape
+        assert v.tobytes() == band.gather(grid.forward(noise)).tobytes()
+        assert band.inverse(v).tobytes() == grid.inverse(band.scatter(v)).tobytes()
+        t = band.forward(rng.standard_normal((3, 3) + grid.shape))
+        full_v, full_t = band.scatter(v), band.scatter(t)
+        for op, x, full_x in (
+            (gradient, v, full_v),
+            (divergence, v, full_v),
+            (curl, v, full_v),
+            (leray_project, v, full_v),
+            (dealias, v, full_v),
+            (laplacian, v, full_v),
+            (inverse_laplacian, v, full_v),
+            (tensor_divergence, t, full_t),
+        ):
+            assert np.array_equal(op(band, x), band.gather(op(grid, full_x))), op.__name__
+        w = leray_project(band, band.forward(rng.standard_normal((3,) + grid.shape)))
+        for op in (inner_product, gradient_inner_product):
+            want = op(grid, full_v, band.scatter(w))
+            assert abs(op(band, v, w) - want) <= 1e-15 * np.sqrt(
+                op(grid, full_v, full_v) * op(grid, band.scatter(w), band.scatter(w))
+            ), op.__name__
+        for op in (norm_sq, gradient_norm_sq):
+            want = op(grid, full_v)
+            assert abs(op(band, v) - want) <= 1e-15 * want, op.__name__
 
 
 class TestDifferentialOperators:
