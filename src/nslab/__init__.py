@@ -1,78 +1,65 @@
 """nslab: spectral Navier-Stokes runs, filtered energy balances, and
-constrained space-time minimization on the torus."""
+constrained space-time minimization on the torus.
 
-from .basket import TestBasket, build_basket
-from .config import ConfigError, RunConfig, load_config, parse_config
-from .dissipation import (
-    analyze_widths,
-    defect_cross_validate,
-    richardson_extrapolate,
-)
-from .filtering import (
-    FilterKernel,
-    filtered_pairs,
-    kernel_for,
-    make_kernel,
-    resolved_balance,
-    reynolds_stress_hat,
-    velocity_product_hat,
-    width_schedule,
-)
-from .minimizer import (
-    FluxField,
-    MinimizerSolution,
-    assemble_flux,
-    audit_widths,
-    el_residual,
-    k_functional,
-    kkt_report,
-    lagrange_ratio,
-    oracle_mp,
-    pair_basket,
-    solve_mp,
-)
-from .snapshots import read_snapshot, write_snapshot
-from .solver import BlowUpError, InitialCondition, Trajectory, make_initial, simulate
-from .spectral import Grid, GridError
+The names of __all__ resolve on first use (PEP 562), so `import nslab`
+loads no submodule, and a command-line stage loads only the modules it
+runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowUpError",
-    "ConfigError",
-    "FilterKernel",
-    "FluxField",
-    "Grid",
-    "GridError",
-    "InitialCondition",
-    "MinimizerSolution",
-    "RunConfig",
-    "TestBasket",
-    "Trajectory",
-    "analyze_widths",
-    "assemble_flux",
-    "audit_widths",
-    "build_basket",
-    "defect_cross_validate",
-    "el_residual",
-    "filtered_pairs",
-    "k_functional",
-    "kernel_for",
-    "kkt_report",
-    "lagrange_ratio",
-    "load_config",
-    "make_initial",
-    "make_kernel",
-    "oracle_mp",
-    "pair_basket",
-    "parse_config",
-    "read_snapshot",
-    "resolved_balance",
-    "reynolds_stress_hat",
-    "richardson_extrapolate",
-    "simulate",
-    "solve_mp",
-    "velocity_product_hat",
-    "width_schedule",
-    "write_snapshot",
-]
+# name -> the submodule that defines it
+_HOMES = {
+    "TestBasket": "basket",
+    "build_basket": "basket",
+    "RunConfig": "config",
+    "load_config": "config",
+    "parse_config": "config",
+    "analyze_widths": "dissipation",
+    "defect_cross_validate": "dissipation",
+    "richardson_extrapolate": "dissipation",
+    "BlowUpError": "errors",
+    "ConfigError": "errors",
+    "GridError": "errors",
+    "FilterKernel": "filtering",
+    "filtered_pairs": "filtering",
+    "kernel_for": "filtering",
+    "make_kernel": "filtering",
+    "resolved_balance": "filtering",
+    "reynolds_stress_hat": "filtering",
+    "velocity_product_hat": "filtering",
+    "width_schedule": "filtering",
+    "FluxField": "minimizer",
+    "MinimizerSolution": "minimizer",
+    "assemble_flux": "minimizer",
+    "audit_widths": "minimizer",
+    "el_residual": "minimizer",
+    "k_functional": "minimizer",
+    "kkt_report": "minimizer",
+    "lagrange_ratio": "minimizer",
+    "oracle_mp": "minimizer",
+    "pair_basket": "minimizer",
+    "solve_mp": "minimizer",
+    "read_snapshot": "snapshots",
+    "write_snapshot": "snapshots",
+    "InitialCondition": "solver",
+    "Trajectory": "solver",
+    "make_initial": "solver",
+    "simulate": "solver",
+    "Grid": "spectral",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

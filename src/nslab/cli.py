@@ -10,14 +10,17 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import ConfigError
-from .dissipation import DissipationError
-from .filtering import KernelError
-from .ledger import LedgerError
-from .minimizer import MinimizerError
-from .snapshots import SnapshotFormatError
-from .solver import BlowUpError
-from .spectral import GridError
+from .errors import (
+    BlowUpError,
+    ConfigError,
+    DissipationError,
+    GridError,
+    KernelError,
+    LedgerError,
+    MinimizerError,
+    PipelineError,
+    SnapshotFormatError,
+)
 
 _INPUT_ERRORS = (
     ConfigError,
@@ -28,7 +31,7 @@ _INPUT_ERRORS = (
     DissipationError,
     MinimizerError,
 )
-_RUNTIME_ERRORS = (BlowUpError, pipeline.PipelineError)
+_RUNTIME_ERRORS = (BlowUpError, PipelineError)
 
 
 def build_parser():

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 from . import basket as basket_mod
+from .errors import ConfigError
 from .filtering import KernelError, width_schedule
 from .ledger import atomic_open
 from .solver import InitialCondition, shell_targets
@@ -60,10 +61,6 @@ SCHEMA = {
 }
 
 _BAND_KEYS = ("seed", "slope", "k_min", "k_max")
-
-
-class ConfigError(ValueError):
-    """A config file that cannot drive a run; message names the bad key."""
 
 
 def _require_mapping(value, where):

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DissipationError
 from .filtering import (
     _SYMMETRIC_INDEX,
     BalanceReport,
@@ -56,10 +57,6 @@ from .filtering import (
     wrapped_radius_sq,
 )
 from .spectral import VOLUME, gradient, inner_product, parseval_sum
-
-
-class DissipationError(ValueError):
-    """A dissipation-defect request that the driver refuses to run."""
 
 
 def offsets_count(grid, delta):
@@ -257,8 +254,9 @@ def analyze_widths(trajectory, deltas):
     snapshot from the loop's Pi; the budget terms and both estimators are
     reductions of each pair, and the stress-strain series is the negated
     flux series bit for bit.  Each width's series fill in time order, so
-    the budgets equal those of resolved_balance bit for bit.  Returns (one BalanceReport per width,
-    the CrossValidationReport), widths coarse to fine.
+    the budgets equal those of resolved_balance bit for bit.  The grid's
+    transform buffers are dropped after the pass.  Returns (one BalanceReport
+    per width, the CrossValidationReport), widths coarse to fine.
     """
     deltas = _coarse_to_fine(deltas)
     grid = trajectory.grid
@@ -273,6 +271,7 @@ def analyze_widths(trajectory, deltas):
             terms[w, :, i] = balance_terms(grid, ub_hat, r_hat)
             structure[w, i] = defect_structure_function(grid, fields, delta)
             stress[w, i] = defect_stress_strain(grid, ub_hat, delta, r_hat)
+    grid.drop_buffers()
     balances = [
         BalanceReport.from_series(kernel.delta, grid.nu, trajectory.times, *terms[w])
         for w, kernel in enumerate(kernels)

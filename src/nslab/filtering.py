@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import KernelError
 from .spectral import (
     VOLUME,
     gradient,
@@ -70,10 +71,6 @@ MULTIPLIER_IMAG_TOL = 1e-12
 # position of each (j, k) of a 3 x 3 tensor in that order.
 _UPPER = np.triu_indices(3)
 _SYMMETRIC_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-
-
-class KernelError(ValueError):
-    """The requested filter width cannot be represented on the grid."""
 
 
 def wrapped_displacements(grid):

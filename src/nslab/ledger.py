@@ -18,7 +18,7 @@ import math
 import os
 import shutil
 
-import numpy as np
+from .errors import LedgerError
 
 SCHEMA_LINE = "# nslab csv schema 1"
 
@@ -46,10 +46,6 @@ WIDTH_COLUMNS = (
     "limit_dual_proxy",
     "energy_drop_residual",
 )
-
-
-class LedgerError(ValueError):
-    """A ledger or stage record that cannot be read (schema, shape or syntax)."""
 
 
 def format_float(x):
@@ -117,7 +113,7 @@ def write_ledger(path, columns, rows):
 
 
 def read_ledger(path):
-    """Returns (columns, array) where array is (rows, cols) float64.
+    """Returns (columns, rows): each row a list of one float per column.
 
     Undecodable bytes become U+FFFD, which the schema and number checks reject.
     """
@@ -146,7 +142,7 @@ def read_ledger(path):
                 data.append([float(v) for v in row])
             except ValueError:
                 raise LedgerError(f"{path}: non-numeric cell in {row}") from None
-    return columns, (np.asarray(data) if data else np.empty((0, len(columns))))
+    return columns, data
 
 
 def write_time_ledger(path, times, energies, dissipation, residuals):
@@ -155,15 +151,14 @@ def write_time_ledger(path, times, energies, dissipation, residuals):
 
 
 def read_time_ledger(path):
-    """The time ledger as {column: 1-D array} in TIME_COLUMNS order; every
-    cell must be finite."""
-    data = _read_columns(path, "time", TIME_COLUMNS)
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        value = float(data[row, col])
-        raise LedgerError(f"{path}: non-finite {TIME_COLUMNS[col]} {value} in row {row}")
-    return {name: data[:, j] for j, name in enumerate(TIME_COLUMNS)}
+    """The time ledger as {column: list of floats} in TIME_COLUMNS order;
+    every cell must be finite."""
+    rows = _read_columns(path, "time", TIME_COLUMNS)
+    for i, row in enumerate(rows):
+        for name, value in zip(TIME_COLUMNS, row):
+            if not math.isfinite(value):
+                raise LedgerError(f"{path}: non-finite {name} {value} in row {i}")
+    return {name: [row[j] for row in rows] for j, name in enumerate(TIME_COLUMNS)}
 
 
 def write_width_ledger(path, row_dicts):
@@ -178,7 +173,7 @@ def read_width_ledger(path):
 
 
 def _read_columns(path, kind, expected):
-    columns, data = read_ledger(path)
+    columns, rows = read_ledger(path)
     if columns != expected:
         raise LedgerError(f"{path}: unexpected {kind}-ledger columns {columns}")
-    return data
+    return rows

@@ -59,8 +59,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basket import spacetime_gradient_norm
+from .errors import MinimizerError
 from .filtering import filtered_pairs, kernel_for
 from .spectral import (
+    _fit_order,
     dealias,
     gradient,
     gradient_inner_product,
@@ -85,10 +87,6 @@ ACTIVITY_RTOL = 1e-10
 # this fraction of its triangle-inequality majorant: the pairing cancels to
 # machine precision and its round-off residue carries no fittable decay order.
 FLOOR_RTOL = 1e-12
-
-
-class MinimizerError(ValueError):
-    """A variational request that cannot be satisfied as posed."""
 
 
 class FluxField:
@@ -566,17 +564,6 @@ def energy_drop_identity(delta, resolved_energy, w_ubar):
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "delta": delta}
 
 
-def _fit_order(deltas, values):
-    """Least-squares slope of log|value| vs log(delta); NaN if underdetermined."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    values = np.abs(np.asarray(values, dtype=np.float64))
-    mask = values > 0.0
-    if np.count_nonzero(mask) < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(deltas[mask]), np.log(values[mask]), 1)[0]
-    return float(slope)
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Width-refinement pairings against the basket.
@@ -731,7 +718,8 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
     w = (1-2 lambda) v* and of the nu = 1 minimizer w1 sit in a row of
     arrays with a leading width axis and are added in time order; after the
     pass one ball rule per problem scales them.  Widths run coarse to fine;
-    of the per-snapshot fields only the finest width's b = P div J is kept.
+    of the per-snapshot fields only the finest width's b = P div J is kept,
+    and the grid's transform buffers are dropped after the pass.
     """
     if len(deltas) < 3:
         raise MinimizerError("need at least three widths for refinement trends")
@@ -814,6 +802,7 @@ def audit_widths(trajectory, deltas, basket, radius_sq):
             w_ubar[m] += tw[i] * gradient_inner_product(band, w_hat, ub_hat)
             r_u[m] += tw[i] * inner_product(band, r_hat, grad_u)
             del b_hat, w_hat, div_r, grad_w, sym_w, model  # no field of this pair outlives it
+    grid.drop_buffers()
 
     widths = []
     for m, (delta, kernel) in enumerate(zip(ordered, kernels)):

@@ -10,6 +10,11 @@ Each stage reads only what earlier stages wrote, so any stage can be re-run;
 re-running writes byte-identical artifacts (nothing time- or host-dependent
 is ever persisted).  An exclusive flock on the run directory guards
 against concurrent writers.
+
+The module itself needs neither numpy nor a compute module: each stage
+imports the ones it runs, so report loads none of them, simulate loads
+neither the minimizer nor the defect estimators, analyze does not load the
+minimizer and minimize does not load the estimators.
 """
 
 from __future__ import annotations
@@ -20,23 +25,14 @@ import json
 import math
 import os
 
-import numpy as np
-
-from . import snapshots as snap_mod
-from .config import load_config
-from .config import dump_config
-from .dissipation import analyze_widths
+from .errors import BlowUpError, LedgerError, PipelineError
 from .ledger import (
-    LedgerError,
     atomic_open,
     read_time_ledger,
     read_width_ledger,
     write_time_ledger,
     write_width_ledger,
 )
-from .minimizer import _fit_order, audit_widths, default_radius_sq
-from .minimizer import dual_gap, enstrophy_integral, oracle_mp
-from .solver import BlowUpError, Trajectory, make_initial, simulate
 
 STAGES = ("simulate", "analyze", "minimize", "report")
 
@@ -54,10 +50,6 @@ LIMIT_KEYS = ("stress_vstar", "stress_gradu", "gradu_gradv", "dual_proxy")
 # report/widths.dat: these width-ledger columns.
 WIDTHS_DAT_COLUMNS = ("delta", "resolved_residual", "stress_norm", "defect_structure",
                       "defect_stress", "basket_max_a", "basket_max_b")
-
-
-class PipelineError(RuntimeError):
-    """A run directory in the wrong state for the requested stage."""
 
 
 class RunPaths:
@@ -225,6 +217,10 @@ def cmd_simulate(config_path, output_root=None):
     time ledger, config echo) is kept, run.json records the failure, and the
     BlowUpError propagates so callers exit nonzero.
     """
+    from . import snapshots as snap_mod
+    from .config import dump_config, load_config
+    from .solver import make_initial, simulate
+
     cfg = load_config(config_path)
     run_dir = cfg.resolve_output_dir(output_root)
     paths = RunPaths(run_dir)
@@ -273,13 +269,19 @@ def load_run(run_dir):
     The snapshots are checked by snapshots.read_series and the time ledger
     by ledger.read_time_ledger; the ledger's times must be the snapshots'.
     """
+    import numpy as np
+
+    from . import snapshots as snap_mod
+    from .config import load_config
+    from .solver import Trajectory
+
     paths = RunPaths(run_dir)
     _require_run_dir(paths)
     cfg = load_config(paths.config)
     grid = cfg.make_grid()
     times, u_hats = snap_mod.read_series(paths.snapshots, grid)
     ledger = read_time_ledger(paths.time_ledger)
-    t = ledger["t"]
+    t = np.asarray(ledger["t"])
     if len(t) != len(times) or not np.all(np.abs(t - times) <= 1e-12):
         detail = f"t column: {len(t)} rows, {len(times)} snapshots"
         raise LedgerError(f"{paths.time_ledger}: disagrees with the snapshots ({detail})")
@@ -287,14 +289,19 @@ def load_run(run_dir):
         grid=grid,
         times=times,
         u_hats=u_hats,
-        energies=ledger["energy"],
-        dissipation=ledger["cumulative_dissipation"],
+        energies=np.asarray(ledger["energy"]),
+        dissipation=np.asarray(ledger["cumulative_dissipation"]),
     )
     return cfg, grid, traj
 
 
 def cmd_analyze(run_dir):
     """Coarse-graining budgets and dissipation-defect estimates per width."""
+    import numpy as np
+
+    from .dissipation import analyze_widths
+    from .spectral import _fit_order
+
     with _stage(run_dir, "analyze") as paths:
         cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
@@ -323,6 +330,7 @@ def cmd_analyze(run_dir):
             "total_dissipation": float(traj.dissipation[-1]),
             "global_residual_max": float(np.max(traj.global_energy_residuals())),
             "balance": balance_rows,
+            "stress_norm_order": _fit_order(schedule, [row["stress_norm"] for row in balance_rows]),
             "defect": {
                 "deltas": list(defect.deltas),
                 "structure": list(defect.structure),
@@ -342,6 +350,11 @@ def cmd_analyze(run_dir):
 
 def cmd_minimize(run_dir, oracle=False):
     """Solve the constrained minimization per width and audit its identities."""
+    import numpy as np
+
+    from . import snapshots as snap_mod
+    from .minimizer import audit_widths, default_radius_sq, dual_gap, enstrophy_integral, oracle_mp
+
     with _stage(run_dir, "minimize") as paths:
         cfg, grid, traj = load_run(run_dir)
         schedule = cfg.make_schedule(grid)
@@ -435,8 +448,8 @@ def cmd_report(run_dir):
     with _stage(run_dir, "report") as paths:
         analysis = _read_json(paths.analysis, "schedule", "initial_energy", "total_dissipation",
                               "global_residual_max", "balance.stress_norm",
-                              "balance.resolved_residual", "defect.structure_order",
-                              "defect.stress_order")
+                              "balance.resolved_residual", "stress_norm_order",
+                              "defect.structure_order", "defect.stress_order")
         minimize = _read_json(paths.minimize, "records", "stress_limit", "oracle", "radius_sq",
                               "weak_convergence.order_a", "weak_convergence.order_b",
                               "weak_convergence.monotone_a", "weak_convergence.monotone_b",
@@ -454,8 +467,8 @@ def cmd_report(run_dir):
                          "total_dissipation", "global_residual_max", "balance.stress_norm",
                          "balance.resolved_residual")
         # fitted orders and final_a_normalized may be NaN (see README)
-        _require_numbers(paths.analysis, analysis, "defect.structure_order",
-                         "defect.stress_order", finite=False)
+        _require_numbers(paths.analysis, analysis, "stress_norm_order",
+                         "defect.structure_order", "defect.stress_order", finite=False)
         _require_numbers(paths.minimize, minimize, "weak_convergence.final_a_normalized",
                          finite=False)
         oracle = minimize["oracle"]
@@ -466,7 +479,6 @@ def cmd_report(run_dir):
         width_rows = _read_width_rows(paths.width_ledger, deltas)
 
         e0 = analysis["initial_energy"]
-        stress_norms = [row["stress_norm"] for row in balance]
         weak = minimize["weak_convergence"]
         defect = analysis["defect"]
         resolved_max = max(row["resolved_residual"] for row in balance)
@@ -478,7 +490,7 @@ def cmd_report(run_dir):
             "schedule": deltas,
             "resolved_residual_max_rel": resolved_max / e0 if e0 else 0.0,
             "orders": {
-                "stress_norm": _fit_order(deltas, stress_norms),
+                "stress_norm": analysis["stress_norm_order"],
                 "defect_structure": defect["structure_order"],
                 "defect_stress": defect["stress_order"],
                 "a": weak["order_a"],

@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .errors import SnapshotFormatError
 from .ledger import atomic_path
 
 MAGIC = b"NSEL"
@@ -33,18 +34,6 @@ _HEADER = struct.Struct("<4sIIId")
 
 SNAPSHOT_PATTERN = "snap_%06d.nsel"
 _SNAPSHOT_RE = re.compile(r"^snap_(\d{6})\.nsel$")
-
-
-class SnapshotFormatError(ValueError):
-    """A .nsel file failed validation; .reason holds a short machine-usable tag."""
-
-    def __init__(self, path, reason, detail=""):
-        self.path = str(path)
-        self.reason = reason
-        msg = f"{path}: {reason}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 def write_snapshot(path, time, fields):

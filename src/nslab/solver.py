@@ -31,17 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .spectral import Grid, GridError
-
-
-class BlowUpError(RuntimeError):
-    """Raised when the solution leaves the representable range (NaN/overflow)."""
-
-    def __init__(self, time, step):
-        super().__init__(f"solution blew up at t={time:.6g} (step {step})")
-        self.time = time
-        self.step = step
-        self.partial = None  # Trajectory of the states recorded before failure
+from .errors import BlowUpError, GridError
+from .spectral import Grid
 
 
 @dataclass(frozen=True)
@@ -330,5 +321,5 @@ def simulate(grid, u0_hat):
                     snaps += 1
     finally:
         grid.__dict__.pop("workspace", None)
-        grid.__dict__.pop("_buffers", None)
+        grid.drop_buffers()
     return trajectory(snaps, grid.steps)

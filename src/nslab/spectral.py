@@ -41,6 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import GridError
+
 TWO_PI = 2.0 * np.pi
 #: Volume of the computational box [0, 2*pi)^3.
 VOLUME = TWO_PI**3
@@ -49,10 +51,6 @@ VOLUME = TWO_PI**3
 #: restriction; this bound is used as a construction-time sanity guard on
 #: dt * nu * k_max^2 for the retained (dealiased) modes.
 RK4_REAL_AXIS_BOUND = 2.785
-
-
-class GridError(ValueError):
-    """Raised when grid or time-stepping parameters are inconsistent."""
 
 
 class Grid:
@@ -195,6 +193,10 @@ class Grid:
         if buf is None:
             buf = buffers[name, shape] = np.zeros(shape, dtype=np.complex128)
         return buf
+
+    def drop_buffers(self):
+        """Release every Grid.buffer; the next band transform makes them anew."""
+        self.__dict__.pop("_buffers", None)
 
     @cached_property
     def band(self):
@@ -448,22 +450,6 @@ def divergence_max(grid, v_hat):
     return float(d.max()) / max(scale, 1e-300)
 
 
-def hermitian_defect(grid, f_hat):
-    """Max deviation from conjugate symmetry on the self-conjugate planes.
-
-    In the half-complex layout only the k3 = 0 and k3 = n/2 planes contain
-    redundant modes; on those planes f(-k1, -k2) must equal conj(f(k1, k2)).
-    Returns the max absolute defect relative to the field's max magnitude.
-    """
-    defect = 0.0
-    for plane in (0, grid.nh - 1):
-        sl = f_hat[..., plane]
-        mirrored = np.flip(np.roll(sl, (-1, -1), axis=(-2, -1)), axis=(-2, -1))
-        defect = max(defect, float(np.abs(sl - np.conj(mirrored)).max()))
-    scale = float(np.abs(f_hat).max())
-    return defect / max(scale, 1e-300)
-
-
 def trapezoid_weights(times):
     """Composite-trapezoid quadrature weights for a 1-D increasing time grid."""
     t = np.asarray(times, dtype=np.float64)
@@ -474,6 +460,17 @@ def trapezoid_weights(times):
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
     return w
+
+
+def _fit_order(deltas, values):
+    """Least-squares slope of log|value| vs log(delta); NaN if underdetermined."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    values = np.abs(np.asarray(values, dtype=np.float64))
+    mask = values > 0.0
+    if np.count_nonzero(mask) < 2:
+        return float("nan")
+    slope = np.polyfit(np.log(deltas[mask]), np.log(values[mask]), 1)[0]
+    return float(slope)
 
 
 def random_divergence_free(grid, rng, max_k_sq, amplitude=1.0):

@@ -13,19 +13,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ConstantWindow:
-    """s(t) = value everywhere (useful for whole-interval budgets)."""
-
-    value: float = 1.0
-
-    def __call__(self, t):
-        return np.full_like(np.asarray(t, dtype=np.float64), self.value)
-
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=np.float64))
-
-
-@dataclass(frozen=True)
 class BumpWindow:
     """C-infinity bump supported on (t0, t1), vanishing to all orders at both ends.
 

@@ -7,7 +7,8 @@ to the band, from a band field scattered to the full layout: the filter
 multiplier from the kernel's samples, the product Pi dealiased, and the
 stress dealiased.  Gathered to the band, each must equal the band pass's
 field (array_equal: the full layout's dealias multiplies by 1.0, which may
-flip the sign of a zero).
+flip the sign of a zero).  hermitian_defect checks the conjugate symmetry
+that a real field's full-layout coefficients must have.
 """
 
 import numpy as np
@@ -42,3 +43,19 @@ def full_minimizer_fields(grid, kernel, u_full):
     j_hat = grid.nu * gradient(grid, ub_hat) - r_hat
     b_hat = leray_project(grid, tensor_divergence(grid, j_hat))
     return ub_hat, r_hat, b_hat, -b_hat * grid.inv_k_sq
+
+
+def hermitian_defect(grid, f_hat):
+    """Max deviation from conjugate symmetry on the self-conjugate planes.
+
+    In the half-complex layout only the k3 = 0 and k3 = n/2 planes contain
+    redundant modes; on those planes f(-k1, -k2) must equal conj(f(k1, k2)).
+    Returns the max absolute defect relative to the field's max magnitude.
+    """
+    defect = 0.0
+    for plane in (0, grid.nh - 1):
+        sl = f_hat[..., plane]
+        mirrored = np.flip(np.roll(sl, (-1, -1), axis=(-2, -1)), axis=(-2, -1))
+        defect = max(defect, float(np.abs(sl - np.conj(mirrored)).max()))
+    scale = float(np.abs(f_hat).max())
+    return defect / max(scale, 1e-300)

@@ -46,11 +46,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nslab
 from nslab import acceptance
-from nslab.acceptance import AcceptanceLab, CriterionResult
+from nslab.acceptance import BELTRAMI, AcceptanceLab, CriterionResult
+from nslab.filtering import kernel_for
+from nslab.spectral import Grid, trapezoid_weights
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,44 @@ class TestCriteria:
     def test_criterion_12_energy_via_minimizer(self, lab):
         """The resolved energy drop is recovered from the minimizer pairing."""
         check(acceptance.criterion_12(lab))
+
+
+def one_minus_m1(grid, delta):
+    """1 - m(1): the filter's shortfall on the |k| = 1 shell (band row 1 of
+    axis 0 is the mode (1, 0, 0))."""
+    return 1.0 - float(kernel_for(grid, delta).multiplier[1, 0, 0])
+
+
+class TestCriterion10Shortfall:
+    """Criterion 10's |a| is the formula the module docstring states.
+
+    The Beltrami flow's subfilter stress adds nothing to w and lambda = 0,
+    so a_j = -nu (1 - m(1)) int s_j <grad u, grad psi_j> dt at every width.
+    On the cached lab, with no new run: the normalized ratio
+    |a_j| / (nu ||grad u|| ||grad psi_j|| (1 - m(1))) is the same at every
+    width, and it is the direct basket pairing of grad u.
+    """
+
+    def test_ratio_is_width_independent_and_the_direct_pairing(self, lab):
+        grid, weak = lab.beltrami.grid, lab.audit.weak
+        shortfall = np.array([one_minus_m1(grid, delta) for delta in weak.deltas])
+        norm = weak.grad_u_norm * weak.basket_norms
+        ratio = np.abs(weak.a) / (grid.nu * norm * shortfall[:, None])
+        assert np.all(np.abs(ratio - ratio[-1]) <= 1e-12 * ratio[-1])
+
+        traj = lab.beltrami
+        windows = np.stack([element.window(traj.times) for element in lab.basket], axis=1)
+        weights = trapezoid_weights(traj.times)[:, None] * windows
+        pairing = sum(w * lab.basket.pair_gradient(u_hat) for w, u_hat in zip(weights, traj.u_hats))
+        direct = np.abs(pairing) / norm
+        assert np.all(np.abs(ratio[-1] - direct) <= 1e-12 * direct)
+        assert np.max(ratio[-1]) * shortfall[-1] == pytest.approx(weak.final_a_normalized, rel=1e-14)
+
+        # The finest width delta >= 2h admits on a 72^3 grid, pi/18 (no run).
+        fine = Grid(**dict(BELTRAMI, n=72))
+        predicted = float(np.max(ratio[-1])) * one_minus_m1(fine, np.pi / 18.0)
+        print(f"criterion 10 at n = 72, delta = pi/18: predicted final |a| {predicted:.3e}")
+        assert predicted < 1e-4
 
 
 class TestRunAll:

@@ -773,7 +773,8 @@ class TestLedgers:
         columns = ("a", "b", "c")
         rows = [(1.0, 1.0 / 3.0, -2.5e-8), (4.0, float("nan"), 1e300)]
         write_ledger(path, columns, rows)
-        got_columns, data = read_ledger(path)
+        got_columns, rows = read_ledger(path)
+        data = np.asarray(rows)
         assert got_columns == columns
         assert data.shape == (2, 3)
         assert data[0, 1] == 1.0 / 3.0
@@ -836,16 +837,16 @@ class TestLedgers:
     def test_empty_data(self, tmp_path):
         path = tmp_path / "ledger.csv"
         write_ledger(path, ("a", "b"), [])
-        columns, data = read_ledger(path)
+        columns, rows = read_ledger(path)
         assert columns == ("a", "b")
-        assert data.shape == (0, 2)
+        assert rows == []
 
     def test_time_ledger_columns(self, tmp_path):
         path = tmp_path / "time.csv"
         write_time_ledger(path, [0.0, 0.1], [1.0, 0.9], [0.0, 0.1], [0.0, 1e-9])
-        columns, data = read_ledger(path)
+        columns, rows = read_ledger(path)
         assert columns == TIME_COLUMNS
-        assert data.shape == (2, 4)
+        assert np.asarray(rows).shape == (2, 4)
 
     def test_time_ledger_read_by_name(self, tmp_path):
         """read_time_ledger gives each column under its name, in file order."""
@@ -853,8 +854,8 @@ class TestLedgers:
         write_time_ledger(path, [0.0, 0.1], [1.0, 0.9], [0.0, 0.1], [0.0, 1e-9])
         ledger = read_time_ledger(path)
         assert tuple(ledger) == TIME_COLUMNS
-        assert ledger["energy"].tolist() == [1.0, 0.9]
-        assert ledger["global_residual"].tolist() == [0.0, 1e-9]
+        assert ledger["energy"] == [1.0, 0.9]
+        assert ledger["global_residual"] == [0.0, 1e-9]
 
     def test_time_ledger_rejects_other_columns(self, tmp_path):
         """A dropped or renamed column is a ledger error naming the file, not

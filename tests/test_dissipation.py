@@ -509,6 +509,24 @@ class TestRichardson:
 
 
 class TestCrossValidation:
+    def test_pass_drops_transform_buffers(self, trajectory):
+        """analyze_widths drops the grid's band-transform buffers when it
+        returns; a pass that starts with them already made, and one that
+        makes them, give the same bits."""
+        grid, deltas = trajectory.grid, [np.pi, np.pi / 2.0, np.pi / 4.0]
+        runs = []
+        for warm in (False, True):
+            if warm:
+                grid.band.inverse(trajectory.u_hats[-1])
+                assert grid.__dict__["_buffers"]
+            balances, report = analyze_widths(trajectory, deltas)
+            assert not grid.__dict__.get("_buffers")
+            runs.append(
+                ([(b.stress_flux, b.stress_norm, b.flux.tobytes()) for b in balances],
+                 report.structure_series.tobytes(), report.stress_series.tobytes())
+            )
+        assert runs[0] == runs[1]
+
     def test_report_on_affordable_schedule(self, grid):
         ic = InitialCondition(
             kind="random_band", amplitude=0.2, seed=11, slope=-2.0, k_min=1, k_max=2

@@ -18,11 +18,11 @@ Validates:
 """
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
-from full_layout import full_multiplier, full_stress
+from full_layout import full_multiplier, full_stress, hermitian_defect
 
 from nslab import filtering
 from nslab.filtering import (
@@ -47,13 +47,25 @@ from nslab.spectral import (
     gradient,
     gradient_norm_sq,
     grid_inner_product,
-    hermitian_defect,
     inner_product,
     laplacian,
     norm_sq,
     tensor_divergence,
 )
-from nslab.windows import BumpWindow, ConstantWindow
+from nslab.windows import BumpWindow
+
+
+@dataclass(frozen=True)
+class ConstantWindow:
+    """s(t) = value everywhere: the whole-interval window of the local budgets."""
+
+    value: float = 1.0
+
+    def __call__(self, t):
+        return np.full_like(np.asarray(t, dtype=np.float64), self.value)
+
+    def derivative(self, t):
+        return np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")

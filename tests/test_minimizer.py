@@ -465,6 +465,24 @@ class TestTrajectoryDiagnostics:
         assert solution_gap(traj_grid.band, trajectory.times, closed, oracle) < 1e-12
         assert oracle.lam == pytest.approx(closed.lam, abs=1e-8)
 
+    def test_pass_drops_transform_buffers(self, trajectory, traj_basket, audit):
+        """audit_widths drops the grid's band-transform buffers when it
+        returns, and a pass that starts with the buffers already made gives
+        the same bits as one that makes them."""
+        grid = trajectory.grid
+        grid.band.inverse(trajectory.u_hats[-1])
+        assert grid.__dict__["_buffers"]
+        again = audit_widths(trajectory, TRAJ_DELTAS, traj_basket, default_radius_sq(trajectory))
+        assert not grid.__dict__.get("_buffers")
+        assert np.array_equal(again.rhs, audit.rhs) and again.scale == audit.scale
+        assert np.array_equal(again.weak.a, audit.weak.a)
+        assert np.array_equal(again.weak.b, audit.weak.b)
+        assert again.stress_limit == audit.stress_limit
+        for width, ref in zip(again.widths, audit.widths, strict=True):
+            assert (width.solution.lam, width.solution.k_value) == (
+                ref.solution.lam, ref.solution.k_value
+            )
+
     def test_resolved_energy_pairing(self, traj_grid, audit, trajectory):
         """The filtered energy drop equals -(1-2 lambda) int<grad v*, grad ubar> dt
         up to the time-quadrature error of the budget."""

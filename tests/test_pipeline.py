@@ -40,6 +40,7 @@ Validates:
 """
 
 import fcntl
+import importlib
 import json
 import math
 import os
@@ -53,7 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots, spectral
+from nslab import cli, dissipation, filtering, minimizer, pipeline, snapshots, solver, spectral
 from nslab.config import OUTPUT_ROOT_ENV, dump_config
 from nslab.ledger import TIME_COLUMNS, atomic_path, read_ledger, read_width_ledger, write_ledger
 from nslab.pipeline import PipelineError, RunPaths
@@ -82,6 +83,12 @@ def make_config(run_dir, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def read_ledger_array(path):
+    """read_ledger with its rows as one (rows, columns) float array."""
+    columns, rows = read_ledger(path)
+    return columns, np.asarray(rows)
 
 
 def write_config(path, data):
@@ -136,7 +143,7 @@ class TestSimulateStage:
 
     def test_time_ledger_contents(self, completed):
         """Ledger times align with the snapshot files."""
-        columns, data = read_ledger(completed["paths"].time_ledger)
+        columns, data = read_ledger_array(completed["paths"].time_ledger)
         assert columns == TIME_COLUMNS
         assert data.shape == (11, 4)
         t0, fields = read_snapshot(
@@ -396,6 +403,15 @@ class TestAnalyzeStage:
         assert np.isfinite(defect["gap_rel"])
         assert "max_offsets" not in defect and "offsets" not in defect
 
+    def test_stress_norm_order(self, completed):
+        """analyze records the log-log slope of the stress norms over the
+        schedule; report copies it as its stress_norm order, bit for bit."""
+        analysis = json.loads(completed["analysis"])
+        norms = [row["stress_norm"] for row in analysis["balance"]]
+        order = spectral._fit_order(analysis["schedule"], norms)
+        assert analysis["stress_norm_order"] == order and math.isfinite(order)
+        assert json.loads(completed["summary"])["orders"]["stress_norm"] == order
+
     def test_stress_defect_is_negated_resolved_flux(self, completed):
         """The stress-strain defect and the resolved-balance flux are the
         same pairing <R, grad ubar> with opposite signs, two reductions of
@@ -440,16 +456,18 @@ class TestMinimizeStage:
         shutil.copytree(completed["run_dir"], run_dir)
         audited, alive = [], []
 
+        audit_widths, oracle_mp = minimizer.audit_widths, minimizer.oracle_mp
+
         def audit(traj, *args):
             audited.append(weakref.ref(traj))
-            return minimizer.audit_widths(traj, *args)
+            return audit_widths(traj, *args)
 
         def oracle(*args, **kwargs):
             alive.append(audited[0]() is not None)
-            return minimizer.oracle_mp(*args, **kwargs)
+            return oracle_mp(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "audit_widths", audit)
-        monkeypatch.setattr(pipeline, "oracle_mp", oracle)
+        monkeypatch.setattr(minimizer, "audit_widths", audit)
+        monkeypatch.setattr(minimizer, "oracle_mp", oracle)
         pipeline.cmd_minimize(run_dir, oracle=True)
         assert alive == [False]
         assert completed["grab"](RunPaths(run_dir).minimize) == completed["minimize"]
@@ -681,20 +699,20 @@ class TestBlowUp:
 
 
 def drop_time_column(paths):
-    columns, data = read_ledger(paths.time_ledger)
+    columns, data = read_ledger_array(paths.time_ledger)
     write_ledger(paths.time_ledger, columns[:-1], data[:, :-1])
     return paths.time_ledger
 
 
 def change_width_delta(paths):
-    columns, data = read_ledger(paths.width_ledger)
+    columns, data = read_ledger_array(paths.width_ledger)
     data[1, columns.index("delta")] *= 1.0 + 2.0**-40
     write_ledger(paths.width_ledger, columns, data)
     return paths.width_ledger
 
 
 def drop_width_row(paths):
-    columns, data = read_ledger(paths.width_ledger)
+    columns, data = read_ledger_array(paths.width_ledger)
     write_ledger(paths.width_ledger, columns, data[:-1])
     return paths.width_ledger
 
@@ -709,6 +727,7 @@ DROPPED_KEYS = {
     "drop_analysis_key": ("analysis", "balance"),
     "drop_structure_order": ("analysis", "defect.structure_order"),
     "drop_stress_order": ("analysis", "defect.stress_order"),
+    "drop_stress_norm_order": ("analysis", "stress_norm_order"),
     "drop_row_stress_norm": ("analysis", "balance[1].stress_norm"),
     "drop_row_resolved_residual": ("analysis", "balance[0].resolved_residual"),
     "drop_order_a": ("minimize", "weak_convergence.order_a"),
@@ -738,6 +757,7 @@ MALFORMED_VALUES = {
     "empty_balance": ("analysis", "balance", lambda rows: []),
     "short_balance": ("analysis", "balance", lambda rows: rows[:2]),
     "text_stress_order": ("analysis", "defect.stress_order", lambda order: "x"),
+    "text_stress_norm_order": ("analysis", "stress_norm_order", lambda order: "x"),
 }
 
 
@@ -932,7 +952,7 @@ class TestCommandLine:
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         ledger = RunPaths(str(copy_dir)).time_ledger
-        columns, data = read_ledger(ledger)
+        columns, data = read_ledger_array(ledger)
         data[0, 1] = float("nan")
         write_ledger(ledger, columns, data)
         assert cli.main(["analyze", str(copy_dir)]) == 2
@@ -947,7 +967,7 @@ class TestCommandLine:
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         paths = RunPaths(str(copy_dir))
-        columns, data = read_ledger(paths.time_ledger)
+        columns, data = read_ledger_array(paths.time_ledger)
         files = list_snapshots(paths.snapshots)
         times = data[:, 0].copy()
         if damage == "nan":
@@ -971,7 +991,7 @@ class TestCommandLine:
         copy_dir = tmp_path / "copy"
         shutil.copytree(completed["run_dir"], copy_dir)
         ledger = RunPaths(str(copy_dir)).time_ledger
-        columns, data = read_ledger(ledger)
+        columns, data = read_ledger_array(ledger)
         if damage == "shifted":
             data[2, 0] += 1e-6
         else:
@@ -1007,7 +1027,7 @@ class TestCommandLine:
         def no_simulate(grid, u0):
             raise AssertionError("integrated before reading run.json")
 
-        monkeypatch.setattr(pipeline, "simulate", no_simulate)
+        monkeypatch.setattr(solver, "simulate", no_simulate)
         assert cli.main(["simulate", "--config", config_path]) == 2
         assert "run.json" in capsys.readouterr().err
         assert tree_bytes(copy_dir, skip=()) == before
@@ -1087,3 +1107,99 @@ class TestCommandLine:
         text = parser.format_help()
         for word in ("simulate", "analyze", "minimize", "report", "verify"):
             assert word in text
+
+
+# Prints the nslab modules and numpy a cli.main(argv) call leaves loaded.
+IMPORT_PROBE = """
+import json, sys
+from nslab import cli
+status = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "nslab")
+print(json.dumps({"status": status, "loaded": loaded}))
+"""
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+# Every home module of a moved exception class.
+ERROR_HOMES = {
+    "config": "ConfigError",
+    "dissipation": "DissipationError",
+    "spectral": "GridError",
+    "filtering": "KernelError",
+    "ledger": "LedgerError",
+    "minimizer": "MinimizerError",
+    "snapshots": "SnapshotFormatError",
+    "solver": "BlowUpError",
+    "pipeline": "PipelineError",
+}
+
+
+def loaded_by(*argv):
+    """The modules a fresh interpreter has loaded after cli.main(argv) exits 0."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["status"] == 0, out.stderr
+    return set(record["loaded"])
+
+
+@pytest.fixture(scope="module")
+def stage_imports(tmp_path_factory):
+    """stage -> the modules its process loads, over one fresh run."""
+    root = tmp_path_factory.mktemp("imports")
+    run_dir = str(root / "run")
+    config_path = write_config(root / "config.json", make_config(run_dir))
+    return {
+        "simulate": loaded_by("simulate", "--config", config_path),
+        "analyze": loaded_by("analyze", run_dir),
+        "minimize": loaded_by("minimize", run_dir, "--oracle"),
+        "report": loaded_by("report", run_dir),
+    }
+
+
+class TestStageImports:
+    """Each stage process loads only the modules it runs."""
+
+    def test_report_loads_no_numpy(self, stage_imports):
+        assert stage_imports["report"] == {
+            "nslab", "nslab.cli", "nslab.errors", "nslab.ledger", "nslab.pipeline"
+        }
+
+    def test_simulate_loads_no_minimizer_or_estimators(self, stage_imports):
+        assert "nslab.solver" in stage_imports["simulate"]
+        assert not {"nslab.minimizer", "nslab.dissipation"} & stage_imports["simulate"]
+
+    def test_analyze_loads_no_minimizer(self, stage_imports):
+        assert "nslab.dissipation" in stage_imports["analyze"]
+        assert "nslab.minimizer" not in stage_imports["analyze"]
+
+    def test_minimize_loads_no_estimators(self, stage_imports):
+        assert "nslab.minimizer" in stage_imports["minimize"]
+        assert "nslab.dissipation" not in stage_imports["minimize"]
+
+    def test_import_package_loads_no_submodule(self):
+        probe = "import sys, nslab; print(sorted(m for m in sys.modules if m.startswith('nslab')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "['nslab']"
+
+    def test_every_export_is_its_defining_modules_object(self):
+        import nslab
+
+        assert sorted(nslab.__all__) == sorted(set(nslab.__all__))
+        for name in nslab.__all__:
+            value = getattr(nslab, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+            assert name in dir(nslab)
+        with pytest.raises(AttributeError):
+            nslab.no_such_name  # noqa: B018
+
+    def test_moved_exceptions_are_reexported(self):
+        from nslab import errors
+
+        for module, name in ERROR_HOMES.items():
+            home = importlib.import_module(f"nslab.{module}")
+            assert getattr(home, name) is getattr(errors, name), name

@@ -22,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from full_layout import hermitian_defect
 
 from nslab.solver import (
     BlowUpError,
@@ -42,7 +43,6 @@ from nslab.spectral import (
     divergence_max,
     gradient,
     gradient_norm_sq,
-    hermitian_defect,
     inner_product,
     leray_project,
     norm_sq,

@@ -22,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from full_layout import hermitian_defect
 
 from nslab.spectral import (
     VOLUME,
@@ -35,7 +36,6 @@ from nslab.spectral import (
     gradient_inner_product,
     gradient_norm_sq,
     grid_inner_product,
-    hermitian_defect,
     inner_product,
     inverse_laplacian,
     laplacian,
