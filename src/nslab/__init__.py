@@ -30,7 +30,6 @@ _HOMES = {
     "resolved_balance": "filtering",
     "reynolds_stress_hat": "filtering",
     "velocity_product_hat": "filtering",
-    "width_schedule": "filtering",
     "FluxField": "minimizer",
     "MinimizerSolution": "minimizer",
     "assemble_flux": "minimizer",
@@ -49,6 +48,7 @@ _HOMES = {
     "make_initial": "solver",
     "simulate": "solver",
     "Grid": "spectral",
+    "width_schedule": "spectral",
 }
 
 __all__ = sorted(_HOMES)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .basket import build_basket
 from .dissipation import defect_cross_validate
-from .filtering import kernel_for, resolved_balance, width_schedule
+from .filtering import kernel_for, resolved_balance
 from .minimizer import (
     FluxField,
     audit_widths,
@@ -69,6 +69,7 @@ from .spectral import (
     leray_project,
     norm_sq,
     random_divergence_free,
+    width_schedule,
 )
 
 BELTRAMI = {"n": 32, "nu": 0.1, "dt": 1e-3, "t_end": 1.0, "snapshot_stride": 10}

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import BASKET_MAX_MODE, BASKET_SEED, BASKET_SIZE
 from .spectral import VOLUME, curl, dealias, gradient_norm_sq, leray_project
 from .windows import BumpWindow
-
-DEFAULT_SEED = 2025
-DEFAULT_SIZE = 12
-DEFAULT_MAX_MODE = 2
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class TestBasket:
         (math.fsum) so that cancelling pairings keep only their products' error.
         values are f on the support modes (on_support)."""
         terms = (weights * values * np.conj(profiles)).real
-        return np.array([math.fsum(row) for row in terms.reshape(len(self), -1)])
+        return np.array([math.fsum(row) for row in terms.reshape(len(self), -1).tolist()])
 
     def on_support(self, field_hat):
         """A band field's values on the M support modes, shape (..., M)."""
@@ -85,7 +82,7 @@ class TestBasket:
         return np.sqrt(np.sum(sq, axis=1)), np.sqrt(sq @ np.sum(self.k_vec**2, axis=0))
 
 
-def build_basket(grid, t_end, seed=DEFAULT_SEED, size=DEFAULT_SIZE, max_mode=DEFAULT_MAX_MODE):
+def build_basket(grid, t_end, seed=BASKET_SEED, size=BASKET_SIZE, max_mode=BASKET_MAX_MODE):
     if size < 1:
         raise ValueError("basket size must be positive")
     if max_mode < 1 or max_mode > grid.dealias_cutoff:

@@ -16,16 +16,20 @@ import math
 import os
 from dataclasses import dataclass
 
-from . import basket as basket_mod
-from .errors import ConfigError
-from .filtering import KernelError, width_schedule
+from .errors import ConfigError, KernelError
 from .ledger import atomic_open
 from .solver import InitialCondition, shell_targets
-from .spectral import VOLUME, Grid, GridError
+from .spectral import VOLUME, Grid, GridError, width_schedule
 
 OUTPUT_ROOT_ENV = "NSLAB_OUT"
 
 REQUIRED = object()
+
+# build_basket's defaults.  basket reads them from here, so that parsing a
+# config (simulate's first step) need not import basket.
+BASKET_SEED = 2025
+BASKET_SIZE = 12
+BASKET_MAX_MODE = 2
 
 # section -> key -> (type, default); a nested mapping is a subsection.  A
 # default of REQUIRED makes the key mandatory; None makes it optional and
@@ -53,9 +57,9 @@ SCHEMA = {
         "oracle": {"iters": (int, 2000), "starts": (int, 3), "seed": (int, 7)},
     },
     "basket": {
-        "seed": (int, basket_mod.DEFAULT_SEED),
-        "size": (int, basket_mod.DEFAULT_SIZE),
-        "max_mode": (int, basket_mod.DEFAULT_MAX_MODE),
+        "seed": (int, BASKET_SEED),
+        "size": (int, BASKET_SIZE),
+        "max_mode": (int, BASKET_MAX_MODE),
     },
     "output": {"dir": (str, REQUIRED)},
 }
@@ -140,7 +144,9 @@ class RunConfig:
         return width_schedule(grid, self.filters["delta0"], self.filters["count"])
 
     def make_basket(self, grid):
-        return basket_mod.build_basket(grid, t_end=self.grid["t_end"], **self.basket)
+        from .basket import build_basket
+
+        return build_basket(grid, t_end=self.grid["t_end"], **self.basket)
 
     def resolve_output_dir(self, root=None):
         output_dir = self.output["dir"]

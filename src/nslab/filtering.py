@@ -33,7 +33,11 @@ holds to round-off for trajectories produced by the solver.  The product
 Pi = band((u_j u_k)^) does not depend on the width: it is formed once
 per snapshot, and reynolds_stress_hat and filtered_pressure_hat take it as
 an argument.  Both symmetric tensors are formed as their 6 upper-triangle
-components and expanded through _SYMMETRIC_INDEX.
+components and expanded through _SYMMETRIC_INDEX.  One product kernel,
+_band_products, forms Pi from u and (ubar_i ubar_j)^ from ubar: the field
+on the grid, its six products written with np.multiply into one array,
+and that array's band forward transform, so no component is copied out
+of the field before its product is taken.
 
 filtered_pairs is the one loop over (width, snapshot) pairs, and the
 pipeline's only caller of velocity_product_hat and reynolds_stress_hat.
@@ -147,43 +151,40 @@ def kernel_for(grid, delta):
     return cached_per_width(grid, "_kernel_cache", delta, make_kernel)
 
 
-def width_schedule(grid, delta0, count):
-    """Dyadic widths delta0 * 2^-j, j = 0..count-1, validated against the grid."""
-    if count < 1:
-        raise KernelError("schedule needs at least one width")
-    widths = [float(delta0) * 2.0**-j for j in range(int(count))]
-    for w in widths:
-        if w > np.pi or w < 2.0 * grid.h - 1e-12:
-            raise KernelError(
-                f"schedule width {w:.6g} outside the representable band "
-                f"[{2.0 * grid.h:.6g}, {np.pi:.6g}]"
-            )
-    return widths
+def _band_products(grid, v_hat):
+    """band((v_j v_k)^) for j <= k, (6,) + band shape, of a band vector
+    field: v on the grid, its six products written with np.multiply into
+    one (6, n, n, n) array, and that array's band forward transform, 6
+    scalar transforms after v's 3.  v is released before the forward, so
+    at most v and the products are alive on the grid."""
+    v = grid.inverse(v_hat)
+    products = np.empty((6,) + grid.shape)
+    for c, (j, k) in enumerate(zip(*_UPPER)):
+        np.multiply(v[j], v[k], out=products[c])
+    del v
+    return grid.band.forward(products)
 
 
 def velocity_product_hat(grid, u_hat):
     """Pi = (u_j u_k)^ on the band for j <= k, (6,) + band shape, from a
-    band velocity: the band of dealias((u_j u_k)^), bitwise; 9 scalar band
-    transforms.  One Pi serves every width at a snapshot."""
-    u = grid.inverse(u_hat)
-    j, k = _UPPER
-    return grid.band.forward(u[j] * u[k])
+    band velocity: _band_products of u_hat, the band of dealias((u_j
+    u_k)^), bitwise; 9 scalar band transforms.  One Pi serves every width
+    at a snapshot."""
+    return _band_products(grid, u_hat)
 
 
 def reynolds_stress_hat(grid, kernel, ub_hat, product_hat):
     """Spectral filtered Reynolds stress on the band, (3, 3) + band shape.
 
     R_ij = m * Pi_ij - (ubar_i ubar_j)^ for the band fields ub_hat = m *
-    u_hat and Pi = velocity_product_hat(grid, u_hat), the difference taken
-    in the band forward transform's result after ubar is dropped.  The
-    modes off the band, where (ubar_i ubar_j)^ is partly aliased, are not
-    part of R.  9 scalar band transforms per call, so 9 + 9 per width with
-    Pi's per snapshot.
+    u_hat and Pi = velocity_product_hat(grid, u_hat), with (ubar_i
+    ubar_j)^ = _band_products(grid, ub_hat), the kernel Pi is formed by,
+    and the difference taken in that result.  The modes off the band,
+    where (ubar_i ubar_j)^ is partly aliased, are not part of R.  9
+    scalar band transforms per call, so 9 + 9 per width with Pi's per
+    snapshot.
     """
-    j, k = _UPPER
-    ubar = grid.inverse(ub_hat)
-    resolved = grid.band.forward(ubar[j] * ubar[k])
-    del ubar
+    resolved = _band_products(grid, ub_hat)
     return np.subtract(kernel.multiplier * product_hat, resolved, out=resolved)[_SYMMETRIC_INDEX]
 
 

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, KernelError
 
 TWO_PI = 2.0 * np.pi
 #: Volume of the computational box [0, 2*pi)^3.
@@ -215,6 +215,20 @@ class Grid:
             f"Grid(n={self.n}, nu={self.nu}, dt={self.dt}, "
             f"t_end={self.t_end}, snapshot_stride={self.snapshot_stride})"
         )
+
+
+def width_schedule(grid, delta0, count):
+    """Dyadic widths delta0 * 2^-j, j = 0..count-1, validated against the grid."""
+    if count < 1:
+        raise KernelError("schedule needs at least one width")
+    widths = [float(delta0) * 2.0**-j for j in range(int(count))]
+    for w in widths:
+        if w > np.pi or w < 2.0 * grid.h - 1e-12:
+            raise KernelError(
+                f"schedule width {w:.6g} outside the representable band "
+                f"[{2.0 * grid.h:.6g}, {np.pi:.6g}]"
+            )
+    return widths
 
 
 class Band:

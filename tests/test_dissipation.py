@@ -52,10 +52,9 @@ from nslab.filtering import (
     resolved_balance,
     reynolds_stress_hat,
     velocity_product_hat,
-    width_schedule,
 )
 from nslab.solver import InitialCondition, make_initial, simulate
-from nslab.spectral import VOLUME, Grid, dealias, gradient
+from nslab.spectral import VOLUME, Grid, dealias, gradient, width_schedule
 
 # Frozen output of tools/oracle_defect_direct.py (n=16, a=1.1, b=0.8, c=0.6).
 # The oracle shares no code with the package: filtering is an explicit

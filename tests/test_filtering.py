@@ -36,7 +36,6 @@ from nslab.filtering import (
     resolved_balance,
     reynolds_stress_hat,
     velocity_product_hat,
-    width_schedule,
     wrapped_radius_sq,
 )
 from nslab.minimizer import assemble_flux
@@ -51,6 +50,7 @@ from nslab.spectral import (
     laplacian,
     norm_sq,
     tensor_divergence,
+    width_schedule,
 )
 from nslab.windows import BumpWindow
 
@@ -166,7 +166,30 @@ def stress_hat(grid, kernel, u_hat):
     return reynolds_stress_hat(grid, kernel, kernel.multiplier * u_hat, product_hat)
 
 
+def index_array_products(grid, v_hat):
+    """band((v_j v_k)^) for j <= k as formed before the product kernel:
+    from the gathered copies v[j] and v[k] of the index arrays."""
+    j, k = np.triu_indices(3)
+    v = grid.inverse(v_hat)
+    return grid.band.forward(v[j] * v[k])
+
+
 class TestReynoldsStress:
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_product_kernel_matches_index_arrays(self, n):
+        """Pi and R, whose products the kernel writes in place, equal the
+        index-array formulation byte for byte (n = 24: 3 divides n)."""
+        g = Grid(n=n, nu=0.05, dt=1e-3, t_end=1e-3, snapshot_stride=1)
+        u_hat = g.band.forward(np.random.default_rng(n + 1).standard_normal((3,) + g.shape))
+        product_hat = velocity_product_hat(g, u_hat)
+        assert product_hat.tobytes() == index_array_products(g, u_hat).tobytes()
+        for delta in width_schedule(g, np.pi, 3):
+            kernel = kernel_for(g, delta)
+            ub_hat = kernel.multiplier * u_hat
+            expected = kernel.multiplier * product_hat - index_array_products(g, ub_hat)
+            r_hat = reynolds_stress_hat(g, kernel, ub_hat, product_hat)
+            assert r_hat.tobytes() == expected[filtering._SYMMETRIC_INDEX].tobytes()
+
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_shared_product_matches_reference(self, n):
         """One Pi per snapshot, 6 components each side, on the band,
@@ -425,12 +448,12 @@ class TestPairLoop:
     def test_pair_working_set(self, grid, trajectory):
         """One snapshot of this 16^3 trajectory, Pi and its three pairs with
         each stress reduced as it is drawn, in vector fields of the full
-        layout (3, n, n, n//2+1).  The first snapshot peaks at 12.6 above
+        layout (3, n, n, n//2+1).  The first snapshot peaks at 9.0 above
         entry: the band transforms' buffers are made then and kept on the
-        grid (4.1 of the 12.6).  A later snapshot peaks at 8.4: Pi, the
-        previous pair's ubar_hat and stress, the new ubar_hat, all band
-        fields, and ubar and its products on the grid.  The full-layout
-        pass peaked at 13.7 (14.2 was its bound)."""
+        grid (4.1 of the 9.0).  A later snapshot peaks at 3.3: a velocity
+        on the grid and the six products written from it (2.7), and band
+        fields.  Products formed from the gathered copies u[j] and u[k]
+        peaked at 12.6 and 6.9; the full-layout pass at 13.7."""
         kernels = [kernel_for(grid, d) for d in width_schedule(grid, np.pi, 3)]
         vector = 3 * grid.n * grid.n * grid.nh * 16
         snapshots = filtered_pairs(trajectory, kernels)
@@ -447,8 +470,8 @@ class TestPairLoop:
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert peaks[0] <= 12.8 * vector
-        assert peaks[1] <= 8.6 * vector
+        assert peaks[0] <= 9.2 * vector
+        assert peaks[1] <= 3.5 * vector
 
     def test_consumers_match_reference_loops(self, grid, trajectory, local_inputs):
         """Each consumer equals the per-snapshot loop it replaced bit for bit."""

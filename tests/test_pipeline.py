@@ -1170,6 +1170,13 @@ class TestStageImports:
         assert "nslab.solver" in stage_imports["simulate"]
         assert not {"nslab.minimizer", "nslab.dissipation"} & stage_imports["simulate"]
 
+    def test_simulate_loads_only_what_it_runs(self, stage_imports):
+        """Parsing the config loads no basket, windows or filtering."""
+        assert stage_imports["simulate"] == {
+            "nslab", "nslab.cli", "nslab.config", "nslab.errors", "nslab.ledger",
+            "nslab.pipeline", "nslab.snapshots", "nslab.solver", "nslab.spectral", "numpy",
+        }
+
     def test_analyze_loads_no_minimizer(self, stage_imports):
         assert "nslab.dissipation" in stage_imports["analyze"]
         assert "nslab.minimizer" not in stage_imports["analyze"]
